@@ -11,27 +11,47 @@
 package fold
 
 import (
+	"math"
 	"math/big"
+	"math/bits"
 
 	"polyprof/internal/poly"
 )
 
 // Fitter incrementally decides whether a stream of samples (x, y) with
-// x in Z^m lies on an affine function y = c·x + k, using exact rational
-// Gaussian elimination.  Adding samples is cheap once the function is
-// determined (integer evaluation); before that, each independent sample
-// extends a reduced basis.
+// x in Z^m lies on an affine function y = c·x + k, using exact Gaussian
+// elimination.  Adding samples is cheap once the function is determined
+// (integer evaluation); before that, each independent sample extends a
+// reduced basis.
+//
+// The basis is kept fraction-free in int64 rows: eliminating src from
+// dst computes a·dst − b·src and divides the result by its gcd.  Every
+// row is therefore a nonzero multiple of the rational row plain
+// elimination would hold, so every decision — the pivot column, the
+// 0 = nonzero contradiction, integrality — comes out the same.  Each
+// multiply and subtract checks for overflow; the first that would leave
+// the int64 range promotes the fitter, once, to exact big.Rat rows.
 type Fitter struct {
 	m      int
 	failed bool
 
 	// rows is the reduced basis of sample equations over the m+1
 	// unknown coefficients (m variable coefficients plus the constant).
-	// Each row has m+2 rational entries: the coefficient columns and
-	// the right-hand side.
-	rows [][]*big.Rat
-	// pivot[i] is the pivot column of rows[i].
+	// Each row has m+2 entries: the coefficient columns and the
+	// right-hand side.  Rows are primitive (entries coprime) with a
+	// positive pivot, and no entry is math.MinInt64, so negation and
+	// absolute values never overflow.
+	rows [][]int64
+	// pivot[i] is the pivot column of rows[i] (of wideRows[i] once wide).
 	pivot []int
+	// scratch holds the sample row Add and Check reduce, so a sample
+	// allocates nothing; basis rows are allocated only when rank grows.
+	scratch []int64
+
+	// wide is set once int64 arithmetic would have overflowed; the basis
+	// then lives in wideRows as exact rationals and rows is nil.
+	wide     bool
+	wideRows [][]*big.Rat
 
 	// solved is the integer affine function once determined ("decided"
 	// the moment the basis reaches full rank or Solve is called).
@@ -64,30 +84,16 @@ func (f *Fitter) Add(x []int64, y int64) bool {
 		}
 		return !f.failed
 	}
-	// Build the equation row [x..., 1 | y].
-	row := make([]*big.Rat, f.m+2)
-	for i := 0; i < f.m; i++ {
-		row[i] = new(big.Rat).SetInt64(x[i])
-	}
-	row[f.m] = new(big.Rat).SetInt64(1)
-	row[f.m+1] = new(big.Rat).SetInt64(y)
-
-	f.reduce(row)
-	lead := f.leadCol(row)
-	switch {
-	case lead == -1:
-		if row[f.m+1].Sign() != 0 {
-			// 0 = nonzero: inconsistent, not affine.
-			f.fail()
+	if !f.wide {
+		if row, ok := f.reduce(x, y); ok {
+			f.absorb(row)
+			return !f.failed
 		}
-		// Otherwise the row vanished entirely: redundant sample.
-	default:
-		f.insertRow(row, lead)
-		if len(f.rows) == f.m+1 {
-			// Full rank: the function is uniquely determined.
-			f.trySolve()
-		}
+		f.promote()
 	}
+	row := f.sampleRat(x, y)
+	f.reduceWide(row)
+	f.absorbWide(row)
 	return !f.failed
 }
 
@@ -104,13 +110,224 @@ func (f *Fitter) pivotOrder(i int) int {
 
 func (f *Fitter) fail() {
 	f.failed = true
-	f.rows = nil
+	f.rows, f.wideRows, f.pivot = nil, nil, nil
 	f.solved = nil
 }
 
-// reduce eliminates the row against the current basis.
-func (f *Fitter) reduce(row []*big.Rat) {
+// reduce builds the equation row [x..., 1 | y] in the scratch row and
+// eliminates it against the basis.  ok is false when an entry would
+// leave the int64 range; the basis is untouched either way.
+func (f *Fitter) reduce(x []int64, y int64) (row []int64, ok bool) {
+	if f.scratch == nil {
+		f.scratch = make([]int64, f.m+2)
+	}
+	row = f.scratch
+	for i := 0; i < f.m; i++ {
+		if x[i] == math.MinInt64 {
+			return nil, false
+		}
+		row[i] = x[i]
+	}
+	if y == math.MinInt64 {
+		return nil, false
+	}
+	row[f.m] = 1
+	row[f.m+1] = y
 	for i, r := range f.rows {
+		p := f.pivot[i]
+		if row[p] != 0 && !combine(row, row, r, p) {
+			return nil, false
+		}
+	}
+	return row, true
+}
+
+// leadCol returns the pivot column of the reduced row (constant column
+// preferred), or -1 when no coefficient column is nonzero.
+func (f *Fitter) leadCol(row []int64) int {
+	for i := 0; i <= f.m; i++ {
+		if j := f.pivotOrder(i); row[j] != 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// absorb applies a reduced sample row: a contradiction fails the
+// fitter, a vanished row is redundant, anything else extends the basis.
+func (f *Fitter) absorb(row []int64) {
+	lead := f.leadCol(row)
+	if lead == -1 {
+		if row[f.m+1] != 0 {
+			// 0 = nonzero: inconsistent, not affine.
+			f.fail()
+		}
+		// Otherwise the row vanished entirely: redundant sample.
+		return
+	}
+	f.insert(row, lead)
+	if len(f.pivot) == f.m+1 {
+		// Full rank: the function is uniquely determined.
+		f.trySolve()
+	}
+}
+
+// insert adds a copy of the reduced row to the basis and back-eliminates
+// it from existing rows to keep reduced row-echelon form.  Each existing
+// row is rewritten only once its elimination succeeded, so on overflow
+// the rows not yet visited still need exactly the elimination the wide
+// path then performs.
+func (f *Fitter) insert(row []int64, lead int) {
+	nr := append([]int64(nil), row...)
+	normalize(nr, lead)
+	for _, r := range f.rows {
+		if r[lead] == 0 {
+			continue
+		}
+		if !combine(f.scratch, r, nr, lead) {
+			f.promote()
+			f.insertWide(ratRow(nr), lead)
+			return
+		}
+		divContent(f.scratch) // basis rows stay primitive
+		copy(r, f.scratch)
+	}
+	f.rows = append(f.rows, nr)
+	f.pivot = append(f.pivot, lead)
+}
+
+// combine sets dst = a·r − b·src with a/b = src[p]/r[p] reduced, which
+// zeroes column p.  src[p] is positive, so a is too and r's pivot keeps
+// its sign.  When a > 1 the entries grew by a factor, so dst is divided
+// by the gcd of its entries; with a = 1 (src's pivot divides r[p], the
+// common case) that division is skipped.  dst may alias r.  ok is false
+// on overflow, leaving dst partially written.
+func combine(dst, r, src []int64, p int) bool {
+	a, b := int64(1), r[p]
+	if src[p] != 1 {
+		g := int64(gcd(absU(r[p]), uint64(src[p])))
+		a, b = src[p]/g, r[p]/g
+	}
+	for j := range dst {
+		x := r[j]
+		if a != 1 {
+			var ok bool
+			if x, ok = mul(a, x); !ok {
+				return false
+			}
+		}
+		v, ok := sub(x, b, src[j])
+		if !ok {
+			return false
+		}
+		dst[j] = v
+	}
+	if a != 1 {
+		divContent(dst)
+	}
+	return true
+}
+
+// normalize makes the row primitive with a positive entry in column p.
+func normalize(row []int64, p int) {
+	divContent(row)
+	if row[p] < 0 {
+		for j := range row {
+			row[j] = -row[j]
+		}
+	}
+}
+
+// divContent divides the row by the gcd of its entries.
+func divContent(row []int64) {
+	var g uint64
+	for _, v := range row {
+		if v != 0 {
+			if g = gcd(g, absU(v)); g == 1 {
+				return
+			}
+		}
+	}
+	if g > 1 {
+		for j := range row {
+			row[j] /= int64(g)
+		}
+	}
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func absU(v int64) uint64 {
+	if v < 0 {
+		return uint64(-v)
+	}
+	return uint64(v)
+}
+
+// sub returns x − b·y; ok is false when the product or the difference
+// leaves (math.MinInt64, math.MaxInt64].
+func sub(x, b, y int64) (int64, bool) {
+	if y == 0 {
+		return x, true
+	}
+	q, ok := mul(b, y)
+	d := x - q
+	if !ok || (x^q)&(x^d) < 0 || d == math.MinInt64 {
+		return 0, false
+	}
+	return d, true
+}
+
+// mul returns a·b; ok is false when |a·b| exceeds math.MaxInt64.
+func mul(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(absU(a), absU(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	if (a < 0) != (b < 0) {
+		return -int64(lo), true
+	}
+	return int64(lo), true
+}
+
+// promote moves the basis to exact rationals for the rest of the
+// fitter's life.
+func (f *Fitter) promote() {
+	f.wide = true
+	f.wideRows = make([][]*big.Rat, len(f.rows))
+	for i, r := range f.rows {
+		f.wideRows[i] = ratRow(r)
+	}
+	f.rows = nil
+}
+
+func ratRow(r []int64) []*big.Rat {
+	row := make([]*big.Rat, len(r))
+	for j, v := range r {
+		row[j] = new(big.Rat).SetInt64(v)
+	}
+	return row
+}
+
+// sampleRat builds the rational equation row [x..., 1 | y].
+func (f *Fitter) sampleRat(x []int64, y int64) []*big.Rat {
+	row := make([]*big.Rat, f.m+2)
+	for i := 0; i < f.m; i++ {
+		row[i] = new(big.Rat).SetInt64(x[i])
+	}
+	row[f.m] = new(big.Rat).SetInt64(1)
+	row[f.m+1] = new(big.Rat).SetInt64(y)
+	return row
+}
+
+// reduceWide eliminates the rational row against the wide basis.
+func (f *Fitter) reduceWide(row []*big.Rat) {
+	for i, r := range f.wideRows {
 		p := f.pivot[i]
 		if row[p].Sign() == 0 {
 			continue
@@ -122,22 +339,34 @@ func (f *Fitter) reduce(row []*big.Rat) {
 	}
 }
 
-// leadCol returns the pivot column of the reduced row (constant column
-// preferred), or -1 when no coefficient column is nonzero.
-func (f *Fitter) leadCol(row []*big.Rat) int {
+// leadColWide is leadCol for rational rows.
+func (f *Fitter) leadColWide(row []*big.Rat) int {
 	for i := 0; i <= f.m; i++ {
-		j := f.pivotOrder(i)
-		if row[j].Sign() != 0 {
+		if j := f.pivotOrder(i); row[j].Sign() != 0 {
 			return j
 		}
 	}
 	return -1
 }
 
-// insertRow adds the reduced row to the basis and back-eliminates it
-// from existing rows to keep reduced row-echelon form.
-func (f *Fitter) insertRow(row []*big.Rat, lead int) {
-	for i, r := range f.rows {
+// absorbWide is absorb for a reduced rational row.
+func (f *Fitter) absorbWide(row []*big.Rat) {
+	lead := f.leadColWide(row)
+	if lead == -1 {
+		if row[f.m+1].Sign() != 0 {
+			f.fail()
+		}
+		return
+	}
+	f.insertWide(row, lead)
+	if len(f.pivot) == f.m+1 {
+		f.trySolve()
+	}
+}
+
+// insertWide is insert for rational rows.
+func (f *Fitter) insertWide(row []*big.Rat, lead int) {
+	for _, r := range f.wideRows {
 		if r[lead].Sign() == 0 {
 			continue
 		}
@@ -145,9 +374,8 @@ func (f *Fitter) insertRow(row []*big.Rat, lead int) {
 		for j := 0; j < len(r); j++ {
 			r[j] = new(big.Rat).Sub(r[j], new(big.Rat).Mul(factor, row[j]))
 		}
-		f.rows[i] = r
 	}
-	f.rows = append(f.rows, row)
+	f.wideRows = append(f.wideRows, row)
 	f.pivot = append(f.pivot, lead)
 }
 
@@ -159,38 +387,49 @@ func (f *Fitter) trySolve() {
 		return
 	}
 	f.solved = &e
-	f.rows, f.pivot = nil, nil
+	f.rows, f.wideRows, f.pivot = nil, nil, nil
 }
 
 // solveExpr solves the current (possibly underdetermined) system with
 // free coefficients set to zero; returns false when the solution is not
-// integral.
+// integral.  Rows are in reduced row-echelon form:
+// r[p]*c_p + sum over free columns j of r[j]*c_j = rhs, so with free
+// coefficients fixed at zero, c_p = rhs / r[p].
 func (f *Fitter) solveExpr() (poly.Expr, bool) {
-	coeffs := make([]*big.Rat, f.m+1)
-	for i := range coeffs {
-		coeffs[i] = new(big.Rat)
-	}
-	for i, r := range f.rows {
-		// Rows are in reduced row-echelon form:
-		// r[p]*c_p + sum over free columns j of r[j]*c_j = rhs.
-		// With free coefficients fixed at zero, c_p = rhs / r[p].
-		p := f.pivot[i]
-		val := new(big.Rat).Set(r[f.m+1])
-		coeffs[p] = val.Quo(val, r[p])
+	if f.wide {
+		return f.solveWide()
 	}
 	e := poly.NewExpr(f.m)
-	for i := 0; i <= f.m; i++ {
-		if !coeffs[i].IsInt() {
+	for i, r := range f.rows {
+		p, rhs := f.pivot[i], r[f.m+1]
+		if rhs%r[p] != 0 {
 			return poly.Expr{}, false
 		}
-		v := coeffs[i].Num().Int64()
-		if i == f.m {
-			e.K = v
-		} else {
-			e.C[i] = v
-		}
+		setCoeff(&e, f.m, p, rhs/r[p])
 	}
 	return e, true
+}
+
+// solveWide is solveExpr for rational rows.
+func (f *Fitter) solveWide() (poly.Expr, bool) {
+	e := poly.NewExpr(f.m)
+	for i, r := range f.wideRows {
+		c := new(big.Rat).Quo(r[f.m+1], r[f.pivot[i]])
+		if !c.IsInt() {
+			return poly.Expr{}, false
+		}
+		setCoeff(&e, f.m, f.pivot[i], c.Num().Int64())
+	}
+	return e, true
+}
+
+// setCoeff stores coefficient column p (column m is the constant).
+func setCoeff(e *poly.Expr, m, p int, v int64) {
+	if p == m {
+		e.K = v
+	} else {
+		e.C[p] = v
+	}
 }
 
 // Solve returns the fitted affine function.  For underdetermined

@@ -4,7 +4,7 @@
 // (epoch checkpoints persist folders through the jobstore WAL and
 // restore them bit-identically on resume).
 //
-// The state format is JSON-friendly: big.Rat basis rows serialize as
+// The state format is JSON-friendly: fitter basis rows serialize as
 // "num/den" strings, everything else is plain integers.  Restore is the
 // exact inverse of State — a restored folder continues the stream as if
 // it had never stopped, which is what makes resumed reports
@@ -13,7 +13,9 @@ package fold
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"strconv"
 
 	"polyprof/internal/faultinject"
 	"polyprof/internal/poly"
@@ -29,20 +31,28 @@ var epochMergeFault = faultinject.Point("fold.epoch.merge")
 // Clone returns a deep copy of the fitter; the copy and the original
 // evolve independently.
 func (f *Fitter) Clone() *Fitter {
-	c := &Fitter{m: f.m, failed: f.failed, nSamples: f.nSamples}
+	c := &Fitter{m: f.m, failed: f.failed, wide: f.wide, nSamples: f.nSamples}
 	if f.solved != nil {
 		e := f.solved.Clone()
 		c.solved = &e
 	}
 	if f.rows != nil {
-		c.rows = make([][]*big.Rat, len(f.rows))
+		c.rows = make([][]int64, len(f.rows))
 		for i, r := range f.rows {
+			c.rows[i] = append([]int64(nil), r...)
+		}
+	}
+	if f.wideRows != nil {
+		c.wideRows = make([][]*big.Rat, len(f.wideRows))
+		for i, r := range f.wideRows {
 			row := make([]*big.Rat, len(r))
 			for j, v := range r {
 				row[j] = new(big.Rat).Set(v)
 			}
-			c.rows[i] = row
+			c.wideRows[i] = row
 		}
+	}
+	if f.pivot != nil {
 		c.pivot = append([]int(nil), f.pivot...)
 	}
 	return c
@@ -110,7 +120,9 @@ func (m *MultiFolder) Clone() *MultiFolder {
 
 // FitterState is the serializable form of a Fitter.  Basis rows are
 // exact rationals rendered as "num/den" strings (big.Rat has no JSON
-// representation of its own).
+// representation of its own); the int64 rows render as plain integers
+// such as "3".  Any nonzero scaling of a row is the same equation, so
+// states written by a fitter that kept rational rows restore too.
 type FitterState struct {
 	M        int        `json:"m"`
 	Failed   bool       `json:"failed,omitempty"`
@@ -127,43 +139,109 @@ func (f *Fitter) State() FitterState {
 		e := f.solved.Clone()
 		s.Solved = &e
 	}
-	if f.rows != nil {
+	switch {
+	case f.rows != nil:
 		s.Rows = make([][]string, len(f.rows))
 		for i, r := range f.rows {
+			row := make([]string, len(r))
+			for j, v := range r {
+				row[j] = strconv.FormatInt(v, 10)
+			}
+			s.Rows[i] = row
+		}
+	case f.wideRows != nil:
+		s.Rows = make([][]string, len(f.wideRows))
+		for i, r := range f.wideRows {
 			row := make([]string, len(r))
 			for j, v := range r {
 				row[j] = v.RatString()
 			}
 			s.Rows[i] = row
 		}
+	}
+	if s.Rows != nil {
 		s.Pivot = append([]int(nil), f.pivot...)
 	}
 	return s
 }
 
-// RestoreFitter rebuilds a fitter from its checkpointed state.
+// RestoreFitter rebuilds a fitter from its checkpointed state.  Rows
+// are scaled to the primitive int64 rows an uninterrupted fitter would
+// hold, so a resumed stream continues on the int64 path; only a row
+// that does not fit leaves the fitter on big.Rat rows.
 func RestoreFitter(s FitterState) (*Fitter, error) {
 	f := &Fitter{m: s.M, failed: s.Failed, nSamples: s.NSamples}
 	if s.Solved != nil {
 		e := s.Solved.Clone()
 		f.solved = &e
 	}
-	if s.Rows != nil {
-		f.rows = make([][]*big.Rat, len(s.Rows))
-		for i, r := range s.Rows {
-			row := make([]*big.Rat, len(r))
-			for j, v := range r {
-				rat, ok := new(big.Rat).SetString(v)
-				if !ok {
-					return nil, fmt.Errorf("fold: bad rational %q in fitter state", v)
-				}
-				row[j] = rat
-			}
-			f.rows[i] = row
-		}
-		f.pivot = append([]int(nil), s.Pivot...)
+	if s.Rows == nil {
+		return f, nil
 	}
+	if len(s.Pivot) != len(s.Rows) {
+		return nil, fmt.Errorf("fold: fitter state has %d rows but %d pivots", len(s.Rows), len(s.Pivot))
+	}
+	wide := make([][]*big.Rat, len(s.Rows))
+	for i, r := range s.Rows {
+		p := s.Pivot[i]
+		if len(r) != s.M+2 || p < 0 || p > s.M {
+			return nil, fmt.Errorf("fold: malformed row %d in fitter state", i)
+		}
+		row := make([]*big.Rat, len(r))
+		for j, v := range r {
+			rat, ok := new(big.Rat).SetString(v)
+			if !ok {
+				return nil, fmt.Errorf("fold: bad rational %q in fitter state", v)
+			}
+			row[j] = rat
+		}
+		if row[p].Sign() == 0 {
+			return nil, fmt.Errorf("fold: zero pivot in row %d of fitter state", i)
+		}
+		wide[i] = row
+	}
+	f.pivot = append([]int(nil), s.Pivot...)
+	rows := make([][]int64, len(wide))
+	for i, r := range wide {
+		row, ok := intRow(r, f.pivot[i])
+		if !ok {
+			f.wide, f.wideRows = true, wide
+			return f, nil
+		}
+		rows[i] = row
+	}
+	f.rows = rows
 	return f, nil
+}
+
+// intRow scales a rational row to the primitive integer row with a
+// positive entry in column p; ok is false when an entry falls outside
+// the int64 rows' range.
+func intRow(r []*big.Rat, p int) ([]int64, bool) {
+	lcm, g := big.NewInt(1), new(big.Int)
+	for _, v := range r {
+		g.GCD(nil, nil, lcm, v.Denom())
+		lcm.Mul(lcm, new(big.Int).Quo(v.Denom(), g))
+	}
+	nums := make([]*big.Int, len(r))
+	content := new(big.Int)
+	for j, v := range r {
+		n := new(big.Int).Quo(lcm, v.Denom())
+		nums[j] = n.Mul(n, v.Num())
+		content.GCD(nil, nil, content, n)
+	}
+	if r[p].Sign() < 0 {
+		content.Neg(content)
+	}
+	row := make([]int64, len(r))
+	for j, n := range nums {
+		n.Quo(n, content)
+		if !n.IsInt64() || n.Int64() == math.MinInt64 {
+			return nil, false
+		}
+		row[j] = n.Int64()
+	}
+	return row, true
 }
 
 // LevelStateData serializes one run-recognition level.

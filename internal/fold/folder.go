@@ -82,7 +82,7 @@ type Folder struct {
 	lastLbl       []int64
 
 	// Small-stream fast path: the first few points are buffered without
-	// touching the run recognizer or the big.Rat fitters.  Most
+	// touching the run recognizer or the affine fitters.  Most
 	// dependence streams are tiny (see the fold.stream.points
 	// histogram); a single-distinct-point stream finishes directly with
 	// constant bounds, and anything larger replays the buffer through
@@ -425,9 +425,9 @@ func (f *Folder) finishSmall() (Piece, bool) {
 }
 
 // noteFinish publishes fold-outcome metrics: how many streams folded,
-// and whether each came out exact-affine or as a bounding-box
-// over-approximation.  Called once per stream (at Finish), never on the
-// per-point path.
+// whether each came out exact-affine or as a bounding-box
+// over-approximation, and how many fitters left the int64 path.  Called
+// once per stream (at Finish), never on the per-point path.
 func (f *Folder) noteFinish(p Piece) {
 	if !f.Obs.Enabled() {
 		return
@@ -439,6 +439,27 @@ func (f *Folder) noteFinish(p Piece) {
 		f.Obs.Add("fold.streams.approx", 1)
 	}
 	f.Obs.Observe("fold.stream.points", p.Points)
+	f.Obs.Add("fold.fitters.wide", f.wideFitters())
+}
+
+// wideFitters counts the folder's fitters that promoted themselves to
+// big.Rat rows.
+func (f *Folder) wideFitters() uint64 {
+	var n uint64
+	for _, fit := range f.labelFit {
+		if fit.wide {
+			n++
+		}
+	}
+	for _, lv := range f.levels {
+		if lv.loFit != nil && lv.loFit.wide {
+			n++
+		}
+		if lv.hiFit != nil && lv.hiFit.wide {
+			n++
+		}
+	}
+	return n
 }
 
 // embed widens an expression over the first k variables to dim

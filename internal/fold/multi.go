@@ -1,15 +1,12 @@
 package fold
 
-import (
-	"math/big"
-
-	"polyprof/internal/obs"
-)
+import "polyprof/internal/obs"
 
 // Check reports whether the sample is consistent with the fitter's
-// current state without mutating it: an already-determined function
-// must evaluate to y; an undetermined basis must not reduce the sample
-// to a contradiction (rank extension is consistent).
+// current state without changing what it decides: an already-determined
+// function must evaluate to y; an undetermined basis must not reduce the
+// sample to a contradiction (rank extension is consistent).  The only
+// side effect is promotion to big.Rat rows when int64 would overflow.
 func (f *Fitter) Check(x []int64, y int64) bool {
 	if f.failed {
 		return false
@@ -17,17 +14,15 @@ func (f *Fitter) Check(x []int64, y int64) bool {
 	if f.solved != nil {
 		return f.solved.Eval(x) == y
 	}
-	row := make([]*big.Rat, f.m+2)
-	for i := 0; i < f.m; i++ {
-		row[i] = new(big.Rat).SetInt64(x[i])
+	if !f.wide {
+		if row, ok := f.reduce(x, y); ok {
+			return f.leadCol(row) != -1 || row[f.m+1] == 0
+		}
+		f.promote()
 	}
-	row[f.m] = new(big.Rat).SetInt64(1)
-	row[f.m+1] = new(big.Rat).SetInt64(y)
-	f.reduce(row)
-	if f.leadCol(row) == -1 && row[f.m+1].Sign() != 0 {
-		return false
-	}
-	return true
+	row := f.sampleRat(x, y)
+	f.reduceWide(row)
+	return f.leadColWide(row) != -1 || row[f.m+1].Sign() == 0
 }
 
 // checkLabels tests a whole label vector against the folder's fitters.

@@ -32,6 +32,10 @@ func TestProgressLifecycle(t *testing.T) {
 
 	tr := &progress.Tracker{}
 	s.AttachProgress(j.ID, tr)
+	// Attached but no stage started yet: nothing to report.
+	if p := s.Get(j.ID).Progress; p != nil {
+		t.Fatalf("tracked job before its first stage has progress %+v", p)
+	}
 	tr.StartStage("pass2-ddg", 1000)
 	var last uint64
 	for _, n := range []uint64{10, 250, 999} {

@@ -877,7 +877,9 @@ func (s *Store) NoteStage(id, stage string) {
 }
 
 // liveProgress builds the volatile Progress view of a running job, or
-// nil.  Callers hold s.mu; the tracker itself is lock-free.
+// nil.  A tracker attached before its first stage started has nothing
+// to report yet, so it reads as nil too.  Callers hold s.mu; the
+// tracker itself is lock-free.
 func (s *Store) liveProgress(j *Job) *Progress {
 	if j.State != StateRunning {
 		return nil
@@ -887,6 +889,9 @@ func (s *Store) liveProgress(j *Job) *Progress {
 		return nil
 	}
 	snap := tr.Snapshot()
+	if snap.Stage == "" {
+		return nil
+	}
 	return &Progress{Stage: snap.Stage, Events: snap.Events, Total: snap.Total}
 }
 

@@ -151,7 +151,8 @@ flags (profile, report, table5, overhead, diag):
 parallel engine (profile, report, overhead, serve):
   -parallel-ddg n  track dependences on the sharded parallel engine with
                    n shard workers (0 = one per core; default sequential);
-                   reports are bit-for-bit identical to sequential runs
+                   reports are bit-for-bit identical to sequential runs,
+                   and streaming, checkpoints and resume work alike
 
 budget flags (profile, report, serve):
   -timeout d         abort after this wall-clock duration (0 = unlimited)

@@ -90,11 +90,13 @@ func captureStream(base, id, dataDir string) {
 // restarted on the same -data-dir, and the recovered attempt must
 // resume past event zero (from the last committed epoch, per the
 // checkpoint-resume trace event) and finish with a report
-// byte-identical to a buffered run of the same program.
+// byte-identical to a buffered run of the same program.  It runs on
+// the sequential engine and on the parallel one (-parallel-ddg 2),
+// whose checkpoints have the same format.
 //
 // Set POLYPROF_STREAM_DATA_DIR to pin the data directory (CI uploads
 // it — WAL, checkpoints, and captured provisional reports — when the
-// test fails).
+// test fails); each engine gets a subdirectory.
 func TestStreamingKillMinusNineResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and SIGKILLs a real daemon; skipped in -short")
@@ -104,12 +106,27 @@ func TestStreamingKillMinusNineResumes(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	dataDir := os.Getenv("POLYPROF_STREAM_DATA_DIR")
-	if dataDir == "" {
-		dataDir = filepath.Join(t.TempDir(), "data")
+	root := os.Getenv("POLYPROF_STREAM_DATA_DIR")
+	if root == "" {
+		root = t.TempDir()
 	}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{name: "sequential"},
+		{name: "parallel2", flags: []string{"-parallel-ddg", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			killAndResumeStream(t, bin, filepath.Join(root, tc.name), tc.flags)
+		})
+	}
+}
 
-	proc, base := startServe(t, bin, dataDir)
+// killAndResumeStream runs one kill -9 and resume cycle against a
+// daemon started with flags.
+func killAndResumeStream(t *testing.T, bin, dataDir string, flags []string) {
+	proc, base := startServe(t, bin, dataDir, flags...)
 
 	// ~40M VM steps on a 2M-event epoch grid: enough epochs that at
 	// least one checkpoint commits quickly, enough trace left after it
@@ -148,7 +165,7 @@ func TestStreamingKillMinusNineResumes(t *testing.T) {
 	}
 	proc.Wait()
 
-	proc2, base2 := startServe(t, bin, dataDir)
+	proc2, base2 := startServe(t, bin, dataDir, flags...)
 	defer func() {
 		proc2.Process.Signal(syscall.SIGKILL)
 		proc2.Wait()

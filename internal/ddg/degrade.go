@@ -11,6 +11,10 @@
 // in the paper's direction: it can only ADD dependences relative to
 // the exact graph, never drop one, so transformations stay legal.
 //
+// Budget grants race between partitions of the parallel engine, so a
+// degraded parallel run is a superset of the sequential result rather
+// than bit-identical to it.
+//
 // Per-address discipline: a record that went live while the budget
 // allowed stays exact forever (set() reuses its memory), and an
 // address denied at first touch stays coarse forever (grants are
@@ -30,24 +34,9 @@ import (
 )
 
 // coarseRangeShift sets the coarse summary granularity: addresses are
-// grouped into 256-word ranges.
+// grouped into 256-word ranges.  Partitions own whole ranges, which
+// keeps their coarse and stale summaries disjoint.
 const coarseRangeShift = 8
-
-// CoarseRangeShift exposes the coarse-range granularity so the sharded
-// engine (internal/parddg) can partition addresses on range boundaries:
-// a whole 2^CoarseRangeShift-word range always lands on one shard, which
-// keeps shard-local coarse summaries globally disjoint and lets the
-// merge pair them exactly like the sequential finishCoarse.
-const CoarseRangeShift = coarseRangeShift
-
-// ShadowRecBytes is the budget cost of one live shadow record with
-// dim-dimensional retained coordinates; exported so alternative engines
-// charge identically to the sequential builder.
-func ShadowRecBytes(dim int) uint64 { return recBytes(dim) }
-
-// BaseShadowBytes is the fixed up-front budget cost of the two per-word
-// record tables; exported for the same reason as ShadowRecBytes.
-func BaseShadowBytes(memWords int64) uint64 { return baseShadowBytes(memWords) }
 
 // shadowFault injects at the shadow-memory accounting path.
 var shadowFault = faultinject.Point("ddg.shadow.insert")
@@ -153,43 +142,42 @@ type DegradedRegion struct {
 	Globals []string `json:"globals,omitempty"`
 }
 
-// tripShadow switches the builder into coarse mode (idempotent).
-func (b *Builder) tripShadow() {
-	if b.coarse == nil {
-		b.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
+// trip switches the partition into coarse mode (idempotent).
+func (p *partition) trip() {
+	if p.coarse == nil {
+		p.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
 	}
 }
 
 // grantRec asks the budget for one more live record; a denial flips
-// the builder into coarse mode.  The fault point lets chaos tests
+// the partition into coarse mode.  The fault point lets chaos tests
 // inject errors, panics or exhaustion exactly here.
-func (b *Builder) grantRec(dim int) bool {
-	if err := shadowFault.Hit(); err != nil {
+func (p *partition) grantRec(dim int) bool {
+	if err := p.b.insert.Hit(); err != nil {
 		if be, ok := budget.AsError(err); ok && be.Resource == budget.ResourceShadowBytes {
 			// Injected shadow exhaustion degrades like the real thing.
 			return false
 		}
-		if b.faultErr == nil {
-			b.faultErr = err
+		if p.faultErr == nil {
+			p.faultErr = err
 		}
 	}
-	if b.opts.Budget.GrantShadow(recBytes(dim)) {
+	if p.b.opts.Budget.GrantShadow(recBytes(dim)) {
 		return true
 	}
-	b.tripShadow()
+	p.trip()
 	return false
 }
 
-// noteCoarse records one denied-counterpart event in its range
-// summary.
-func (b *Builder) noteCoarse(addr int64, instr *Instr, coords []int64, write bool) {
-	b.tripShadow()
-	b.coarse.events++
+// addRange folds one (instr, coords) observation into the writer or
+// reader table of addr's range in ranges: the shape shared by coarse
+// and stale summaries.
+func addRange(ranges map[int64]*coarseRange, addr int64, instr *Instr, coords []int64, write bool) {
 	key := addr >> coarseRangeShift
-	rg := b.coarse.ranges[key]
+	rg := ranges[key]
 	if rg == nil {
 		rg = &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
-		b.coarse.ranges[key] = rg
+		ranges[key] = rg
 	}
 	tab := rg.readers
 	if write {
@@ -203,20 +191,29 @@ func (b *Builder) noteCoarse(addr int64, instr *Instr, coords []int64, write boo
 	box.extend(coords)
 }
 
+// noteCoarse records one denied-counterpart event in its range
+// summary.
+func (p *partition) noteCoarse(e *Event) {
+	p.trip()
+	p.coarse.events++
+	addRange(p.coarse.ranges, e.Addr, e.Instr, e.Coords, e.Write)
+}
+
 // coarseEvent handles one memory event after the shadow budget
 // tripped.  Live records keep exact tracking (set() reuses their
 // memory, so no new bytes are consumed); events whose dependence
 // counterpart lacks a record are noted in the range summary.
-func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bool) {
-	w := &b.shadow[addr]
-	r := &b.lastRead[addr]
+func (p *partition) coarseEvent(e *Event, out *Points, ev int32) {
+	b := p.b
+	w := &b.writers[e.Addr]
+	r := &b.readers[e.Addr]
 	note := false
-	if write {
+	if e.Write {
 		if w.instr != nil {
 			if b.opts.TrackOutput {
-				b.addDep(w.instr, w.coords, instr, coords, Output)
+				p.emit(out, ev, w.instr, w.coords, e, Output)
 			}
-			w.set(instr, coords)
+			w.set(e.Instr, e.Coords)
 		} else {
 			// Readers of this address can only be coarse too: the
 			// range pairing needs this writer.
@@ -224,44 +221,58 @@ func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bo
 		}
 		if r.instr != nil {
 			if b.opts.TrackAnti {
-				b.addDep(r.instr, r.coords, instr, coords, Anti)
+				p.emit(out, ev, r.instr, r.coords, e, Anti)
 			}
 		} else if b.opts.TrackAnti {
 			note = true
 		}
 	} else {
 		if w.instr != nil {
-			b.addDep(w.instr, w.coords, instr, coords, FlowMem)
+			p.emit(out, ev, w.instr, w.coords, e, FlowMem)
 		} else {
 			note = true
 		}
 		if r.instr != nil {
-			r.set(instr, coords)
+			r.set(e.Instr, e.Coords)
 		} else if b.opts.TrackAnti {
 			note = true
 		}
 	}
 	if note {
-		b.noteCoarse(addr, instr, coords, write)
+		p.noteCoarse(e)
 	}
 }
 
-// addCoarseDep merges one range-pairing edge into the dependence map.
-// consumerBox is the consumer's coordinate box (the dependence piece
-// domain lives in consumer coordinates).
+// coarseRanges unions the partitions' coarse summaries (their range
+// keys are disjoint) and returns them with the keys in order; nil keys
+// and ranges when no partition degraded.
+func (b *Builder) coarseRanges() ([]int64, map[int64]*coarseRange) {
+	var ranges map[int64]*coarseRange
+	for _, p := range b.parts {
+		if p.coarse == nil {
+			continue
+		}
+		if ranges == nil {
+			ranges = map[int64]*coarseRange{}
+		}
+		for k, rg := range p.coarse.ranges {
+			ranges[k] = rg
+		}
+	}
+	keys := make([]int64, 0, len(ranges))
+	for k := range ranges {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys, ranges
+}
+
+// addCoarseDep merges one range-pairing edge into the owning
+// partition's bundle.  consumerBox is the consumer's coordinate box
+// (the dependence piece domain lives in consumer coordinates).
 func (b *Builder) addCoarseDep(src, dst *Instr, kind Kind, consumerBox *coordBox) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	d, ok := b.deps[key]
-	if !ok {
-		b.opts.Budget.GrantEdges(1)
-		d = &Dep{Src: src, Dst: dst, Kind: kind}
-		b.deps[key] = d
-		b.allDeps = append(b.allDeps, d)
-	}
+	d := b.parts[ownerOfDep(src.ID, dst.ID, kind, len(b.parts))].boxBundle(src, dst, kind)
 	d.Degraded = true
-	if d.box == nil {
-		d.box = &coordBox{}
-	}
 	d.box.union(consumerBox)
 }
 
@@ -271,16 +282,9 @@ func (b *Builder) addCoarseDep(src, dst *Instr, kind Kind, consumerBox *coordBox
 // result is a provable superset of the dependences exact tracking
 // would have recorded for those addresses.
 func (b *Builder) finishCoarse() {
-	if b.coarse == nil {
-		return
-	}
-	keys := make([]int64, 0, len(b.coarse.ranges))
-	for k := range b.coarse.ranges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys, ranges := b.coarseRanges()
 	for _, k := range keys {
-		rg := b.coarse.ranges[k]
+		rg := ranges[k]
 		writers := sortedByID(rg.writers)
 		readers := sortedByID(rg.readers)
 		for _, w := range writers {
@@ -316,13 +320,22 @@ func (b *Builder) buildDegradation(g *Graph) {
 		// tripped list so the provisional report still names it.
 		tripped = b.pinTripped
 	}
-	if b.coarse == nil && len(tripped) == 0 {
+	keys, _ := b.coarseRanges()
+	coarse := false
+	var events uint64
+	for _, p := range b.parts {
+		if p.coarse != nil {
+			coarse = true
+			events += p.coarse.events
+		}
+	}
+	if !coarse && len(tripped) == 0 {
 		return
 	}
 	deg := &Degradation{Budgets: tripped}
-	if b.coarse != nil {
-		deg.CoarseEvents = b.coarse.events
-		deg.Regions = b.coarseRegions()
+	if coarse {
+		deg.CoarseEvents = events
+		deg.Regions = b.coarseRegions(keys)
 	}
 	for _, d := range g.Deps {
 		if d.Degraded {
@@ -332,14 +345,9 @@ func (b *Builder) buildDegradation(g *Graph) {
 	g.Degraded = deg
 }
 
-// coarseRegions merges adjacent coarse ranges into address regions and
-// names the global arrays they overlap.
-func (b *Builder) coarseRegions() []DegradedRegion {
-	keys := make([]int64, 0, len(b.coarse.ranges))
-	for k := range b.coarse.ranges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+// coarseRegions merges the sorted coarse range keys into address
+// regions and names the global arrays they overlap.
+func (b *Builder) coarseRegions(keys []int64) []DegradedRegion {
 	var out []DegradedRegion
 	for _, k := range keys {
 		lo := k << coarseRangeShift

@@ -1,9 +1,10 @@
 // Folder ownership assertions.  Folders are deliberately not
 // concurrency-safe: every stream's points must arrive in their global
 // sequential order, so each folder must be owned by exactly one
-// goroutine at a time.  The sharded dependence engine
-// (internal/parddg) relies on that ownership discipline for its
-// bit-for-bit equivalence with the sequential builder; these optional
+// goroutine at a time.  The dependence builder's partitions
+// (internal/ddg, run concurrently by internal/parddg) rely on that
+// ownership discipline for bit-for-bit equivalence at every partition
+// count; these optional
 // assertions turn a silent ownership violation (two goroutines folding
 // into one stream) into an immediate panic.  Disabled they cost a
 // single atomic load per Add/Finish; the parddg tests enable them.

@@ -1,40 +1,25 @@
-// Package parddg is the sharded, pipelined dependence-tracking engine:
-// a drop-in replacement for the sequential internal/ddg builder that
-// consumes the pass-2 event stream in batches and fans the expensive
-// work — shadow-memory lookups and stream folding — out to N
-// address-partitioned shard workers, while everything order-sensitive
-// that assigns identity (statement/instruction interning, dynamic
-// counts, the register/frame mirror) stays on the sequencing
-// goroutine.
+// Package parddg is the parallel dependence engine: a batch dispatcher
+// that runs internal/ddg's shadow-partition core on N goroutines.  The
+// pass-2 VM goroutine sequences every event (statement and instruction
+// identity, dynamic counts, the register/frame mirror — ddg's
+// Builder.Sequence) into a batch; N shard workers then take each batch
+// through the partitions' two steps:
 //
-// The engine's contract is bit-for-bit equivalence with the sequential
-// builder on non-degraded runs: the folded graph it returns — IDs,
-// counts, domains, pieces, dependence order — is byte-identical in the
-// report JSON.  The equivalence argument rests on three invariants:
+//  1. Resolve: each worker resolves the memory events of its address
+//     partition against that partition's shadow records;
+//  2. Fold: after a per-batch barrier, each worker folds, in event
+//     order, the points of the streams its partition owns.
 //
-//  1. Identity is sequential.  Stmt/Instr IDs are assigned on the
-//     sequencing goroutine in first-appearance order, exactly like the
-//     sequential builder.
-//  2. Streams have exactly one owner.  Every fold stream (statement
-//     domain, value, access, dependence bundle) is consumed by exactly
-//     one shard worker, chosen by a deterministic hash of the stream's
-//     identity, and every worker scans batches in dispatch order — so
-//     each stream sees its points in the global sequential order, which
-//     is what the folder's greedy run recognition is sensitive to.
-//  3. Shadow state is partitioned.  Each worker owns a disjoint
-//     address slice of the last-writer/prev-writer/last-reader tables
-//     (partitioned on coarse-range boundaries so a degraded range never
-//     spans shards), and resolves dependence sources for its addresses
-//     in stage 1 of each batch; a per-batch barrier then lets every
-//     worker fold the sources the others resolved.
-//
-// At Finish, shard-local results merge deterministically (dependences
-// sort by (src, dst, kind), like the sequential builder), so the same
-// report falls out regardless of N.  Degraded runs (shadow/edge budget
-// exhaustion) are the one exemption from bit-identity — grant ordering
-// is racy by nature — but degradation stays shard-local and the union
-// of coarse regions remains a superset of the exact dependences, the
-// same soundness direction the sequential builder guarantees.
+// Everything else — vertices, shadow memory, degradation, stale
+// summaries, checkpoints, the final merge — is ddg's, and exists once.
+// The engine's contract is therefore the builder's: on non-degraded
+// runs the folded graph is byte-identical to the sequential one in the
+// report JSON, for every N, because identity is sequential, every
+// stream has one owner that sees its points in global order, and the
+// merge sorts bundles canonically.  Degraded runs (shadow/edge budget
+// exhaustion) are the one exemption — grant ordering is racy by
+// nature — but degradation stays partition-local and the coarse
+// regions remain a superset of the exact dependences.
 package parddg
 
 import (
@@ -71,9 +56,8 @@ const maxInflight = 8
 type Options struct {
 	// Shards is the worker count (>= 1).
 	Shards int
-	// DDG carries the sequential builder's options (tracked kinds,
-	// stride detection, obs scope, budget); the engine honors them
-	// identically.
+	// DDG carries the builder options (tracked kinds, stride detection,
+	// obs scope, budget, streaming).
 	DDG ddg.Options
 	// Sampler, when non-nil and enabled, collects per-actor utilization
 	// timelines (sequencer/shards/merge) and queue-depth samples for
@@ -86,110 +70,28 @@ type Options struct {
 // enabled.
 const pollInterval = 250 * time.Microsecond
 
-// rec mirrors the sequential builder's writer record: the producing
-// instruction and its retained iteration coordinates.  set reuses the
-// coordinate memory, which is why batch events carry copies.
-type rec struct {
-	instr  *ddg.Instr
-	coords []int64
-}
-
-func (r *rec) set(instr *ddg.Instr, coords []int64) {
-	r.instr = instr
-	r.coords = append(r.coords[:0], coords...)
-}
-
-type frame struct {
-	regw   []rec
-	retDst isa.Reg
-}
-
-type depKey struct {
-	src, dst int
-	kind     ddg.Kind
-}
-
-// event is one instruction event as the shard workers see it.  coords
-// points into the batch's coordinate arena (shared by every event of
-// the same context run); addr is -1 for non-memory instructions.
-type event struct {
-	instr     *ddg.Instr
-	coords    []int64
-	addr      int64
-	value     int64
-	memIdx    int32 // index among this batch's memory events, -1 otherwise
-	isWrite   bool
-	needValue bool
-}
-
-// regPoint is one register-flow dependence point, resolved on the
-// sequencer (the register mirror lives there); srcCoords is a copy in
-// the batch arena, taken before a later event in the same batch can
-// overwrite the producer's record.
-type regPoint struct {
-	ev        int32
-	src       *ddg.Instr
-	srcCoords []int64
-}
-
-// memSlot is one memory-dependence point resolved by a stage-1 shard
-// worker; slots 2i and 2i+1 belong to memory event i (write: output
-// then anti; read: flow).  src == nil means no dependence.
-type memSlot struct {
-	src       *ddg.Instr
-	kind      ddg.Kind
-	srcCoords []int64
-}
-
 // batch is one dispatch unit.  The same pointer goes to every worker:
-// stage 1 writes disjoint slot indices and per-worker arenas, the
-// WaitGroup is the stage-1/stage-2 barrier, and the done counter
-// recycles the batch to the free list after the last worker finishes.
+// Resolve writes each partition's own point list, the WaitGroup is the
+// Resolve/Fold barrier, and the done counter recycles the batch to the
+// free list after the last worker finishes.
 type batch struct {
-	events []event
-	coords []int64 // sequencer arena: context coords + regPoint sources
-	regPts []regPoint
-	slots  []memSlot
-	wArena [][]int64 // per-worker stage-1 coordinate arenas
-	memN   int
+	events []ddg.Event
+	coords []int64      // context-coordinate arena shared by each run of events
+	regs   ddg.Points   // register-flow points, resolved by the sequencer
+	mem    []ddg.Points // memory points, one list per resolving partition
 
 	wg   sync.WaitGroup
 	done atomic.Int32
 }
 
-// Engine is the sharded dependence engine.  It implements
+// Engine is the parallel dependence engine.  It implements
 // core.InstrSink and core.BatchSink; all sink methods must be called
 // from one goroutine (the pass-2 VM goroutine), like the sequential
 // builder.
 type Engine struct {
-	prog *isa.Program
-	opts ddg.Options
-	n    int
-
-	// Interning state (sequencer-owned); IDs are first-appearance
-	// ordinals, identical to the sequential builder's.
-	stmts      map[string]map[isa.BlockID]*ddg.Stmt
-	instrs     map[string]map[trace.InstrRef]*ddg.Instr
-	allStmts   []*ddg.Stmt
-	allInst    []*ddg.Instr
-	cacheCtx   string
-	stmtCache  map[isa.BlockID]*ddg.Stmt
-	instrCache map[trace.InstrRef]*ddg.Instr
-
-	// Register/frame mirror (sequencer-owned).
-	frames      []frame
-	pendingArgs []rec
-	pendingDst  isa.Reg
-	pendingRet  rec
-	usesBuf     []isa.Reg
-
-	totalOps, memOps, fpOps   uint64
-	curRegWords, peakRegWords int
-
-	// Shared shadow tables, index-partitioned across workers by
-	// shardOf; no two workers ever touch the same element.
-	shadow   []rec
-	lastRead []rec
+	b   *ddg.Builder
+	n   int
+	obs obs.Scope // the run's scope, where the sampler publishes
 
 	workers    []*worker
 	chans      []chan *batch
@@ -197,10 +99,6 @@ type Engine struct {
 	allocated  int
 	cur        *batch
 	workerJoin sync.WaitGroup
-
-	// baseDenied records that the up-front table grant failed: every
-	// shard starts coarse, like the sequential builder.
-	baseDenied bool
 
 	failMu  sync.Mutex
 	failErr error
@@ -219,35 +117,18 @@ type Engine struct {
 	inflight *sampler.Queue
 }
 
-// NewEngine creates a sharded engine for one execution of prog and
-// starts its workers.  Callers must eventually call FinishChecked or
-// Close.
+// NewEngine creates an engine for one execution of prog and starts its
+// workers.  Callers must eventually call FinishChecked or Close.
 func NewEngine(prog *isa.Program, opt Options) *Engine {
-	n := opt.Shards
-	if n < 1 {
-		n = 1
-	}
+	n := max(opt.Shards, 1)
 	e := &Engine{
-		prog:     prog,
-		opts:     opt.DDG,
-		n:        n,
-		stmts:    map[string]map[isa.BlockID]*ddg.Stmt{},
-		instrs:   map[string]map[trace.InstrRef]*ddg.Instr{},
-		shadow:   make([]rec, prog.MemWords),
-		lastRead: make([]rec, prog.MemWords),
-		free:     make(chan *batch, maxInflight),
+		b:    ddg.NewPartitioned(prog, opt.DDG, n, insertFault),
+		n:    n,
+		obs:  opt.DDG.Obs,
+		free: make(chan *batch, maxInflight),
 	}
-	main := prog.Func(prog.Main)
-	e.frames = append(e.frames, frame{regw: make([]rec, main.NumRegs), retDst: isa.NoReg})
-	e.curRegWords = main.NumRegs
-	e.peakRegWords = e.curRegWords
-	// Charge the fixed record tables up front, exactly like the
-	// sequential builder; a denial degrades every shard from the start.
-	if !e.opts.Budget.GrantShadow(ddg.BaseShadowBytes(prog.MemWords)) {
-		e.baseDenied = true
-	}
-	e.root = e.opts.Obs.StartSpan("ddg-shards")
-	e.sc = e.opts.Obs.WithSpan(e.root)
+	e.root = opt.DDG.Obs.StartSpan("ddg-shards")
+	e.sc = opt.DDG.Obs.WithSpan(e.root)
 	flight.Log("parddg", "engine-start", fmt.Sprintf("%d shards, %d mem words", n, prog.MemWords))
 	e.cur = e.newBatch()
 	e.allocated = 1
@@ -295,26 +176,13 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 	return e
 }
 
+// Builder returns the dependence state the engine drives.  Read,
+// release, clone or serialize it only while the pipeline is quiescent:
+// before the first event or right after Flush.
+func (e *Engine) Builder() *ddg.Builder { return e.b }
+
 func (e *Engine) newBatch() *batch {
-	return &batch{wArena: make([][]int64, e.n)}
-}
-
-// shardOf partitions addresses on coarse-range boundaries, so one
-// degraded range is always summarized by a single shard.
-func (e *Engine) shardOf(addr int64) int {
-	return int((addr >> ddg.CoarseRangeShift) % int64(e.n))
-}
-
-// ownerOfDep deterministically assigns a dependence stream to a shard.
-// Bundles are hashed by endpoint identity, not address: one bundle can
-// span addresses owned by many shards, but must have a single folding
-// owner.
-func ownerOfDep(src, dst int, kind ddg.Kind, n int) int {
-	h := uint64(src)*0x9E3779B97F4A7C15 ^ uint64(dst)*0xC2B2AE3D27D4EB4F ^ (uint64(kind)+1)*0x165667B19E3779F9
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return int(h % uint64(n))
+	return &batch{mem: make([]ddg.Points, e.n)}
 }
 
 func (e *Engine) fail(err error) {
@@ -346,35 +214,9 @@ func (e *Engine) failure() error {
 	return e.failErr
 }
 
-func (e *Engine) curFrame() *frame { return &e.frames[len(e.frames)-1] }
-
-// OnControl implements core.InstrSink: the register/frame mirror,
-// identical to the sequential builder's.
-func (e *Engine) OnControl(ev trace.ControlEvent) {
-	switch ev.Kind {
-	case trace.Call:
-		callee := e.prog.Func(ev.Callee)
-		f := frame{regw: make([]rec, callee.NumRegs), retDst: e.pendingDst}
-		for i, w := range e.pendingArgs {
-			if i < len(f.regw) {
-				f.regw[i] = rec{instr: w.instr, coords: append([]int64(nil), w.coords...)}
-			}
-		}
-		e.frames = append(e.frames, f)
-		e.curRegWords += len(f.regw)
-		if e.curRegWords > e.peakRegWords {
-			e.peakRegWords = e.curRegWords
-		}
-	case trace.Return:
-		top := e.frames[len(e.frames)-1]
-		e.frames = e.frames[:len(e.frames)-1]
-		e.curRegWords -= len(top.regw)
-		if len(e.frames) > 0 && top.retDst != isa.NoReg && e.pendingRet.instr != nil {
-			e.curFrame().regw[top.retDst].set(e.pendingRet.instr, e.pendingRet.coords)
-		}
-		e.pendingRet = rec{}
-	}
-}
+// OnControl implements core.InstrSink: the register/frame mirror is
+// sequencer state.
+func (e *Engine) OnControl(ev trace.ControlEvent) { e.b.OnControl(ev) }
 
 // ctxCoords copies the current context coordinates into the current
 // batch's arena; every event of the run shares the copy.
@@ -405,126 +247,12 @@ func (e *Engine) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in 
 	e.addEvent(ctxKey, e.ctxCoords(coords), ev, in)
 }
 
-func (e *Engine) stmtFor(ctx string, blk isa.BlockID, depth int) *ddg.Stmt {
-	if ctx != e.cacheCtx {
-		e.cacheCtx = ctx
-		e.stmtCache = map[isa.BlockID]*ddg.Stmt{}
-		e.instrCache = map[trace.InstrRef]*ddg.Instr{}
-	}
-	if s, ok := e.stmtCache[blk]; ok {
-		return s
-	}
-	byBlk := e.stmts[ctx]
-	if byBlk == nil {
-		byBlk = map[isa.BlockID]*ddg.Stmt{}
-		e.stmts[ctx] = byBlk
-	}
-	s, ok := byBlk[blk]
-	if !ok {
-		s = &ddg.Stmt{ID: len(e.allStmts), Block: blk, Ctx: ctx, Depth: depth}
-		byBlk[blk] = s
-		e.allStmts = append(e.allStmts, s)
-	}
-	e.stmtCache[blk] = s
-	return s
-}
-
-func (e *Engine) instrFor(ctx string, ref trace.InstrRef, in *isa.Instr, stmt *ddg.Stmt) *ddg.Instr {
-	if i, ok := e.instrCache[ref]; ok {
-		return i
-	}
-	byRef := e.instrs[ctx]
-	if byRef == nil {
-		byRef = map[trace.InstrRef]*ddg.Instr{}
-		e.instrs[ctx] = byRef
-	}
-	i, ok := byRef[ref]
-	if !ok {
-		i = ddg.NewInstr(len(e.allInst), ref, ctx, in, stmt)
-		byRef[ref] = i
-		e.allInst = append(e.allInst, i)
-	}
-	e.instrCache[ref] = i
-	return i
-}
-
-// addEvent is the sequencer's per-event path: everything the
-// sequential builder does per event except shadow lookups and folding,
-// which ship to the workers.  Returns the context-coordinate slice to
-// use for the next event of the same run (nil after a dispatch, so the
-// caller re-copies into the fresh batch).
+// addEvent sequences one event into the current batch.  Returns the
+// context-coordinate slice to use for the next event of the same run
+// (nil after a dispatch, so the caller re-copies into the fresh batch).
 func (e *Engine) addEvent(ctxKey string, cc []int64, ev trace.InstrEvent, in *isa.Instr) []int64 {
-	e.totalOps++
-	if in.Op.IsFP() {
-		e.fpOps++
-	}
-	stmt := e.stmtFor(ctxKey, ev.Ref.Block, len(cc))
-	if ev.Ref.Index == 0 {
-		stmt.Count++
-	}
-	instr := e.instrFor(ctxKey, ev.Ref, in, stmt)
-	instr.Count++
-
 	b := e.cur
-	evIdx := int32(len(b.events))
-	fr := e.curFrame()
-
-	// Register flow points: resolved here (the register mirror is
-	// sequencer state), folded by the owning worker.  Source coords are
-	// copied into the arena because a later event in this same batch
-	// may overwrite the producer's record before the worker reads it.
-	if e.opts.TrackReg {
-		e.usesBuf = in.Uses(e.usesBuf)
-		for _, r := range e.usesBuf {
-			if int(r) < len(fr.regw) {
-				if w := &fr.regw[r]; w.instr != nil {
-					off := len(b.coords)
-					b.coords = append(b.coords, w.coords...)
-					b.regPts = append(b.regPts, regPoint{ev: evIdx, src: w.instr, srcCoords: b.coords[off:]})
-				}
-			}
-		}
-	}
-
-	be := event{instr: instr, coords: cc, addr: -1, memIdx: -1}
-	if ev.Addr >= 0 {
-		e.memOps++
-		be.addr = ev.Addr
-		be.isWrite = in.Op.IsMemWrite()
-		be.memIdx = int32(b.memN)
-		b.memN++
-	}
-
-	if in.Op.WritesDst() && in.Dst != isa.NoReg && in.Op != isa.Call {
-		if instr.HasValue() {
-			be.needValue = true
-			be.value = ev.Value
-		}
-		if int(in.Dst) < len(fr.regw) {
-			fr.regw[in.Dst].set(instr, cc)
-		}
-	}
-
-	switch in.Op {
-	case isa.Call:
-		e.pendingArgs = e.pendingArgs[:0]
-		for _, a := range in.Args {
-			if int(a) < len(fr.regw) {
-				e.pendingArgs = append(e.pendingArgs, fr.regw[a])
-			} else {
-				e.pendingArgs = append(e.pendingArgs, rec{})
-			}
-		}
-		e.pendingDst = in.Dst
-	case isa.Ret:
-		if in.A != isa.NoReg && int(in.A) < len(fr.regw) {
-			e.pendingRet = fr.regw[in.A]
-		} else {
-			e.pendingRet = rec{}
-		}
-	}
-
-	b.events = append(b.events, be)
+	b.events = append(b.events, e.b.Sequence(ctxKey, cc, ev, in, &b.regs, int32(len(b.events))))
 	if len(b.events) >= batchSize {
 		e.dispatch()
 		return nil
@@ -542,13 +270,6 @@ func (e *Engine) dispatch() {
 	}
 	if err := dispatchFault.Hit(); err != nil {
 		e.fail(fmt.Errorf("parddg: batch dispatch: %w", err))
-	}
-	n := 2 * b.memN
-	if cap(b.slots) < n {
-		b.slots = make([]memSlot, n)
-	} else {
-		b.slots = b.slots[:n]
-		clear(b.slots)
 	}
 	b.done.Store(0)
 	b.wg.Add(e.n)
@@ -588,8 +309,7 @@ func (e *Engine) recycle(b *batch) {
 	if b.done.Add(1) == int32(e.n) {
 		b.events = b.events[:0]
 		b.coords = b.coords[:0]
-		b.regPts = b.regPts[:0]
-		b.memN = 0
+		b.regs.Reset()
 		e.free <- b
 	}
 }
@@ -610,8 +330,42 @@ func (e *Engine) drain() {
 	e.seqAct.Transition(sampler.Idle)
 	e.smp.StopPoll()
 	for _, w := range e.workers {
-		w.end()
+		w.sp.End()
 	}
+}
+
+// FinishChecked drains the pipeline and runs the builder's merge.
+func (e *Engine) FinishChecked() (*ddg.Graph, error) {
+	if e.finished {
+		return nil, fmt.Errorf("parddg: engine already finished")
+	}
+	e.drain()
+	e.mergeAct.Transition(sampler.Running)
+	if err := mergeFault.Hit(); err != nil {
+		e.fail(fmt.Errorf("parddg: merge: %w", err))
+	}
+	if e.failed.Load() {
+		return nil, e.finishFail(e.failure())
+	}
+	g, err := e.b.FinishChecked()
+	if err != nil {
+		e.fail(err)
+		return nil, e.finishFail(err)
+	}
+	e.mergeAct.Transition(sampler.Idle)
+	e.finishSampling()
+	e.root.AddEvents(g.TotalOps)
+	e.root.End()
+	e.finished = true
+	return g, nil
+}
+
+func (e *Engine) finishFail(err error) error {
+	e.finishSampling()
+	e.root.Fail(err)
+	e.root.End()
+	e.finished = true
+	return err
 }
 
 // finishSampling closes the utilization timelines and publishes the
@@ -622,7 +376,7 @@ func (e *Engine) finishSampling() {
 	}
 	e.smp.Finish()
 	if rep := e.smp.Report(); rep != nil {
-		rep.Publish(e.opts.Obs)
+		rep.Publish(e.obs)
 	}
 }
 

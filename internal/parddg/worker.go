@@ -3,44 +3,17 @@ package parddg
 import (
 	"fmt"
 
-	"polyprof/internal/budget"
-	"polyprof/internal/ddg"
-	"polyprof/internal/fold"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/sampler"
 )
 
-// depEntry pairs a dependence bundle with the folding state the
-// sequential builder keeps in unexported Dep fields.  Exactly one
-// worker owns each entry until the merge.
-type depEntry struct {
-	d      *ddg.Dep
-	folder *fold.MultiFolder
-	box    *coordBox
-}
-
-// worker is one shard: it owns a disjoint address slice of the shadow
-// tables (stage 1) and a disjoint set of fold streams (stage 2).
+// worker is one shard: it runs partition id of the builder over every
+// batch.
 type worker struct {
 	e  *Engine
 	id int
 	ch chan *batch
 	sp *obs.Span
-
-	// coarse is the shard-local degradation state; non-nil once this
-	// shard's shadow budget tripped.  Range keys never collide across
-	// shards because shardOf partitions on coarse-range boundaries.
-	coarse *coarseState
-
-	stmtF map[*ddg.Stmt]*fold.Folder
-	valF  map[*ddg.Instr]*fold.Folder
-	accF  map[*ddg.Instr]*fold.Folder
-	deps  map[depKey]*depEntry
-
-	lblBuf []int64
-
-	memEvents uint64 // stage-1 memory events owned by this shard
-	points    uint64 // stage-2 fold points consumed by this shard
 
 	// Utilization sampling handles (nil without an attached sampler).
 	act    *sampler.Actor
@@ -49,318 +22,51 @@ type worker struct {
 
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
-		e:     e,
-		id:    id,
-		ch:    make(chan *batch, maxInflight),
-		stmtF: map[*ddg.Stmt]*fold.Folder{},
-		valF:  map[*ddg.Instr]*fold.Folder{},
-		accF:  map[*ddg.Instr]*fold.Folder{},
-		deps:  map[depKey]*depEntry{},
-		sp:    e.sc.StartSpan(fmt.Sprintf("ddg.shard.%d", id)),
+		e:  e,
+		id: id,
+		ch: make(chan *batch, maxInflight),
+		sp: e.sc.StartSpan(fmt.Sprintf("ddg.shard.%d", id)),
 	}
 	if e.smp != nil {
 		w.act = e.smp.Actor(fmt.Sprintf("shard-%d", id), sampler.RoleShard)
 		w.depthQ = e.smp.Queue(fmt.Sprintf("parddg.shard.%d.backlog", id))
 	}
-	if e.baseDenied {
-		w.trip()
-	}
 	return w
 }
 
-func (w *worker) end() {
-	w.sp.AddEvents(w.points)
-	w.sp.End()
-}
-
-// process runs both stages of one batch.  Every worker calls Done
+// process runs both steps of one batch.  Every worker calls Done
 // exactly once per batch — even in drain mode — so no worker's barrier
 // Wait can hang after a failure.
 func (w *worker) process(b *batch) {
-	if w.e.failed.Load() {
+	e := w.e
+	if e.failed.Load() {
 		b.wg.Done()
-		w.e.recycle(b)
+		e.recycle(b)
 		return
 	}
-	w.runStage1(b)
+	w.run("resolve", func() { e.b.Resolve(w.id, b.events, &b.mem[w.id]) })
 	b.wg.Done()
 	// The stage barrier is upstream waiting: this shard cannot fold
-	// until every shard has resolved its stage-1 sources.
+	// until every shard has resolved its memory events.
 	w.act.Transition(sampler.BlockedRecv)
 	b.wg.Wait()
 	w.act.Transition(sampler.Running)
-	if !w.e.failed.Load() {
-		w.runStage2(b)
+	if !e.failed.Load() {
+		w.run("fold", func() { e.b.Fold(w.id, b.events, b.regs.List, b.mem) })
 	}
-	w.e.recycle(b)
+	e.recycle(b)
 }
 
-func panicErr(stage string, r any) error {
-	if err, ok := r.(error); ok {
-		return fmt.Errorf("panic in %s: %w", stage, err)
-	}
-	return fmt.Errorf("panic in %s: %v", stage, r)
-}
-
-// runStage1 resolves dependence sources for this shard's addresses:
-// the exact transcription of the sequential builder's shadow-memory
-// hot path, with addDep calls replaced by slot writes (folding belongs
-// to the stream owner, which may be another shard).  Source coordinates
-// are copied into the batch's per-worker arena because set() reuses
-// record memory.
-func (w *worker) runStage1(b *batch) {
+// run contains a panic in one step as an engine failure.
+func (w *worker) run(step string, f func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.e.fail(panicErr(fmt.Sprintf("parddg shard %d stage 1", w.id), r))
+			err, ok := r.(error)
+			if !ok {
+				err = fmt.Errorf("%v", r)
+			}
+			w.e.fail(fmt.Errorf("panic in parddg shard %d %s: %w", w.id, step, err))
 		}
 	}()
-	e := w.e
-	arena := b.wArena[w.id][:0]
-	for i := range b.events {
-		be := &b.events[i]
-		if be.memIdx < 0 || e.shardOf(be.addr) != w.id {
-			continue
-		}
-		w.memEvents++
-		s0 := &b.slots[2*be.memIdx]
-		s1 := &b.slots[2*be.memIdx+1]
-		if w.coarse != nil {
-			arena = w.coarseEvent(be, s0, s1, arena)
-		} else if be.isWrite {
-			wr := &e.shadow[be.addr]
-			if wr.instr == nil && !w.grantRec(len(be.coords)) {
-				arena = w.coarseEvent(be, s0, s1, arena)
-			} else {
-				if wr.instr != nil && e.opts.TrackOutput {
-					arena = setSlot(s0, wr, ddg.Output, arena)
-				}
-				if rd := &e.lastRead[be.addr]; rd.instr != nil && e.opts.TrackAnti {
-					arena = setSlot(s1, rd, ddg.Anti, arena)
-				}
-				wr.set(be.instr, be.coords)
-			}
-		} else {
-			rd := &e.lastRead[be.addr]
-			if rd.instr == nil && !w.grantRec(len(be.coords)) {
-				arena = w.coarseEvent(be, s0, s1, arena)
-			} else {
-				if wr := &e.shadow[be.addr]; wr.instr != nil {
-					arena = setSlot(s0, wr, ddg.FlowMem, arena)
-				}
-				rd.set(be.instr, be.coords)
-			}
-		}
-	}
-	b.wArena[w.id] = arena
-}
-
-// setSlot records one resolved dependence source, copying the source
-// record's coordinates into the arena before a later event in the
-// batch can overwrite them.
-func setSlot(s *memSlot, r *rec, kind ddg.Kind, arena []int64) []int64 {
-	off := len(arena)
-	arena = append(arena, r.coords...)
-	s.src = r.instr
-	s.kind = kind
-	s.srcCoords = arena[off:]
-	return arena
-}
-
-// grantRec mirrors the sequential builder's grantRec: ask the budget
-// for one live record, degrading this shard on a real denial.  The
-// fault point injects exactly here, like ddg.shadow.insert does for
-// the sequential engine.
-func (w *worker) grantRec(dim int) bool {
-	if err := insertFault.Hit(); err != nil {
-		if be, ok := budget.AsError(err); ok && be.Resource == budget.ResourceShadowBytes {
-			return false
-		}
-		w.e.fail(fmt.Errorf("parddg: shard %d insert: %w", w.id, err))
-	}
-	if w.e.opts.Budget.GrantShadow(ddg.ShadowRecBytes(dim)) {
-		return true
-	}
-	w.trip()
-	return false
-}
-
-func (w *worker) trip() {
-	if w.coarse == nil {
-		w.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
-	}
-}
-
-// coarseEvent transcribes the sequential builder's degraded memory
-// path: live records keep exact tracking, events whose counterpart
-// lacks a record are noted in this shard's range summary.
-func (w *worker) coarseEvent(be *event, s0, s1 *memSlot, arena []int64) []int64 {
-	e := w.e
-	wr := &e.shadow[be.addr]
-	rd := &e.lastRead[be.addr]
-	note := false
-	if be.isWrite {
-		if wr.instr != nil {
-			if e.opts.TrackOutput {
-				arena = setSlot(s0, wr, ddg.Output, arena)
-			}
-			wr.set(be.instr, be.coords)
-		} else {
-			note = true
-		}
-		if rd.instr != nil {
-			if e.opts.TrackAnti {
-				arena = setSlot(s1, rd, ddg.Anti, arena)
-			}
-		} else if e.opts.TrackAnti {
-			note = true
-		}
-	} else {
-		if wr.instr != nil {
-			arena = setSlot(s0, wr, ddg.FlowMem, arena)
-		} else {
-			note = true
-		}
-		if rd.instr != nil {
-			rd.set(be.instr, be.coords)
-		} else if e.opts.TrackAnti {
-			note = true
-		}
-	}
-	if note {
-		w.noteCoarse(be.addr, be.instr, be.coords, be.isWrite)
-	}
-	return arena
-}
-
-func (w *worker) noteCoarse(addr int64, instr *ddg.Instr, coords []int64, write bool) {
-	w.trip()
-	w.coarse.events++
-	key := addr >> ddg.CoarseRangeShift
-	rg := w.coarse.ranges[key]
-	if rg == nil {
-		rg = &coarseRange{writers: map[*ddg.Instr]*coordBox{}, readers: map[*ddg.Instr]*coordBox{}}
-		w.coarse.ranges[key] = rg
-	}
-	tab := rg.readers
-	if write {
-		tab = rg.writers
-	}
-	box := tab[instr]
-	if box == nil {
-		box = &coordBox{}
-		tab[instr] = box
-	}
-	box.extend(coords)
-}
-
-// runStage2 folds this worker's streams, scanning the whole batch in
-// order: statement domains, register-flow points (resolved by the
-// sequencer), access streams and memory-dependence slots (resolved in
-// stage 1), and value streams.  Every stream is filtered by ownership,
-// so each folder sees its points in exact global order.
-func (w *worker) runStage2(b *batch) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.e.fail(panicErr(fmt.Sprintf("parddg shard %d stage 2", w.id), r))
-		}
-	}()
-	e := w.e
-	n := e.n
-	ri := 0
-	for i := range b.events {
-		be := &b.events[i]
-		if be.instr.Ref.Index == 0 {
-			if s := be.instr.Stmt; s.ID%n == w.id {
-				w.stmtFolder(s).Add(be.coords, nil)
-				w.points++
-			}
-		}
-		for ri < len(b.regPts) && b.regPts[ri].ev == int32(i) {
-			rp := &b.regPts[ri]
-			ri++
-			if ownerOfDep(rp.src.ID, be.instr.ID, ddg.FlowReg, n) == w.id {
-				w.addDep(rp.src, rp.srcCoords, be.instr, be.coords, ddg.FlowReg)
-			}
-		}
-		if be.memIdx >= 0 {
-			if be.instr.ID%n == w.id {
-				w.lblBuf = append(w.lblBuf[:0], be.addr)
-				w.accFolder(be.instr).Add(be.coords, w.lblBuf)
-				w.points++
-			}
-			for s := 0; s < 2; s++ {
-				sl := &b.slots[2*int(be.memIdx)+s]
-				if sl.src != nil && ownerOfDep(sl.src.ID, be.instr.ID, sl.kind, n) == w.id {
-					w.addDep(sl.src, sl.srcCoords, be.instr, be.coords, sl.kind)
-				}
-			}
-		}
-		if be.needValue && be.instr.ID%n == w.id {
-			w.lblBuf = append(w.lblBuf[:0], be.value)
-			w.valFolder(be.instr).Add(be.coords, w.lblBuf)
-			w.points++
-		}
-	}
-}
-
-// newFolder matches the sequential builder's folder construction.
-func (w *worker) newFolder(dim, labelW int) *fold.Folder {
-	f := fold.NewFolder(dim, labelW)
-	f.Obs = w.e.opts.Obs
-	if w.e.opts.NoStrideDetection {
-		f.DetectStrides = false
-	}
-	return f
-}
-
-func (w *worker) stmtFolder(s *ddg.Stmt) *fold.Folder {
-	f := w.stmtF[s]
-	if f == nil {
-		f = w.newFolder(s.Depth, 0)
-		w.stmtF[s] = f
-	}
-	return f
-}
-
-func (w *worker) valFolder(i *ddg.Instr) *fold.Folder {
-	f := w.valF[i]
-	if f == nil {
-		f = w.newFolder(i.Depth, 1)
-		w.valF[i] = f
-	}
-	return f
-}
-
-func (w *worker) accFolder(i *ddg.Instr) *fold.Folder {
-	f := w.accF[i]
-	if f == nil {
-		f = w.newFolder(i.Depth, 1)
-		w.accF[i] = f
-	}
-	return f
-}
-
-// addDep mirrors the sequential builder's addDep.
-func (w *worker) addDep(src *ddg.Instr, srcCoords []int64, dst *ddg.Instr, dstCoords []int64, kind ddg.Kind) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	de, ok := w.deps[key]
-	if !ok {
-		de = &depEntry{d: &ddg.Dep{Src: src, Dst: dst, Kind: kind}}
-		if w.e.opts.Budget.GrantEdges(1) {
-			mf := fold.NewMultiFolder(dst.Depth, src.Depth, fold.DefaultMaxPieces)
-			mf.Obs = w.e.opts.Obs
-			de.folder = mf
-		} else {
-			de.d.Degraded = true
-			de.box = &coordBox{}
-		}
-		w.deps[key] = de
-	}
-	de.d.Count++
-	w.points++
-	if de.folder != nil {
-		de.folder.Add(dstCoords, srcCoords)
-	} else {
-		de.box.extend(dstCoords)
-	}
+	f()
 }

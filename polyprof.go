@@ -164,8 +164,8 @@ type ProfileOptions struct {
 	// run.
 	OnEpoch func(*Epoch) error
 	// Resume restarts pass 2 from a decoded checkpoint (see
-	// DecodeCheckpoint) instead of event zero.  It forces the
-	// sequential dependence engine.
+	// DecodeCheckpoint) instead of event zero, on either engine: a
+	// checkpoint taken at any ParallelDDG resumes at any other.
 	Resume *Checkpoint
 }
 

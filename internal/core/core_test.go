@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"polyprof/internal/core"
+	"polyprof/internal/faultinject"
 	"polyprof/internal/trace"
 	"polyprof/internal/workloads"
 
@@ -106,5 +108,51 @@ func (c *countingSink) OnInstr(ctx string, coords []int64, ev trace.InstrEvent, 
 	c.instrs++
 	if len(coords) > c.maxDepth {
 		c.maxDepth = len(coords)
+	}
+}
+
+// TestParallelEngineFaultStopsCheckpoints: once the parallel engine has
+// failed — a dispatch fault, or a shard panic it contains — its workers
+// skip every later batch, so no epoch boundary after the failure may
+// hand out a checkpoint (a retry would resume from state missing those
+// batches).  The run itself must fail.
+func TestParallelEngineFaultStopsCheckpoints(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	prog := workloads.ByName("backprop").Build()
+	pre, err := core.Run(prog, core.DefaultRunOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"parddg.batch.dispatch=error:chaos:3", "parddg.shard.insert=panic:chaos:2000"} {
+		t.Run(spec, func(t *testing.T) {
+			if err := faultinject.ArmString(spec); err != nil {
+				t.Fatal(err)
+			}
+			defer faultinject.DisarmAll()
+			name, _, _ := strings.Cut(spec, "=")
+			point := faultinject.Point(name)
+			opts := core.DefaultRunOptions()
+			opts.ParallelDDG = 2
+			opts.EpochEvents = pre.Stats.Ops / 16
+			var before int
+			opts.OnEpoch = func(ep *core.Epoch) error {
+				if !point.Armed() && len(ep.Checkpoint) > 0 {
+					t.Errorf("epoch %d: checkpoint emitted after the engine failed", ep.N)
+				}
+				if point.Armed() {
+					before++
+				}
+				return nil
+			}
+			if _, err := core.Run(prog, opts); err == nil {
+				t.Fatal("run succeeded after an engine fault, want error")
+			}
+			if point.Armed() {
+				t.Fatal("fault never fired")
+			}
+			if before == 0 {
+				t.Fatal("fault fired before the first epoch boundary; move it later")
+			}
+		})
 	}
 }

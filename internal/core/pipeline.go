@@ -140,6 +140,10 @@ type Pass2 struct {
 	tr     *loopevents.Translator
 	sink   InstrSink
 	coords []int64
+	// ctxKey is Vector.Key() of the current context, read from the
+	// schedule-tree leaf every control event touches (the leaf computes
+	// it once), so instruction events build no strings.
+	ctxKey string
 
 	// Events optionally records every loop event (used by the figure
 	// reproduction tests; nil in production runs).
@@ -175,7 +179,7 @@ func (p *Pass2) Control(ev trace.ControlEvent) {
 		p.sink.OnControl(ev)
 	}
 	p.tr.Control(ev)
-	p.Tree.Touch(p.Vector)
+	p.ctxKey = p.Tree.Touch(p.Vector).CtxKey
 }
 
 // Instr implements trace.Hook.
@@ -183,13 +187,13 @@ func (p *Pass2) Instr(ev trace.InstrEvent, in *isa.Instr) {
 	p.Tree.CountOp()
 	if p.sink != nil {
 		p.coords = p.Vector.Coords(p.coords[:0])
-		p.sink.OnInstr(p.Vector.Key(), p.coords, ev, in)
+		p.sink.OnInstr(p.ctxKey, p.coords, ev, in)
 	}
 }
 
 // pass2Batcher upgrades Pass2 to a trace.BatchHook when its sink
-// consumes batches: the context key and coordinates are computed once
-// per batch instead of once per instruction (sound because the VM
+// consumes batches: the coordinates are computed and the sink called
+// once per batch instead of once per instruction (sound because the VM
 // flushes batches before every control event, and the iteration vector
 // only changes on control events).
 type pass2Batcher struct {
@@ -200,7 +204,7 @@ type pass2Batcher struct {
 func (p pass2Batcher) InstrBatch(evs []trace.InstrEvent, ins []*isa.Instr) {
 	p.Tree.CountOps(len(evs))
 	p.Pass2.coords = p.Vector.Coords(p.Pass2.coords[:0])
-	p.batch.OnInstrBatch(p.Vector.Key(), p.Pass2.coords, evs, ins)
+	p.batch.OnInstrBatch(p.ctxKey, p.Pass2.coords, evs, ins)
 }
 
 // hook returns the trace.Hook to register with the VM: Pass2 itself,

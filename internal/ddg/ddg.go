@@ -194,6 +194,19 @@ type frame struct {
 	retDst isa.Reg // destination register in the caller
 }
 
+// stmtKey identifies a statement: a block under a context.
+type stmtKey struct {
+	ctx string
+	blk isa.BlockID
+}
+
+// blockVerts are the vertices of one statement: the statement and its
+// block's instructions by index (nil until first executed).
+type blockVerts struct {
+	stmt   *Stmt
+	instrs []*Instr
+}
+
 type depKey struct {
 	src, dst int
 	kind     Kind
@@ -238,15 +251,14 @@ type Builder struct {
 	// driver; the others publish per-partition ddg.shard.* metrics.
 	inline bool
 
-	stmts    map[string]map[isa.BlockID]*Stmt // ctx -> block -> stmt
-	instrs   map[string]map[trace.InstrRef]*Instr
+	verts    map[stmtKey]*blockVerts
 	allStmts []*Stmt
 	allInst  []*Instr
-
-	// Per-context caches, valid while ctx == cacheCtx.
-	cacheCtx   string
-	stmtCache  map[isa.BlockID]*Stmt
-	instrCache map[trace.InstrRef]*Instr
+	// cur is the vertex table of the last event's context and block
+	// (cur.stmt.Ctx, cur.stmt.Block): events stay in one block until
+	// the next control event, so a table switch, one verts lookup,
+	// happens once per block entered.
+	cur *blockVerts
 
 	frames      []frame
 	pendingArgs []writerRec
@@ -313,8 +325,7 @@ func newBuilder(prog *isa.Program, opts Options, n int, insert *faultinject.P) *
 		prog:   prog,
 		opts:   opts,
 		insert: insert,
-		stmts:  map[string]map[isa.BlockID]*Stmt{},
-		instrs: map[string]map[trace.InstrRef]*Instr{},
+		verts:  map[stmtKey]*blockVerts{},
 	}
 	if opts.Stream {
 		b.epochN = 1
@@ -369,57 +380,32 @@ func (b *Builder) OnControl(ev trace.ControlEvent) {
 	}
 }
 
-// addStmt and addInstr intern a vertex under its (context, key) and
-// append it in ID order.
-func (b *Builder) addStmt(s *Stmt) {
-	byBlk := b.stmts[s.Ctx]
-	if byBlk == nil {
-		byBlk = map[isa.BlockID]*Stmt{}
-		b.stmts[s.Ctx] = byBlk
-	}
-	byBlk[s.Block] = s
+// addStmt and addInstr intern a vertex under its (context, block) and
+// append it in ID order; a statement precedes its instructions.
+func (b *Builder) addStmt(s *Stmt) *blockVerts {
+	bv := &blockVerts{stmt: s, instrs: make([]*Instr, len(b.prog.Block(s.Block).Code))}
+	b.verts[stmtKey{s.Ctx, s.Block}] = bv
 	b.allStmts = append(b.allStmts, s)
+	return bv
 }
 
-func (b *Builder) addInstr(i *Instr) {
-	byRef := b.instrs[i.Ctx]
-	if byRef == nil {
-		byRef = map[trace.InstrRef]*Instr{}
-		b.instrs[i.Ctx] = byRef
-	}
-	byRef[i.Ref] = i
+func (b *Builder) addInstr(bv *blockVerts, i *Instr) {
+	bv.instrs[i.Ref.Index] = i
 	b.allInst = append(b.allInst, i)
 }
 
-func (b *Builder) stmtFor(ctx string, blk isa.BlockID, depth int) *Stmt {
-	if ctx != b.cacheCtx {
-		b.cacheCtx = ctx
-		b.stmtCache = map[isa.BlockID]*Stmt{}
-		b.instrCache = map[trace.InstrRef]*Instr{}
+// vertsFor returns the vertex table of block blk under context ctx,
+// creating its statement on first execution.
+func (b *Builder) vertsFor(ctx string, blk isa.BlockID, depth int) *blockVerts {
+	if bv := b.cur; bv != nil && bv.stmt.Block == blk && bv.stmt.Ctx == ctx {
+		return bv
 	}
-	if s, ok := b.stmtCache[blk]; ok {
-		return s
-	}
-	s, ok := b.stmts[ctx][blk]
+	bv, ok := b.verts[stmtKey{ctx, blk}]
 	if !ok {
-		s = &Stmt{ID: len(b.allStmts), Block: blk, Ctx: ctx, Depth: depth}
-		b.addStmt(s)
+		bv = b.addStmt(&Stmt{ID: len(b.allStmts), Block: blk, Ctx: ctx, Depth: depth})
 	}
-	b.stmtCache[blk] = s
-	return s
-}
-
-func (b *Builder) instrFor(ctx string, ref trace.InstrRef, in *isa.Instr, stmt *Stmt) *Instr {
-	if i, ok := b.instrCache[ref]; ok {
-		return i
-	}
-	i, ok := b.instrs[ctx][ref]
-	if !ok {
-		i = b.newInstr(len(b.allInst), ref, ctx, in, stmt)
-		b.addInstr(i)
-	}
-	b.instrCache[ref] = i
-	return i
+	b.cur = bv
+	return bv
 }
 
 // ensureFolders gives every stream its folder.  Streams get theirs
@@ -487,11 +473,16 @@ func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, i
 	if in.Op.IsFP() {
 		b.fpOps++
 	}
-	stmt := b.stmtFor(ctxKey, ev.Ref.Block, len(coords))
+	bv := b.vertsFor(ctxKey, ev.Ref.Block, len(coords))
+	stmt := bv.stmt
 	if ev.Ref.Index == 0 {
 		stmt.Count++
 	}
-	instr := b.instrFor(ctxKey, ev.Ref, in, stmt)
+	instr := bv.instrs[ev.Ref.Index]
+	if instr == nil {
+		instr = b.newInstr(len(b.allInst), ev.Ref, ctxKey, in, stmt)
+		b.addInstr(bv, instr)
+	}
 	instr.Count++
 	e := Event{Instr: instr, Coords: coords, Addr: ev.Addr}
 

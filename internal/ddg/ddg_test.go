@@ -1,6 +1,7 @@
 package ddg_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -346,5 +347,48 @@ func TestStatementDomains(t *testing.T) {
 	}
 	if dom.Contains([]int64{2, 3}) {
 		t.Error("domain must exclude j > i")
+	}
+}
+
+// TestRestoreRejectsMisplacedVertices: checkpoints arrive from the WAL
+// and the lease API, so a statement outside the program, or an
+// instruction filed under another statement's block or context, is an
+// error rather than a panic or a vertex the event path never finds.
+func TestRestoreRejectsMisplacedVertices(t *testing.T) {
+	prog := workloads.Example1()
+	st, err := core.AnalyzeStructure(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ddg.NewBuilder(prog, ddg.DefaultOptions())
+	if _, _, err := core.RunPass2(prog, st, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	state, err := b.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(s *ddg.BuilderState){
+		"intact":        func(*ddg.BuilderState) {},
+		"stmt block":    func(s *ddg.BuilderState) { s.Stmts[0].Block = isa.BlockID(len(prog.Blocks)) },
+		"instr block":   func(s *ddg.BuilderState) { s.Instrs[0].Ref.Block = s.Stmts[1].Block },
+		"instr context": func(s *ddg.BuilderState) { s.Instrs[0].Ctx += "/b0" },
+	} {
+		var s ddg.BuilderState
+		if err := json.Unmarshal(data, &s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stmts[0].Block == s.Stmts[1].Block {
+			t.Fatal("the first two statements share a block; pick others")
+		}
+		corrupt(&s)
+		err := ddg.NewBuilder(prog, ddg.DefaultOptions()).Restore(&s)
+		if (err == nil) != (name == "intact") {
+			t.Errorf("%s: Restore returned %v", name, err)
+		}
 	}
 }

@@ -70,7 +70,7 @@ func (b *Builder) Clone() *Builder {
 		*cs = *s
 		cs.folder = cloneFolder(s.folder)
 		sm[s] = cs
-		c.addStmt(cs)
+		c.allStmts = append(c.allStmts, cs)
 	}
 	im := make(map[*Instr]*Instr, len(b.allInst))
 	for _, i := range b.allInst {
@@ -80,7 +80,7 @@ func (b *Builder) Clone() *Builder {
 		ci.valueFolder = cloneFolder(i.valueFolder)
 		ci.accessFolder = cloneFolder(i.accessFolder)
 		im[i] = ci
-		c.addInstr(ci)
+		c.allInst = append(c.allInst, ci)
 	}
 	cloneRanges := func(ranges map[int64]*coarseRange) map[int64]*coarseRange {
 		out := make(map[int64]*coarseRange, len(ranges))
@@ -472,25 +472,30 @@ func (b *Builder) Restore(s *BuilderState) error {
 		f.Obs = opts.Obs
 		return f, nil
 	}
+	stmtVerts := make([]*blockVerts, 0, len(s.Stmts))
 	for _, ss := range s.Stmts {
+		if ss.Block < 0 || int(ss.Block) >= len(prog.Blocks) {
+			return fmt.Errorf("ddg: checkpoint stmt references unknown block %d", ss.Block)
+		}
 		f, err := restoreFolder(ss.Folder)
 		if err != nil {
 			return err
 		}
-		b.addStmt(&Stmt{ID: len(b.allStmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f})
+		stmtVerts = append(stmtVerts, b.addStmt(&Stmt{ID: len(b.allStmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f}))
 	}
 	for _, is := range s.Instrs {
-		if is.Stmt < 0 || is.Stmt >= len(b.allStmts) {
+		if is.Stmt < 0 || is.Stmt >= len(stmtVerts) {
 			return fmt.Errorf("ddg: checkpoint instr references unknown stmt %d", is.Stmt)
 		}
-		if is.Ref.Block < 0 || int(is.Ref.Block) >= len(prog.Blocks) {
-			return fmt.Errorf("ddg: checkpoint instr references unknown block %d", is.Ref.Block)
+		bv := stmtVerts[is.Stmt]
+		if is.Ref.Block != bv.stmt.Block || is.Ctx != bv.stmt.Ctx {
+			return fmt.Errorf("ddg: checkpoint instr in block %d is not in its stmt's block and context", is.Ref.Block)
 		}
 		blk := prog.Block(is.Ref.Block)
 		if is.Ref.Index < 0 || int(is.Ref.Index) >= len(blk.Code) {
 			return fmt.Errorf("ddg: checkpoint instr index %d out of range in block %q", is.Ref.Index, blk.Name)
 		}
-		i := b.newInstr(len(b.allInst), is.Ref, is.Ctx, &blk.Code[is.Ref.Index], b.allStmts[is.Stmt])
+		i := b.newInstr(len(b.allInst), is.Ref, is.Ctx, &blk.Code[is.Ref.Index], bv.stmt)
 		i.Count = is.Count
 		if (is.Value != nil) != i.hasValue || (is.Access != nil) != i.hasAccess {
 			return fmt.Errorf("ddg: checkpoint instr I%d folders do not match its instruction", i.ID)
@@ -506,7 +511,7 @@ func (b *Builder) Restore(s *BuilderState) error {
 				return err
 			}
 		}
-		b.addInstr(i)
+		b.addInstr(bv, i)
 	}
 	instrAt := func(id int) (*Instr, error) {
 		if id < 0 || id >= len(b.allInst) {

@@ -22,7 +22,8 @@ import (
 // x in Z^m lies on an affine function y = c·x + k, using exact Gaussian
 // elimination.  Adding samples is cheap once the function is determined
 // (integer evaluation); before that, each independent sample extends a
-// reduced basis.
+// reduced basis, and every other sample is decided by the basis's
+// kernel test (see classify) without elimination.
 //
 // The basis is kept fraction-free in int64 rows: eliminating src from
 // dst computes a·dst − b·src and divides the result by its gcd.  Every
@@ -47,6 +48,20 @@ type Fitter struct {
 	// scratch holds the sample row Add and Check reduce, so a sample
 	// allocates nothing; basis rows are allocated only when rank grows.
 	scratch []int64
+
+	// kern caches the kernel test of the int64 basis (see classify):
+	// kern[:m+1] is the scaled particular solution, and each further
+	// m+1 entries are the null vector of one free column.  kernL is the
+	// lcm of the pivots the test is scaled by, 0 while no test is
+	// cached and −1 when building it overflowed; kernBound is m+1 times
+	// the largest |entry|.  Built by the first sample that needs it and
+	// dropped whenever the basis changes.
+	kern      []int64
+	kernL     int64
+	kernBound uint64
+	// eliminations counts the samples that ran elimination (published
+	// as fold.fitter.eliminations when the stream finishes).
+	eliminations int
 
 	// wide is set once int64 arithmetic would have overflowed; the basis
 	// then lives in wideRows as exact rationals and rows is nil.
@@ -84,6 +99,14 @@ func (f *Fitter) Add(x []int64, y int64) bool {
 		}
 		return !f.failed
 	}
+	switch f.classify(x, y) {
+	case redundant:
+		return true
+	case contradicts:
+		f.fail()
+		return false
+	}
+	f.eliminations++
 	if !f.wide {
 		if row, ok := f.reduce(x, y); ok {
 			f.absorb(row)
@@ -112,6 +135,139 @@ func (f *Fitter) fail() {
 	f.failed = true
 	f.rows, f.wideRows, f.pivot = nil, nil, nil
 	f.solved = nil
+	f.kern, f.kernL = nil, 0
+}
+
+// verdict is what the kernel test decides about one sample.
+type verdict uint8
+
+const (
+	undecided   verdict = iota // no int64 test: eliminate
+	extends                    // the sample raises the rank
+	redundant                  // the basis already implies it
+	contradicts                // 0 = nonzero: not affine
+)
+
+// classify decides a sample against an undetermined int64 basis by dot
+// products instead of elimination.  With x̂ = [x, 1], eliminating the
+// sample row [x̂ | y] against the reduced row-echelon basis leaves, in
+// free column j, x̂[j] − Σ_i x̂[p_i]·R_i[j]/R_i[p_i] (no elimination step
+// touches another row's pivot column), and on the right-hand side
+// y − Σ_i x̂[p_i]·R_i[m+1]/R_i[p_i].  Scaled by L, the lcm of the pivots,
+// these are n_j·x̂ and L·y − part·x̂ for the vectors buildKernel caches:
+// the sample extends the rank when some n_j·x̂ ≠ 0, is redundant when
+// part·x̂ = L·y, and contradicts the basis otherwise — exactly what
+// elimination would find.  Wide fitters, a test that overflowed while
+// building, and samples large enough that a dot product might overflow
+// are undecided.
+func (f *Fitter) classify(x []int64, y int64) verdict {
+	if f.wide {
+		return undecided
+	}
+	if len(f.pivot) == 0 {
+		return extends // the constant column is free
+	}
+	if f.kernL == 0 {
+		f.buildKernel()
+	}
+	if f.kernL < 0 {
+		return undecided
+	}
+	// Every product, partial sum and L·y below is at most
+	// kernBound·xmax in magnitude.
+	xmax := max(absU(y), 1)
+	for _, v := range x[:f.m] {
+		xmax = max(xmax, absU(v))
+	}
+	if hi, lo := bits.Mul64(f.kernBound, xmax); hi != 0 || lo > math.MaxInt64 {
+		return undecided
+	}
+	w := f.m + 1
+	for k := w; k < len(f.kern); k += w {
+		if dot(f.kern[k:k+w], x) != 0 {
+			return extends
+		}
+	}
+	if dot(f.kern[:w], x) == f.kernL*y {
+		return redundant
+	}
+	return contradicts
+}
+
+// buildKernel caches the kernel test of the current int64 basis: with
+// L the lcm of the pivots, part[p_i] = (L/R_i[p_i])·R_i[m+1], and for
+// each free column j, n_j[j] = L and n_j[p_i] = −(L/R_i[p_i])·R_i[j].
+// On overflow kernL is −1 and samples eliminate until the basis
+// changes.
+func (f *Fitter) buildKernel() {
+	f.kernL = -1
+	l := int64(1)
+	for i, r := range f.rows {
+		p := r[f.pivot[i]]
+		var ok bool
+		if l, ok = mul(l, p/int64(gcd(uint64(l), uint64(p)))); !ok {
+			return
+		}
+	}
+	f.kern = f.kern[:0]
+	if !f.appendKernelRow(l, f.m+1) {
+		return
+	}
+	for j := 0; j <= f.m; j++ {
+		if !f.isPivot(j) && !f.appendKernelRow(l, j) {
+			return
+		}
+	}
+	var top uint64
+	for _, v := range f.kern {
+		top = max(top, absU(v))
+	}
+	bound, ok := mul(int64(top), int64(f.m+1))
+	if !ok {
+		return
+	}
+	f.kernL, f.kernBound = l, uint64(bound)
+}
+
+// appendKernelRow appends part (c = m+1) or the null vector of free
+// column c, scaled by l; false on overflow.
+func (f *Fitter) appendKernelRow(l int64, c int) bool {
+	start := len(f.kern)
+	f.kern = append(f.kern, make([]int64, f.m+1)...)
+	v := f.kern[start:]
+	sign := int64(1)
+	if c <= f.m {
+		v[c], sign = l, -1
+	}
+	for i, r := range f.rows {
+		p := f.pivot[i]
+		s, ok := mul(l/r[p], r[c])
+		if !ok {
+			return false
+		}
+		v[p] = sign * s
+	}
+	return true
+}
+
+func (f *Fitter) isPivot(j int) bool {
+	for _, p := range f.pivot {
+		if p == j {
+			return true
+		}
+	}
+	return false
+}
+
+// dot returns v·[x, 1] over the first len(v)−1 coordinates of x; the
+// caller bounds the magnitudes so nothing overflows.
+func dot(v, x []int64) int64 {
+	n := len(v) - 1
+	acc := v[n]
+	for c, a := range v[:n] {
+		acc += a * x[c]
+	}
+	return acc
 }
 
 // reduce builds the equation row [x..., 1 | y] in the scratch row and
@@ -178,6 +334,7 @@ func (f *Fitter) absorb(row []int64) {
 // the rows not yet visited still need exactly the elimination the wide
 // path then performs.
 func (f *Fitter) insert(row []int64, lead int) {
+	f.kernL = 0
 	nr := append([]int64(nil), row...)
 	normalize(nr, lead)
 	for _, r := range f.rows {
@@ -299,6 +456,7 @@ func mul(a, b int64) (int64, bool) {
 // fitter's life.
 func (f *Fitter) promote() {
 	f.wide = true
+	f.kern, f.kernL = nil, 0
 	f.wideRows = make([][]*big.Rat, len(f.rows))
 	for i, r := range f.rows {
 		f.wideRows[i] = ratRow(r)
@@ -388,6 +546,7 @@ func (f *Fitter) trySolve() {
 	}
 	f.solved = &e
 	f.rows, f.wideRows, f.pivot = nil, nil, nil
+	f.kern, f.kernL = nil, 0
 }
 
 // solveExpr solves the current (possibly underdetermined) system with

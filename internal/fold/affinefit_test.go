@@ -3,6 +3,7 @@ package fold
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -201,10 +202,12 @@ func checkCanonical(t testing.TB, f *Fitter) {
 }
 
 // genSamples draws one stream of a random kind: affine, rank-deficient,
-// non-affine, affine with a non-integral fit, near ±2^63, or small
-// values that jump near ±2^63 mid-stream.
+// non-affine, affine with a non-integral fit, near ±2^63, small values
+// that jump near ±2^63 mid-stream, or one rank short for 200+ samples
+// (a coordinate that never varies) until a late contradiction or a late
+// rank extension.
 func genSamples(r *rand.Rand, m, n int) [][]int64 {
-	kind := r.Intn(6)
+	kind := r.Intn(7)
 	c := make([]int64, m+1) // c[m] is the constant
 	for i := range c {
 		c[i] = r.Int63n(11) - 5
@@ -212,6 +215,17 @@ func genSamples(r *rand.Rand, m, n int) [][]int64 {
 	div := int64(1)
 	if kind == 3 {
 		div = 2 + r.Int63n(3)
+	}
+	// Rank-short streams hold coordinate fixed at fixedV, except at
+	// sample late: a contradiction (lateKind 1), an extension (2) or
+	// nothing (0).
+	fixed, fixedV, late, lateKind := -1, r.Int63n(11)-5, -1, 0
+	if kind == 6 {
+		n = max(n, 200+r.Intn(40))
+		if m > 0 {
+			fixed = r.Intn(m)
+		}
+		late, lateKind = n-1-r.Intn(10), r.Intn(3)
 	}
 	huge := []int64{math.MaxInt64, math.MinInt64, 1 << 62, -1 << 62, math.MaxInt64 / 3}
 	out := make([][]int64, 0, n)
@@ -222,6 +236,11 @@ func genSamples(r *rand.Rand, m, n int) [][]int64 {
 		y := c[m]
 		for i := 0; i < m; i++ {
 			switch {
+			case i == fixed:
+				s[i] = fixedV
+				if len(out) == late && lateKind == 2 {
+					s[i] += 1 + r.Int63n(3)
+				}
 			case kind == 1 && i > 0:
 				s[i] = int64(i+1)*s[0] + int64(i) // affine in x0
 			case kind == 4, kind == 5 && len(out) >= n/2:
@@ -243,6 +262,10 @@ func genSamples(r *rand.Rand, m, n int) [][]int64 {
 			y /= div
 		case 4:
 			y = huge[r.Intn(len(huge))] - r.Int63n(3) + 1
+		case 6:
+			if len(out) == late && lateKind == 1 {
+				y++
+			}
 		}
 		s[m] = y
 		out = append(out, s)
@@ -257,7 +280,7 @@ func TestFitterDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var promoted, midStream int
 	for trial := 0; trial < 4000; trial++ {
-		m := r.Intn(4)
+		m := r.Intn(5)
 		samples := genSamples(r, m, 1+r.Intn(24))
 		switch p := diffFit(t, m, samples); {
 		case p > 0:
@@ -275,7 +298,8 @@ func TestFitterDifferential(t *testing.T) {
 
 // TestFitterHandPicked covers the decisions the random streams may hit
 // rarely: a fit that is exact but not integral (y = x/2), a stream that
-// never varies a coordinate, and a single sample at math.MinInt64.
+// never varies a coordinate, a single sample at math.MinInt64, and
+// samples whose kernel-test dot products would overflow.
 func TestFitterHandPicked(t *testing.T) {
 	for name, c := range map[string]struct {
 		m       int
@@ -287,8 +311,130 @@ func TestFitterHandPicked(t *testing.T) {
 		"overflow-back-elimination": {2, [][]int64{
 			{3, 5, 7}, {math.MaxInt64 / 2, 1, 0}, {1, math.MaxInt64 / 3, 2}, {4, 4, 4},
 		}},
+		// The kernel test of basis {(0,0|0), (2,0|1)} has L = 2: wrapped
+		// int64 dot products would take the extension (0, -2^63) for
+		// redundant (2·x1 ≡ 0) and the contradiction (-2^63, 0 | 2^62)
+		// for redundant (2·y ≡ x0).
+		"kernel-dot-overflow-extends":     {2, [][]int64{{0, 0, 0}, {2, 0, 1}, {0, math.MinInt64, 0}, {4, 0, 2}}},
+		"kernel-dot-overflow-contradicts": {2, [][]int64{{0, 0, 0}, {2, 0, 1}, {math.MinInt64, 0, 1 << 62}}},
 	} {
 		t.Run(name, func(t *testing.T) { diffFit(t, c.m, c.samples) })
+	}
+}
+
+// TestFitterKernelOverflow: a rank-short basis whose kernel test does
+// not fit in int64 — the lcm of its pivots, or one null-vector entry —
+// falls back to elimination and decides like the rational reference.
+func TestFitterKernelOverflow(t *testing.T) {
+	const a, b = 1<<32 + 1, 1<<32 - 1 // coprime: a·b > math.MaxInt64
+	const e = 1 << 31
+	for name, c := range map[string]struct {
+		m, prefix int
+		samples   [][]int64
+	}{
+		// Pivots 1, a and b: their lcm a·b overflows.  Then redundant
+		// samples and a late rank extension (which solves to 1/a, not
+		// integral).
+		"lcm": {3, 3, [][]int64{
+			{0, 0, 0, 0}, {a, 0, 0, 1}, {0, b, 0, 1},
+			{a, b, 0, 2}, {2 * a, 0, 0, 2}, {a, 2 * b, 0, 3}, {0, 0, 1, 5},
+		}},
+		// Pivots 1, a and 1 (lcm a), but the free column's entry in the
+		// row with pivot 1 is e: a·e overflows.  Then redundant
+		// samples and a late contradiction.
+		"null-vector": {3, 3, [][]int64{
+			{0, 0, 0, 0}, {a, 0, 0, 1}, {0, 1, e, 0},
+			{0, 2, 2 * e, 0}, {a, 1, e, 1}, {a, 3, 3 * e, 1}, {0, 1, e, 1},
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := NewFitter(c.m)
+			for _, s := range c.samples[:c.prefix] {
+				f.Add(s[:c.m], s[c.m])
+			}
+			s := c.samples[c.prefix]
+			f.Check(s[:c.m], s[c.m])
+			if f.kernL != -1 {
+				t.Fatalf("kernel test built (L = %d), want an overflow", f.kernL)
+			}
+			diffFit(t, c.m, c.samples)
+		})
+	}
+}
+
+// TestFitterResumeMidStream: a Clone and a State/RestoreFitter round
+// trip taken mid-stream, with the kernel test cached, continue exactly
+// like the original fitter.
+func TestFitterResumeMidStream(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 500; trial++ {
+		m := r.Intn(5)
+		samples := genSamples(r, m, 1+r.Intn(24))
+		cut := r.Intn(len(samples) + 1)
+		f := NewFitter(m)
+		for _, s := range samples[:cut] {
+			f.Add(s[:m], s[m])
+		}
+		if cut < len(samples) {
+			s := samples[cut]
+			f.Check(s[:m], s[m]) // caches the kernel test when undetermined
+		}
+		restored, err := RestoreFitter(f.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone := f.Clone()
+		// step renders everything a sample decides.
+		step := func(g *Fitter, s []int64) string {
+			check, add := g.Check(s[:m], s[m]), g.Add(s[:m], s[m])
+			fn, ok := g.Solve()
+			return fmt.Sprint(check, add, fn, ok)
+		}
+		for j, s := range samples[cut:] {
+			want := step(f, s)
+			for name, g := range map[string]*Fitter{"clone": clone, "restored": restored} {
+				if got := step(g, s); got != want {
+					t.Fatalf("trial %d, sample %d %v after a cut at %d: %s decides %s, original %s", trial, cut+j, s, cut, name, got, want)
+				}
+			}
+		}
+		if got, want := fmt.Sprint(clone.State()), fmt.Sprint(f.State()); got != want {
+			t.Fatalf("trial %d: clone state %s, original %s", trial, got, want)
+		}
+	}
+}
+
+// TestFitterEliminations: a rank-short label stream (a rectangular 3-deep
+// nest whose outer coordinate never varies) eliminates only the samples
+// that raise the rank, at most m+1 per label fitter, and the count is
+// published once per stream as fold.fitter.eliminations.
+func TestFitterEliminations(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	mf := NewMultiFolder(3, 1, 0)
+	mf.Obs = reg.Scope()
+	for j := int64(0); j < 20; j++ {
+		for k := int64(0); k < 30; k++ {
+			mf.Add([]int64{5, j, k}, []int64{2*j + 3*k + 7})
+		}
+	}
+	if len(mf.pieces) != 1 {
+		t.Fatalf("%d pieces, want 1", len(mf.pieces))
+	}
+	fit := mf.pieces[0].labelFit[0]
+	if fit.solved != nil || len(fit.pivot) != 3 {
+		t.Fatalf("label fitter not one rank short: solved=%v rank=%d", fit.solved != nil, len(fit.pivot))
+	}
+	if fit.eliminations > fit.m+1 {
+		t.Fatalf("label fitter ran %d eliminations over %d samples, want at most %d", fit.eliminations, fit.Samples(), fit.m+1)
+	}
+	p := mf.Finish()
+	_, want := mf.pieces[0].fitterCounts()
+	if fn := (poly.Expr{C: []int64{0, 2, 3}, K: 7}); p[0].Fn == nil || !reflect.DeepEqual(p[0].Fn.Rows[0], fn) {
+		t.Fatalf("piece %s", p[0])
+	}
+	if got := reg.Counter("fold.fitter.eliminations").Value(); got != want || got == 0 {
+		t.Fatalf("fold.fitter.eliminations = %d, want %d", got, want)
 	}
 }
 
@@ -330,6 +476,11 @@ func FuzzFitter(f *testing.F) {
 	f.Add([]byte{1, 8, 8, 9, 10, 10, 12})
 	f.Add([]byte{2, 8, 8, 8, 9, 8, 10, 8, 9, 11, 12, 12, 1})
 	f.Add([]byte{1, 8, 0xff, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 9, 8, 0xff, 0x80, 0, 0, 0, 0, 0, 0, 1})
+	// One rank short (m = 3, x2 = 0): y = x0 + x1 + 1, then a late
+	// contradiction (1, 2, 0 | 5), or a late extension (0, 0, 1 | 1) and
+	// one more sample on the now determined function.
+	f.Add([]byte{3, 8, 8, 8, 9, 9, 8, 8, 10, 8, 9, 8, 10, 9, 9, 8, 11, 10, 9, 8, 12, 11, 10, 8, 14, 9, 10, 8, 13})
+	f.Add([]byte{3, 8, 8, 8, 9, 9, 8, 8, 10, 8, 9, 8, 10, 9, 9, 8, 11, 10, 9, 8, 12, 11, 10, 8, 14, 8, 8, 9, 9, 9, 9, 9, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, samples := decodeSamples(data)
 		diffFit(t, m, samples)
@@ -337,8 +488,9 @@ func FuzzFitter(f *testing.F) {
 }
 
 // TestFitterSampleAllocs: on the int64 path a sample fed to a
-// rank-deficient fitter allocates nothing, whether Check accepts or
-// rejects it or Add finds it redundant.
+// rank-deficient fitter allocates nothing and runs no elimination once
+// the kernel test is built, whether Check accepts or rejects it or Add
+// finds it redundant.
 func TestFitterSampleAllocs(t *testing.T) {
 	f := NewFitter(3)
 	f.Add([]int64{0, 7, 7}, 1)
@@ -354,6 +506,9 @@ func TestFitterSampleAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per sample, want 0", allocs)
+	}
+	if f.eliminations != 2 {
+		t.Fatalf("%d samples ran elimination, want only the 2 that raised the rank", f.eliminations)
 	}
 	if f.wide || len(f.rows) != 2 {
 		t.Fatalf("fitter left the rank-2 int64 basis: wide=%v rows=%d", f.wide, len(f.rows))
@@ -483,8 +638,8 @@ func TestRestoreRationalCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("folder %d: %v", i, err)
 		}
-		if f.wideFitters() != 0 {
-			t.Fatalf("folder %d: %d fitters restored onto big.Rat rows", i, f.wideFitters())
+		if wide, _ := f.fitterCounts(); wide != 0 {
+			t.Fatalf("folder %d: %d fitters restored onto big.Rat rows", i, wide)
 		}
 		ref := NewFolder(c.Dim, c.LabelW)
 		for _, p := range c.Prefix {

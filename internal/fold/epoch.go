@@ -31,7 +31,7 @@ var epochMergeFault = faultinject.Point("fold.epoch.merge")
 // Clone returns a deep copy of the fitter; the copy and the original
 // evolve independently.
 func (f *Fitter) Clone() *Fitter {
-	c := &Fitter{m: f.m, failed: f.failed, wide: f.wide, nSamples: f.nSamples}
+	c := &Fitter{m: f.m, failed: f.failed, wide: f.wide, nSamples: f.nSamples, eliminations: f.eliminations}
 	if f.solved != nil {
 		e := f.solved.Clone()
 		c.solved = &e

@@ -426,8 +426,9 @@ func (f *Folder) finishSmall() (Piece, bool) {
 
 // noteFinish publishes fold-outcome metrics: how many streams folded,
 // whether each came out exact-affine or as a bounding-box
-// over-approximation, and how many fitters left the int64 path.  Called
-// once per stream (at Finish), never on the per-point path.
+// over-approximation, how many fitters left the int64 path and how many
+// samples ran elimination.  Called once per stream (at Finish), never
+// on the per-point path.
 func (f *Folder) noteFinish(p Piece) {
 	if !f.Obs.Enabled() {
 		return
@@ -439,27 +440,30 @@ func (f *Folder) noteFinish(p Piece) {
 		f.Obs.Add("fold.streams.approx", 1)
 	}
 	f.Obs.Observe("fold.stream.points", p.Points)
-	f.Obs.Add("fold.fitters.wide", f.wideFitters())
+	wide, elims := f.fitterCounts()
+	f.Obs.Add("fold.fitters.wide", wide)
+	f.Obs.Add("fold.fitter.eliminations", elims)
 }
 
-// wideFitters counts the folder's fitters that promoted themselves to
-// big.Rat rows.
-func (f *Folder) wideFitters() uint64 {
-	var n uint64
-	for _, fit := range f.labelFit {
+// fitterCounts counts the folder's fitters that promoted themselves to
+// big.Rat rows, and the samples its fitters eliminated.
+func (f *Folder) fitterCounts() (wide, eliminations uint64) {
+	note := func(fit *Fitter) {
 		if fit.wide {
-			n++
+			wide++
 		}
+		eliminations += uint64(fit.eliminations)
+	}
+	for _, fit := range f.labelFit {
+		note(fit)
 	}
 	for _, lv := range f.levels {
-		if lv.loFit != nil && lv.loFit.wide {
-			n++
-		}
-		if lv.hiFit != nil && lv.hiFit.wide {
-			n++
+		if lv.loFit != nil {
+			note(lv.loFit)
+			note(lv.hiFit)
 		}
 	}
-	return n
+	return wide, eliminations
 }
 
 // embed widens an expression over the first k variables to dim

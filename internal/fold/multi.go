@@ -5,8 +5,10 @@ import "polyprof/internal/obs"
 // Check reports whether the sample is consistent with the fitter's
 // current state without changing what it decides: an already-determined
 // function must evaluate to y; an undetermined basis must not reduce the
-// sample to a contradiction (rank extension is consistent).  The only
-// side effect is promotion to big.Rat rows when int64 would overflow.
+// sample to a contradiction (rank extension is consistent).  The kernel
+// test decides it (see classify), which may build and cache the test;
+// only when the test is unavailable does Check eliminate, and then
+// int64 overflow promotes the fitter to big.Rat rows.
 func (f *Fitter) Check(x []int64, y int64) bool {
 	if f.failed {
 		return false
@@ -14,6 +16,13 @@ func (f *Fitter) Check(x []int64, y int64) bool {
 	if f.solved != nil {
 		return f.solved.Eval(x) == y
 	}
+	switch f.classify(x, y) {
+	case extends, redundant:
+		return true
+	case contradicts:
+		return false
+	}
+	f.eliminations++
 	if !f.wide {
 		if row, ok := f.reduce(x, y); ok {
 			return f.leadCol(row) != -1 || row[f.m+1] == 0

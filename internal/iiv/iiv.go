@@ -32,16 +32,32 @@ func blockElem(b isa.BlockID) Elem  { return Elem{Block: b} }
 func loopElem(l *cfg.Loop) Elem     { return Elem{Block: isa.NoBlock, Loop: l} }
 func compElem(c *cg.Component) Elem { return Elem{Block: isa.NoBlock, Comp: c} }
 
-// Key returns a compact stable encoding of the element.
-func (e Elem) Key() string {
+// elemKey identifies an element by kind ('L' loop, 'R' component,
+// 'b' block) and ID: the comparable form of Key that indexes schedule
+// tree children.
+type elemKey struct {
+	kind byte
+	id   int
+}
+
+func (e Elem) key() elemKey {
 	switch {
 	case e.Loop != nil:
-		return "L" + strconv.Itoa(e.Loop.ID)
+		return elemKey{'L', e.Loop.ID}
 	case e.Comp != nil:
-		return "R" + strconv.Itoa(e.Comp.ID)
+		return elemKey{'R', e.Comp.ID}
 	default:
-		return "b" + strconv.Itoa(int(e.Block))
+		return elemKey{'b', int(e.Block)}
 	}
+}
+
+// Key returns a compact stable encoding of the element, the form
+// vector keys and checkpoints use ("L3", "R1", "b17").  The schedule
+// tree indexes elements by their comparable key instead, so no string
+// is built on the per-event path.
+func (e Elem) Key() string {
+	k := e.key()
+	return string(k.kind) + strconv.Itoa(k.id)
 }
 
 // IsLoop reports whether the element denotes a CFG loop or recursive
@@ -59,15 +75,12 @@ type Dim struct {
 // loop events per Alg. 3.
 type Vector struct {
 	dims []Dim
-
-	key   string
-	dirty bool
 }
 
 // NewVector returns the initial vector: a single dimension with an
 // empty context.
 func NewVector() *Vector {
-	return &Vector{dims: []Dim{{}}, dirty: true}
+	return &Vector{dims: []Dim{{}}}
 }
 
 // Depth returns the loop depth (number of dimensions beyond the root).
@@ -98,7 +111,6 @@ func (d *Dim) pop() {
 // the N rule: a local jump updates the innermost context's current
 // block).
 func (v *Vector) Apply(ev loopevents.Event) {
-	v.dirty = true
 	in := v.innermost()
 	switch ev.Kind {
 	case loopevents.LocalJump:
@@ -150,25 +162,23 @@ func (v *Vector) Coords(buf []int64) []int64 {
 }
 
 // Key returns a stable encoding of the non-numerical part of the vector
-// (the "context" the folding stage groups by).
+// (the "context" the folding stage groups by).  It builds the string on
+// every call; the per-event path reads the schedule-tree leaf's CtxKey
+// instead (see Tree.Touch).
 func (v *Vector) Key() string {
-	if v.dirty {
-		var sb strings.Builder
-		for i := range v.dims {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			for j, e := range v.dims[i].Ctx {
-				if j > 0 {
-					sb.WriteByte('/')
-				}
-				sb.WriteString(e.Key())
-			}
+	var sb strings.Builder
+	for i := range v.dims {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		v.key = sb.String()
-		v.dirty = false
+		for j, e := range v.dims[i].Ctx {
+			if j > 0 {
+				sb.WriteByte('/')
+			}
+			sb.WriteString(e.Key())
+		}
 	}
-	return v.key
+	return sb.String()
 }
 
 // Namer renders context elements with human-readable names.

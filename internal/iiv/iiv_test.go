@@ -1,6 +1,8 @@
 package iiv_test
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -144,5 +146,38 @@ func TestScheduleTreeWeights(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestScheduleTreeRenderGolden: the schedule tree indexes children by
+// comparable element keys and computes each leaf's CtxKey once; neither
+// may change what the tree renders or which key each leaf carries.
+// testdata/schedtree.golden holds, per workload, Tree.Render followed by
+// every leaf's depth and CtxKey in walk order.
+func TestScheduleTreeRenderGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, name := range []string{"example1", "example2", "backprop", "bfs"} {
+		prog := workloads.ByName(name).Build()
+		st, err := core.AnalyzeStructure(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, _, err := core.RunPass2(prog, st, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "== %s\n%s", name, p2.Tree.Render(iiv.ProgramNamer(prog), 0))
+		p2.Tree.Walk(func(n *iiv.TreeNode, depth int) {
+			if n.CtxKey != "" {
+				fmt.Fprintf(&sb, "ctx %d %q\n", depth, n.CtxKey)
+			}
+		})
+	}
+	want, err := os.ReadFile("testdata/schedtree.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("schedule trees differ from testdata/schedtree.golden:\n%s", got)
 	}
 }

@@ -17,7 +17,7 @@ type TreeNode struct {
 	Parent *TreeNode
 
 	Children []*TreeNode
-	index    map[string]*TreeNode
+	index    map[elemKey]*TreeNode
 
 	// StaticIdx is the node's Kelly-mapping static index: the position
 	// of the node among its siblings in first-execution order, which for
@@ -33,7 +33,10 @@ type TreeNode struct {
 	Iters uint64
 
 	// CtxKey is the vector context key for leaf contexts touched at this
-	// node ("" if the node was never an innermost context).
+	// node ("" if the node was never an innermost context).  Set once,
+	// by the first Touch that ends here: a node's element path and the
+	// key of every vector that reaches it determine each other (see
+	// Touch), so the key never changes.
 	CtxKey string
 }
 
@@ -41,13 +44,13 @@ type TreeNode struct {
 func (n *TreeNode) IsRoot() bool { return n.Parent == nil }
 
 func (n *TreeNode) child(e Elem) *TreeNode {
-	k := e.Key()
+	k := e.key()
 	if c, ok := n.index[k]; ok {
 		return c
 	}
-	c := &TreeNode{Elem: e, Parent: n, StaticIdx: len(n.Children), index: map[string]*TreeNode{}}
+	c := &TreeNode{Elem: e, Parent: n, StaticIdx: len(n.Children)}
 	if n.index == nil {
-		n.index = map[string]*TreeNode{}
+		n.index = map[elemKey]*TreeNode{}
 	}
 	n.index[k] = c
 	n.Children = append(n.Children, c)
@@ -81,14 +84,21 @@ type Tree struct {
 // NewTree creates an empty dynamic schedule tree.
 func NewTree() *Tree {
 	return &Tree{
-		Root:  &TreeNode{index: map[string]*TreeNode{}},
+		Root:  &TreeNode{},
 		byCtx: map[string]*TreeNode{},
 	}
 }
 
 // Touch positions the tree's current leaf at the context described by
-// the vector, creating nodes as needed.  Call it after every control
-// event; CountOp then attributes instructions to the right leaf.
+// the vector, creating nodes as needed, and returns it.  Call it after
+// every control event; CountOp then attributes instructions to the
+// right leaf, and the leaf's CtxKey is the vector's Key.
+//
+// The leaf is found by the vector's context elements alone, dimension
+// separators dropped; that loses nothing, because every dimension but
+// the innermost ends in the one loop or component element that opened
+// the next dimension, and the innermost holds blocks only.  So the key
+// is computed once per leaf, not per event.
 func (t *Tree) Touch(v *Vector) *TreeNode {
 	n := t.Root
 	for _, d := range v.dims {

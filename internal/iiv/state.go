@@ -91,7 +91,7 @@ func (v *Vector) State() VectorState {
 
 // RestoreVector rebuilds a vector from its checkpointed state.
 func RestoreVector(s VectorState, r *ElemResolver) (*Vector, error) {
-	v := &Vector{dirty: true}
+	v := &Vector{}
 	for _, ds := range s.Dims {
 		d := Dim{IV: ds.IV}
 		for _, k := range ds.Ctx {

@@ -45,7 +45,7 @@ import (
 func BenchmarkFig2LoopForest(b *testing.B) {
 	prog := workloads.Example1()
 	for i := 0; i < b.N; i++ {
-		st, err := core.AnalyzeStructure(prog, nil)
+		st, err := core.AnalyzeStructure(prog, core.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkFig2LoopForest(b *testing.B) {
 func BenchmarkFig2RecursiveComponents(b *testing.B) {
 	prog := workloads.Example2()
 	for i := 0; i < b.N; i++ {
-		st, err := core.AnalyzeStructure(prog, nil)
+		st, err := core.AnalyzeStructure(prog, core.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,28 +243,28 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 
 	b.Run("pass1-structure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeStructure(prog, nil); err != nil {
+			if _, err := core.AnalyzeStructure(prog, core.Env{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		record("pass1-structure", b)
 	})
 	b.Run("pass2-iiv-only", func(b *testing.B) {
-		st, _ := core.AnalyzeStructure(prog, nil)
+		st, _ := core.AnalyzeStructure(prog, core.Env{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunPass2(prog, st, nil, nil); err != nil {
+			if _, _, err := core.RunPass2(prog, st, nil, core.Env{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		record("pass2-iiv-only", b)
 	})
 	b.Run("pass2-full-ddg", func(b *testing.B) {
-		st, _ := core.AnalyzeStructure(prog, nil)
+		st, _ := core.AnalyzeStructure(prog, core.Env{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			builder := ddg.NewBuilder(prog, ddg.DefaultOptions())
-			if _, _, err := core.RunPass2(prog, st, builder, nil); err != nil {
+			if _, _, err := core.RunPass2(prog, st, builder, core.Env{}); err != nil {
 				b.Fatal(err)
 			}
 			builder.Finish()
@@ -279,11 +279,11 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 		shards := shards
 		name := fmt.Sprintf("pass2-full-ddg-par%d", shards)
 		b.Run(name, func(b *testing.B) {
-			st, _ := core.AnalyzeStructure(prog, nil)
+			st, _ := core.AnalyzeStructure(prog, core.Env{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng := parddg.NewEngine(prog, parddg.Options{Shards: shards, DDG: ddg.DefaultOptions()})
-				if _, _, err := core.RunPass2(prog, st, eng, nil); err != nil {
+				if _, _, err := core.RunPass2(prog, st, eng, core.Env{}); err != nil {
 					eng.Close()
 					b.Fatal(err)
 				}
@@ -309,10 +309,7 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	})
 
 	if path := benchJSONPath(); path != "" {
-		out := struct {
-			Meta   benchMeta        `json:"meta"`
-			Stages map[string]int64 `json:"stages"`
-		}{Meta: collectBenchMeta(), Stages: nsPerOp}
+		out := evaluation.BenchBaseline{Meta: collectBenchMeta(), Stages: nsPerOp}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			b.Fatal(err)
@@ -324,19 +321,11 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	}
 }
 
-// benchMeta pins the machine and revision a baseline was measured on,
-// so `polyprof overhead -compare` can report apples-to-oranges runs
-// (mirrors evaluation.BenchMeta).
-type benchMeta struct {
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Go         string `json:"go"`
-	Rev        string `json:"rev,omitempty"`
-	Timestamp  string `json:"timestamp"`
-}
-
-func collectBenchMeta() benchMeta {
-	m := benchMeta{
+// collectBenchMeta pins the machine and revision a baseline was
+// measured on, so `polyprof overhead -compare` can report
+// apples-to-oranges runs.
+func collectBenchMeta() *evaluation.BenchMeta {
+	m := &evaluation.BenchMeta{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Go:         runtime.Version(),
@@ -360,6 +349,42 @@ func benchJSONPath() string {
 		return "BENCH_overhead.json"
 	default:
 		return v
+	}
+}
+
+// TestBenchBaselineEmission: the committed baseline loads with its
+// meta, and a fresh emission keeps its shape and loads back.
+func TestBenchBaselineEmission(t *testing.T) {
+	committed, err := os.ReadFile("BENCH_overhead.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := evaluation.LoadBaseline(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Meta == nil || base.Meta.NumCPU == 0 || len(base.Stages) == 0 {
+		t.Fatalf("committed baseline lost its meta or stages: %+v", base)
+	}
+	data, err := json.Marshal(evaluation.BenchBaseline{Meta: collectBenchMeta(), Stages: map[string]int64{"pass1-structure": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shape map[string]map[string]any
+	if err := json.Unmarshal(data, &shape); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shape["stages"]; !ok || len(shape) != 2 {
+		t.Errorf("emission is not {meta, stages}: %s", data)
+	}
+	for _, k := range []string{"gomaxprocs", "numcpu", "go", "timestamp"} {
+		if _, ok := shape["meta"][k]; !ok {
+			t.Errorf("emitted meta lacks %q: %s", k, data)
+		}
+	}
+	back, err := evaluation.LoadBaseline(data)
+	if err != nil || back.Meta == nil || back.Stages["pass1-structure"] != 1 {
+		t.Fatalf("emission does not load back: %+v, %v", back, err)
 	}
 }
 
@@ -574,7 +599,7 @@ func BenchmarkVM(b *testing.B) {
 	prog := workloads.Backprop(workloads.DefaultBackpropParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeStructure(prog, nil); err != nil {
+		if _, err := core.AnalyzeStructure(prog, core.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,8 +139,8 @@ commands:
 
 overhead regression flags:
   -compare f.json  diff the fresh stage costs against a baseline
-                   (BENCH_overhead.json bench emission, legacy flat map, or
-                   overhead -json output); exits nonzero on regression
+                   (BENCH_overhead.json bench emission or overhead -json
+                   output); exits nonzero on regression
   -tolerance x     allowed slowdown before -compare fails (default 0.10 = +10%)
 
 flags (profile, report, table5, overhead, diag):
@@ -678,7 +678,7 @@ func cmdTable5(args []string) error {
 func cmdOverhead(args []string) error {
 	fs := flag.NewFlagSet("overhead", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit machine-readable stage costs")
-	compare := fs.String("compare", "", "baseline to diff against (bench emission, flat stage map, or overhead -json output); exits nonzero on regression")
+	compare := fs.String("compare", "", "baseline to diff against (bench emission or overhead -json output); exits nonzero on regression")
 	tolerance := fs.Float64("tolerance", 0.10, "allowed slowdown before -compare fails (0.10 = +10%)")
 	of := addObsFlags(fs)
 	par := addParallelFlag(fs)
@@ -698,7 +698,7 @@ func cmdOverhead(args []string) error {
 	var render func() string
 	if name == "all" {
 		fmt.Fprintln(os.Stderr, "measuring per-stage profiling cost across the Rodinia suite...")
-		rs, err = evaluation.OverheadSuiteSharded(shards)
+		rs, err = evaluation.OverheadSuite(shards)
 		if err != nil {
 			return err
 		}
@@ -708,7 +708,7 @@ func cmdOverhead(args []string) error {
 		if spec == nil {
 			return fmt.Errorf("unknown workload %q", name)
 		}
-		r, err := evaluation.OverheadSharded(*spec, shards)
+		r, err := evaluation.Overhead(*spec, shards)
 		if err != nil {
 			return err
 		}

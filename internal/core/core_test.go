@@ -80,12 +80,12 @@ func TestInstrCountsConsistent(t *testing.T) {
 // VM's operations with coords of the right arity.
 func TestPass2SinkReceivesEverything(t *testing.T) {
 	prog := workloads.Example1()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &countingSink{}
-	_, stats, err := core.RunPass2(prog, st, sink, nil)
+	_, stats, err := core.RunPass2(prog, st, sink, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestPass2ContextKeyIsVectorKey(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			prog := workloads.ByName(name).Build()
-			st, err := AnalyzeStructure(prog, nil)
+			st, err := AnalyzeStructure(prog, Env{})
 			if err != nil {
 				t.Fatal(err)
 			}

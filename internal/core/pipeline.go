@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"polyprof/internal/budget"
@@ -62,32 +63,47 @@ type Structure struct {
 	Stats     vm.Stats
 }
 
+// Env is the run environment every pipeline stage takes: the
+// span-context it records into, the budget governing it and the live
+// progress tracker.  The zero Env records into the default registry,
+// unlimited and untracked.
+type Env struct {
+	// Obs is the span-context the run records into: stage spans nest
+	// under its parent span and all pipeline counters land in its
+	// registry.  The zero Scope targets the process-wide default
+	// registry, preserving the standalone behavior.
+	Obs obs.Scope
+	// Budget governs the run's resources (nil for unlimited).  Hard
+	// limits (deadline, cancellation, steps, trace events) abort with a
+	// *budget.Error; degrading limits (shadow bytes, DDG edges) coarsen
+	// the graph — see ddg.Degradation.
+	Budget *budget.Budget
+	// Progress, when non-nil, receives live stage/event progress: pass 1
+	// discovers the program's dynamic op count, pass 2 then reports
+	// events against that exact total (the pipeline re-executes the
+	// same deterministic program).
+	Progress *progress.Tracker
+}
+
+// machine builds the VM of one pass, running under env.
+func (env Env) machine(prog *isa.Program, h trace.Hook) *vm.Machine {
+	m := vm.New(prog, h)
+	m.Obs, m.Budget, m.Progress = env.Obs, env.Budget, env.Progress
+	return m
+}
+
+// errInitMem refuses a memory preload: no pipeline entry point
+// supports one.
+var errInitMem = errors.New("core: initMem is not supported")
+
 // AnalyzeStructure executes the program once under control-event
-// instrumentation and derives its control structure, recording into the
-// default registry.
-func AnalyzeStructure(prog *isa.Program, initMem func([]uint64)) (*Structure, error) {
-	return AnalyzeStructureScoped(prog, initMem, obs.Scope{}, nil)
-}
-
-// AnalyzeStructureScoped is AnalyzeStructure recording its stage span
-// and VM counters into sc's registry, nested under sc's parent span,
-// governed by bud (nil for unlimited).
-func AnalyzeStructureScoped(prog *isa.Program, initMem func([]uint64), sc obs.Scope, bud *budget.Budget) (*Structure, error) {
-	return analyzeStructure(prog, initMem, sc, bud, nil)
-}
-
-// analyzeStructure additionally publishes live progress into tr (nil
-// for none).
-func analyzeStructure(prog *isa.Program, initMem func([]uint64), sc obs.Scope, bud *budget.Budget, tr *progress.Tracker) (st *Structure, err error) {
-	sp := sc.StartSpan("pass1-structure")
+// instrumentation and derives its control structure.
+func AnalyzeStructure(prog *isa.Program, env Env) (st *Structure, err error) {
+	sp := env.Obs.StartSpan("pass1-structure")
 	defer sp.End()
 	defer RecoverStage("pass1-structure", sp, &err)
 	rec := cfg.NewRecorder(prog)
-	m := vm.New(prog, rec)
-	m.InitMem = initMem
-	m.Obs = sc
-	m.Budget = bud
-	m.Progress = tr
+	m := env.machine(prog, rec)
 	if err := m.Run(); err != nil {
 		sp.Fail(err)
 		return nil, err
@@ -101,6 +117,16 @@ func analyzeStructure(prog *isa.Program, initMem func([]uint64), sc obs.Scope, b
 		Comps:     cg.BuildComponents(callGraph),
 		Stats:     m.Stats(),
 	}, nil
+}
+
+// AnalyzeStructureScoped is AnalyzeStructure under the signature the
+// benchmark module (bench/trace.go) compiles against; initMem must be
+// nil.
+func AnalyzeStructureScoped(prog *isa.Program, initMem func([]uint64), sc obs.Scope, bud *budget.Budget) (*Structure, error) {
+	if initMem != nil {
+		return nil, errInitMem
+	}
+	return AnalyzeStructure(prog, Env{Obs: sc, Budget: bud})
 }
 
 // InstrSink receives, for every executed instruction, the statement
@@ -218,36 +244,33 @@ func (p *Pass2) hook() trace.Hook {
 
 // RunPass2 executes the program a second time under full
 // instrumentation and returns the pass-2 artifacts with the schedule
-// tree finalized, recording into the default registry.
-func RunPass2(prog *isa.Program, st *Structure, sink InstrSink, initMem func([]uint64)) (*Pass2, vm.Stats, error) {
-	return RunPass2Scoped(prog, st, sink, initMem, obs.Scope{}, nil)
+// tree finalized.
+func RunPass2(prog *isa.Program, st *Structure, sink InstrSink, env Env) (*Pass2, vm.Stats, error) {
+	return runPass2(prog, st, sink, env, nil)
 }
 
-// RunPass2Scoped is RunPass2 recording its stage span and VM counters
-// into sc's registry, nested under sc's parent span, governed by bud
-// (nil for unlimited).
+// RunPass2Scoped is RunPass2 under the signature the benchmark module
+// (bench/trace.go) compiles against; initMem must be nil.
 func RunPass2Scoped(prog *isa.Program, st *Structure, sink InstrSink, initMem func([]uint64), sc obs.Scope, bud *budget.Budget) (*Pass2, vm.Stats, error) {
-	return runPass2(prog, st, sink, initMem, sc, bud, nil, nil)
+	if initMem != nil {
+		return nil, vm.Stats{}, errInitMem
+	}
+	return RunPass2(prog, st, sink, Env{Obs: sc, Budget: bud})
 }
 
-// runPass2 additionally publishes live progress into tr (nil for none)
-// and, when ec is non-nil, runs under the streaming epoch driver
-// (stream.go): the VM pauses at epoch boundaries and resumes from a
-// checkpoint when one is armed.
-func runPass2(prog *isa.Program, st *Structure, sink InstrSink, initMem func([]uint64), sc obs.Scope, bud *budget.Budget, tr *progress.Tracker, ec *epochConfig) (p *Pass2, stats vm.Stats, err error) {
+// runPass2 is RunPass2, run under the streaming epoch driver
+// (stream.go) when ec is non-nil: the VM pauses at epoch boundaries and
+// resumes from a checkpoint when one is armed.
+func runPass2(prog *isa.Program, st *Structure, sink InstrSink, env Env, ec *epochConfig) (p *Pass2, stats vm.Stats, err error) {
 	name := "pass2-iiv"
 	if sink != nil {
 		name = "pass2-ddg"
 	}
-	sp := sc.StartSpan(name)
+	sp := env.Obs.StartSpan(name)
 	defer sp.End()
 	defer RecoverStage(name, sp, &err)
 	p = NewPass2(prog, st, sink)
-	m := vm.New(prog, p.hook())
-	m.InitMem = initMem
-	m.Obs = sc
-	m.Budget = bud
-	m.Progress = tr
+	m := env.machine(prog, p.hook())
 	if ec != nil {
 		if err := ec.arm(p, m, prog, st); err != nil {
 			sp.Fail(err)

@@ -8,7 +8,6 @@ import (
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/sampler"
 	"polyprof/internal/parddg"
-	"polyprof/internal/progress"
 	"polyprof/internal/vm"
 )
 
@@ -18,18 +17,9 @@ type Options struct {
 	// TrackAnti/TrackOutput/TrackReg are all false — pass
 	// ddg.DefaultOptions() for the paper's configuration).
 	DDG ddg.Options
-	// InitMem optionally preloads the VM memory before each pass.
-	InitMem func([]uint64)
-	// Obs is the span-context the run records into: stage spans nest
-	// under its parent span and all pipeline counters land in its
-	// registry.  The zero Scope targets the process-wide default
-	// registry, preserving the standalone behavior.
-	Obs obs.Scope
-	// Budget governs the run's resources (nil for unlimited).  Hard
-	// limits (deadline, cancellation, steps, trace events) abort with a
-	// *budget.Error; degrading limits (shadow bytes, DDG edges) coarsen
-	// the graph — see ddg.Degradation.
-	Budget *budget.Budget
+	// Env is the run environment: span-context, budget and progress
+	// tracker, each promoted as opts.Obs, opts.Budget and opts.Progress.
+	Env
 	// ParallelDDG selects the parallel dependence engine with that many
 	// shard workers (internal/parddg); 0 or negative keeps the in-line
 	// builder.  Both run the same partition core and produce a
@@ -39,11 +29,6 @@ type Options struct {
 	// utilization profiler to the sharded dependence engine (no effect
 	// on sequential runs).
 	Sampler *sampler.Sampler
-	// Progress, when non-nil, receives live stage/event progress: pass 1
-	// discovers the program's dynamic op count, pass 2 then reports
-	// events against that exact total (the pipeline re-executes the
-	// same deterministic program).
-	Progress *progress.Tracker
 	// EpochEvents chunks pass 2 into epochs of this many dynamic
 	// instructions (streaming mode, see stream.go); 0 runs buffered.
 	// Boundaries are exact op-counter multiples, so they land
@@ -87,62 +72,92 @@ type Profile struct {
 	Budget *budget.Budget
 }
 
+// streaming reports whether pass 2 runs under the epoch driver.
+func (o Options) streaming() bool { return o.EpochEvents > 0 || o.Resume != nil }
+
+// Engine is the dependence stage of one run: the in-line ddg.Builder,
+// or the sharded parddg.Engine when Options.ParallelDDG > 0.
+type Engine struct {
+	// Sink is the concrete engine.  Hand it to pass 2 unwrapped so
+	// BatchSink detection sees the parallel engine's OnInstrBatch.
+	Sink InstrSink
+	// Builder is the partition core both engines run (the parallel
+	// engine's sequencer): restore, epoch release and checkpoints go
+	// through it.
+	Builder *ddg.Builder
+	// Flush makes Builder quiescent (drains the parallel pipeline) and
+	// returns the engine's latched failure.
+	Flush func() error
+	// Close stops the parallel workers.  It is idempotent and a no-op
+	// after Fold; it only matters when pass 2 errors out early.
+	Close func()
+	fin   interface{ FinishChecked() (*ddg.Graph, error) }
+}
+
+// NewEngine is the one place a run chooses its dependence engine; it
+// also derives the ddg settings the run environment implies.
+func NewEngine(prog *isa.Program, opts Options) *Engine {
+	d := opts.DDG
+	d.Obs, d.Budget = opts.Obs, opts.Budget
+	if opts.streaming() && opts.Budget.ShadowLimit() > 0 {
+		// Bounded-memory mode: fold-and-release stale shadow records at
+		// every epoch boundary so the ceiling holds for arbitrarily
+		// long traces.
+		d.Stream = true
+	}
+	if opts.ParallelDDG > 0 {
+		eng := parddg.NewEngine(prog, parddg.Options{Shards: opts.ParallelDDG, DDG: d, Sampler: opts.Sampler})
+		return &Engine{Sink: eng, Builder: eng.Builder(), Flush: eng.Flush, Close: eng.Close, fin: eng}
+	}
+	b := ddg.NewBuilder(prog, d)
+	return &Engine{Sink: b, Builder: b, Flush: func() error { return nil }, Close: func() {}, fin: b}
+}
+
+// Fold runs the fold stage under its span with panic recovery.
+func (e *Engine) Fold(sc obs.Scope) (g *ddg.Graph, err error) {
+	sp := sc.StartSpan("fold-finish")
+	defer sp.End()
+	defer RecoverStage("fold-finish", sp, &err)
+	g, err = e.fin.FinishChecked()
+	if err != nil {
+		sp.Fail(err)
+		return nil, err
+	}
+	sp.AddEvents(FoldedStreams(g))
+	return g, nil
+}
+
 // Run executes the two instrumented passes and folds the DDG.
 func Run(prog *isa.Program, opts Options) (*Profile, error) {
-	sc, bud, tr := opts.Obs, opts.Budget, opts.Progress
-	tr.StartStage("pass1-structure", 0)
-	st, err := analyzeStructure(prog, opts.InitMem, sc, bud, tr)
+	env := opts.Env
+	env.Progress.StartStage("pass1-structure", 0)
+	st, err := AnalyzeStructure(prog, env)
 	if err != nil {
 		return nil, err
 	}
-	if err := bud.Check("pass2"); err != nil {
+	if err := env.Budget.Check("pass2"); err != nil {
 		return nil, err
 	}
-	ddgOpts := opts.DDG
-	ddgOpts.Obs = sc
-	ddgOpts.Budget = bud
-	var ec *epochConfig
-	if opts.EpochEvents > 0 || opts.Resume != nil {
-		ec = &epochConfig{events: opts.EpochEvents, cb: opts.OnEpoch, resume: opts.Resume}
-		if bud.ShadowLimit() > 0 {
-			// Bounded-memory mode: fold-and-release stale shadow records
-			// at every boundary so the ceiling holds for arbitrarily long
-			// traces.
-			ddgOpts.Stream = true
-		}
-	}
-	var sink InstrSink
-	var finisher ddgFinisher
-	var builder *ddg.Builder
-	flush := func() error { return nil }
-	if opts.ParallelDDG > 0 {
-		eng := parddg.NewEngine(prog, parddg.Options{Shards: opts.ParallelDDG, DDG: ddgOpts, Sampler: opts.Sampler})
-		// Close is idempotent and a no-op after FinishChecked; the defer
-		// only matters when pass 2 errors out with worker goroutines
-		// still running.
-		defer eng.Close()
-		sink, finisher, builder, flush = eng, eng, eng.Builder(), eng.Flush
-	} else {
-		builder = ddg.NewBuilder(prog, ddgOpts)
-		sink, finisher = builder, builder
-	}
+	eng := NewEngine(prog, opts)
+	defer eng.Close()
 	if opts.Resume != nil && opts.Resume.DDG != nil {
-		if err := builder.Restore(opts.Resume.DDG); err != nil {
+		if err := eng.Builder.Restore(opts.Resume.DDG); err != nil {
 			return nil, err
 		}
 	}
-	if ec != nil {
-		ec.builder, ec.flush = builder, flush
+	var ec *epochConfig
+	if opts.streaming() {
+		ec = &epochConfig{events: opts.EpochEvents, cb: opts.OnEpoch, resume: opts.Resume, eng: eng}
 	}
 	// Pass 2 re-executes the same deterministic program, so pass 1's op
 	// count is its exact expected total.
-	tr.StartStage("pass2-ddg", st.Stats.Ops)
-	p2, stats, err := runPass2(prog, st, sink, opts.InitMem, sc, bud, tr, ec)
+	env.Progress.StartStage("pass2-ddg", st.Stats.Ops)
+	p2, stats, err := runPass2(prog, st, eng.Sink, env, ec)
 	if err != nil {
 		return nil, err
 	}
-	tr.StartStage("fold-finish", 0)
-	g, err := finishFold(finisher, sc)
+	env.Progress.StartStage("fold-finish", 0)
+	g, err := eng.Fold(env.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -152,28 +167,9 @@ func Run(prog *isa.Program, opts Options) (*Profile, error) {
 		Tree:      p2.Tree,
 		DDG:       g,
 		Stats:     stats,
-		Obs:       sc,
-		Budget:    bud,
+		Obs:       env.Obs,
+		Budget:    env.Budget,
 	}, nil
-}
-
-// ddgFinisher is the fold stage of either dependence engine.
-type ddgFinisher interface {
-	FinishChecked() (*ddg.Graph, error)
-}
-
-// finishFold runs the fold stage under its span with panic recovery.
-func finishFold(builder ddgFinisher, sc obs.Scope) (g *ddg.Graph, err error) {
-	sp := sc.StartSpan("fold-finish")
-	defer sp.End()
-	defer RecoverStage("fold-finish", sp, &err)
-	g, err = builder.FinishChecked()
-	if err != nil {
-		sp.Fail(err)
-		return nil, err
-	}
-	sp.AddEvents(FoldedStreams(g))
-	return g, nil
 }
 
 // FoldedStreams counts the folded streams of a finished DDG: one

@@ -90,11 +90,10 @@ type Epoch struct {
 
 // epochConfig is the driver state threaded from Run into runPass2.
 type epochConfig struct {
-	events  uint64
-	cb      func(*Epoch) error
-	resume  *Checkpoint
-	builder *ddg.Builder
-	flush   func() error // makes builder quiescent (the parallel pipeline)
+	events uint64
+	cb     func(*Epoch) error
+	resume *Checkpoint
+	eng    *Engine
 
 	prog *isa.Program
 	st   *Structure
@@ -141,12 +140,12 @@ func (ec *epochConfig) arm(p *Pass2, m *vm.Machine, prog *isa.Program, st *Struc
 // the last checkpoint that committed.
 func (ec *epochConfig) fire(events uint64) error {
 	ec.epochN++
-	if err := ec.flush(); err != nil {
+	if err := ec.eng.Flush(); err != nil {
 		// The engine skipped batches since it failed: the builder is
 		// missing events, so nothing may be released, folded or saved.
 		return fmt.Errorf("core: dependence engine at epoch %d: %w", ec.epochN, err)
 	}
-	released := ec.builder.ReleaseEpoch()
+	released := ec.eng.Builder.ReleaseEpoch()
 	if ec.cb == nil {
 		return nil
 	}
@@ -156,7 +155,7 @@ func (ec *epochConfig) fire(events uint64) error {
 		return fmt.Errorf("core: provisional fold at epoch %d: %w", ec.epochN, err)
 	}
 	ep.Provisional = prov
-	if ec.builder.Checkpointable() {
+	if ec.eng.Builder.Checkpointable() {
 		data, err := ec.checkpoint(events)
 		if err != nil {
 			return fmt.Errorf("core: checkpoint at epoch %d: %w", ec.epochN, err)
@@ -170,7 +169,7 @@ func (ec *epochConfig) fire(events uint64) error {
 // The clone carries no budget and a detached disabled registry, so the
 // live run's accounting and metrics are untouched.
 func (ec *epochConfig) provisional() (*Profile, error) {
-	g, err := ec.builder.Clone().FinishChecked()
+	g, err := ec.eng.Builder.Clone().FinishChecked()
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +186,7 @@ func (ec *epochConfig) provisional() (*Profile, error) {
 
 // checkpoint serializes the full pass-2 cut at this boundary.
 func (ec *epochConfig) checkpoint(events uint64) ([]byte, error) {
-	bs, err := ec.builder.State()
+	bs, err := ec.eng.Builder.State()
 	if err != nil {
 		return nil, err
 	}

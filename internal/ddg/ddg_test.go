@@ -356,12 +356,12 @@ func TestStatementDomains(t *testing.T) {
 // error rather than a panic or a vertex the event path never finds.
 func TestRestoreRejectsMisplacedVertices(t *testing.T) {
 	prog := workloads.Example1()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := ddg.NewBuilder(prog, ddg.DefaultOptions())
-	if _, _, err := core.RunPass2(prog, st, b, nil); err != nil {
+	if _, _, err := core.RunPass2(prog, st, b, core.Env{}); err != nil {
 		t.Fatal(err)
 	}
 	state, err := b.State()

@@ -18,10 +18,10 @@ type BenchMeta struct {
 	Timestamp  string `json:"timestamp"`
 }
 
-// BenchBaseline is a parsed per-stage ns/op baseline.  Three encodings
-// load: the current {"meta": ..., "stages": {...}} bench emission, the
-// legacy flat {"stage": ns} map, and an `overhead -json` report list
-// (whose stage walls are summed into the bench stage names).
+// BenchBaseline is a parsed per-stage ns/op baseline.  Two encodings
+// load: the {"meta": ..., "stages": {...}} bench emission (this struct's
+// own JSON form) and an `overhead -json` report list (whose stage walls
+// are summed into the bench stage names).
 type BenchBaseline struct {
 	Meta   *BenchMeta       `json:"meta,omitempty"`
 	Stages map[string]int64 `json:"stages"`
@@ -41,15 +41,11 @@ var benchStageMap = []struct {
 	{"scheduler-feedback", []string{"sched", "feedback"}},
 }
 
-// LoadBaseline parses any of the three supported baseline encodings.
+// LoadBaseline parses either supported baseline encoding.
 func LoadBaseline(data []byte) (*BenchBaseline, error) {
 	var b BenchBaseline
 	if err := json.Unmarshal(data, &b); err == nil && len(b.Stages) > 0 {
 		return &b, nil
-	}
-	var flat map[string]int64
-	if err := json.Unmarshal(data, &flat); err == nil && len(flat) > 0 {
-		return &BenchBaseline{Stages: flat}, nil
 	}
 	var reps []*OverheadReport
 	if err := json.Unmarshal(data, &reps); err == nil && len(reps) > 0 {
@@ -63,7 +59,7 @@ func LoadBaseline(data []byte) (*BenchBaseline, error) {
 		}
 		return &BenchBaseline{Stages: stages}, nil
 	}
-	return nil, fmt.Errorf("baseline: not a bench emission, flat stage map, or overhead report list")
+	return nil, fmt.Errorf("baseline: not a bench emission or overhead report list")
 }
 
 // StageDelta is one stage's baseline-vs-current comparison.

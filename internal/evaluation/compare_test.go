@@ -26,15 +26,6 @@ func TestLoadBaselineFormats(t *testing.T) {
 		t.Fatalf("bench emission parse = %+v", b)
 	}
 
-	// Legacy flat map.
-	b, err = LoadBaseline([]byte(`{"pass1-structure": 42, "pass2-full-ddg": 500}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Meta != nil || b.Stages["pass1-structure"] != 42 {
-		t.Fatalf("flat map parse = %+v", b)
-	}
-
 	// An overhead -json report list: stage walls sum into bench names.
 	b, err = LoadBaseline([]byte(`[{
 		"workload": "w", "ops": 1,
@@ -52,8 +43,10 @@ func TestLoadBaselineFormats(t *testing.T) {
 		t.Fatalf("report list parse = %+v", b.Stages)
 	}
 
-	if _, err := LoadBaseline([]byte(`"nope"`)); err == nil {
-		t.Fatal("garbage baseline loaded without error")
+	for _, bad := range []string{`"nope"`, `{"pass1-structure": 42}`} {
+		if _, err := LoadBaseline([]byte(bad)); err == nil {
+			t.Fatalf("baseline %s loaded without error", bad)
+		}
 	}
 }
 

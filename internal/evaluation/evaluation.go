@@ -63,16 +63,11 @@ type Table5Row struct {
 	MeasuredKind    string
 }
 
-// RunWorkload profiles one workload and assembles its row, recording
-// into the default registry.
+// RunWorkload profiles one workload and assembles its row.  A
+// "workload:<name>" span in the default registry encloses every
+// pipeline stage.
 func RunWorkload(spec workloads.Spec) (*BenchResult, error) {
-	return RunWorkloadScoped(spec, obs.Scope{})
-}
-
-// RunWorkloadScoped is RunWorkload recording its spans and metrics
-// into sc's registry: a "workload:<name>" span nests under sc's parent
-// span and every pipeline stage nests under the workload span.
-func RunWorkloadScoped(spec workloads.Spec, sc obs.Scope) (*BenchResult, error) {
+	var sc obs.Scope
 	sp := sc.StartSpan("workload:" + spec.Name)
 	defer sp.End()
 	wsc := sc.WithSpan(sp)

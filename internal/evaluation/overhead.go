@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"polyprof/internal/core"
-	"polyprof/internal/ddg"
 	"polyprof/internal/feedback"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/sampler"
-	"polyprof/internal/parddg"
 	"polyprof/internal/sched"
 	"polyprof/internal/workloads"
 )
@@ -55,11 +53,21 @@ var OverheadStages = []string{"pass1", "pass2-iiv", "ddg", "fold", "sched", "fee
 
 // Overhead profiles one workload stage by stage and measures the cost
 // of each: pass 1 (structure recovery), pass 2 with IIV tracking only,
-// pass 2 with the full dependence builder attached, stream folding,
+// pass 2 with the full dependence engine attached, stream folding,
 // scheduler model construction, and feedback extraction.  The stages
 // are run separately (the IIV-only pass re-executes the program) so
 // each wall time is attributable — the same decomposition the
-// profiling-overhead benchmark uses.
+// profiling-overhead benchmark uses.  An "overhead:<name>" root span
+// encloses the per-stage spans, and every stage wall time is also
+// observed into an "overhead.stage.<stage>.wall_ns" histogram, so
+// suite sweeps report per-stage latency percentiles alongside the
+// tables.
+//
+// shards > 0 runs the ddg/fold stages on the sharded parallel
+// dependence engine with that many workers; 0 keeps the sequential
+// builder.  In parallel mode the "ddg" row includes the folding the
+// shard workers pipeline behind the VM pass, and "fold" times the
+// drain + merge.
 //
 // Attribution caveat: the "fold" row times only the terminal
 // builder.Finish() drain.  Folding work that happens incrementally per
@@ -67,46 +75,24 @@ var OverheadStages = []string{"pass1", "pass2-iiv", "ddg", "fold", "sched", "fee
 // a lower bound on total folding cost; comparing "ddg" against
 // "pass2-iiv" bounds the combined dependence-builder + incremental
 // folding overhead.
-func Overhead(spec workloads.Spec) (*OverheadReport, error) {
-	return OverheadScoped(spec, obs.Scope{})
-}
-
-// OverheadSharded is Overhead with the ddg/fold stages running on the
-// sharded parallel dependence engine (shards > 0); shards == 0 keeps
-// the sequential builder.  In parallel mode the "ddg" row includes the
-// folding the shard workers pipeline behind the VM pass, and "fold"
-// times the drain + merge.
-func OverheadSharded(spec workloads.Spec, shards int) (*OverheadReport, error) {
-	return OverheadShardedScoped(spec, shards, obs.Scope{})
-}
-
-// OverheadScoped is Overhead recording into sc's registry: an
-// "overhead:<name>" root span encloses the per-stage spans, and every
-// stage wall time is also observed into an
-// "overhead.stage.<stage>.wall_ns" histogram, so suite sweeps report
-// per-stage latency percentiles (p50/p90/p99) alongside the tables.
-func OverheadScoped(spec workloads.Spec, sc obs.Scope) (*OverheadReport, error) {
-	return OverheadShardedScoped(spec, 0, sc)
-}
-
-// OverheadShardedScoped combines OverheadSharded and OverheadScoped.
-func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*OverheadReport, error) {
+func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
+	var sc obs.Scope
 	root := sc.StartSpan("overhead:" + spec.Name)
 	defer root.End()
-	ssc := sc.WithSpan(root)
+	env := core.Env{Obs: sc.WithSpan(root)}
 
 	prog := spec.Build()
 	rep := &OverheadReport{Workload: spec.Name, Shards: shards}
 	add := func(stage string, wall time.Duration, events uint64, unit string) {
 		rep.Stages = append(rep.Stages, StageCost{Stage: stage, Wall: wall, Events: events, Unit: unit})
 		rep.Total += wall
-		if ssc.Enabled() && wall > 0 {
-			ssc.Observe("overhead.stage."+stage+".wall_ns", uint64(wall))
+		if env.Obs.Enabled() && wall > 0 {
+			env.Obs.Observe("overhead.stage."+stage+".wall_ns", uint64(wall))
 		}
 	}
 
 	t0 := time.Now()
-	st, err := core.AnalyzeStructureScoped(prog, nil, ssc, nil)
+	st, err := core.AnalyzeStructure(prog, env)
 	if err != nil {
 		root.Fail(err)
 		return nil, fmt.Errorf("%s: pass1: %w", spec.Name, err)
@@ -114,7 +100,7 @@ func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*Over
 	add("pass1", time.Since(t0), st.Stats.Ops, "instrs")
 
 	t0 = time.Now()
-	_, iivStats, err := core.RunPass2Scoped(prog, st, nil, nil, ssc, nil)
+	_, iivStats, err := core.RunPass2(prog, st, nil, env)
 	if err != nil {
 		root.Fail(err)
 		return nil, fmt.Errorf("%s: pass2-iiv: %w", spec.Name, err)
@@ -122,24 +108,16 @@ func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*Over
 	add("pass2-iiv", time.Since(t0), iivStats.Ops, "instrs")
 
 	t0 = time.Now()
-	ddgOpts := ddg.DefaultOptions()
-	ddgOpts.Obs = ssc
-	var sink core.InstrSink
-	var fin interface {
-		FinishChecked() (*ddg.Graph, error)
-	}
-	var smp *sampler.Sampler
+	opts := core.DefaultRunOptions()
+	opts.Env = env
+	opts.ParallelDDG = shards
 	if shards > 0 {
-		smp = sampler.New()
-		smp.SetEnabled(true)
-		eng := parddg.NewEngine(prog, parddg.Options{Shards: shards, DDG: ddgOpts, Sampler: smp})
-		defer eng.Close()
-		sink, fin = eng, eng
-	} else {
-		b := ddg.NewBuilder(prog, ddgOpts)
-		sink, fin = b, b
+		opts.Sampler = sampler.New()
+		opts.Sampler.SetEnabled(true)
 	}
-	p2, stats, err := core.RunPass2Scoped(prog, st, sink, nil, ssc, nil)
+	eng := core.NewEngine(prog, opts)
+	defer eng.Close()
+	p2, stats, err := core.RunPass2(prog, st, eng.Sink, env)
 	if err != nil {
 		root.Fail(err)
 		return nil, fmt.Errorf("%s: ddg: %w", spec.Name, err)
@@ -148,24 +126,19 @@ func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*Over
 	rep.Ops = stats.Ops
 
 	t0 = time.Now()
-	foldSp := ssc.StartSpan("fold-finish")
-	g, err := fin.FinishChecked()
+	g, err := eng.Fold(env.Obs)
 	if err != nil {
-		foldSp.Fail(err)
-		foldSp.End()
 		root.Fail(err)
 		return nil, fmt.Errorf("%s: fold: %w", spec.Name, err)
 	}
-	foldSp.AddEvents(core.FoldedStreams(g))
-	foldSp.End()
 	add("fold", time.Since(t0), core.FoldedStreams(g), "streams")
-	if smp != nil {
-		rep.Parallel = smp.Report()
+	if opts.Sampler != nil {
+		rep.Parallel = opts.Sampler.Report()
 	}
 
-	profile := &core.Profile{Prog: prog, Structure: st, Tree: p2.Tree, DDG: g, Stats: stats, Obs: ssc}
+	profile := &core.Profile{Prog: prog, Structure: st, Tree: p2.Tree, DDG: g, Stats: stats, Obs: env.Obs}
 	t0 = time.Now()
-	schedSp := ssc.StartSpan("sched-build")
+	schedSp := env.Obs.StartSpan("sched-build")
 	model := sched.Build(profile)
 	schedSp.AddEvents(uint64(len(model.Deps)))
 	schedSp.End()
@@ -179,17 +152,11 @@ func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*Over
 }
 
 // OverheadSuite measures the overhead of every Rodinia twin (the full
-// Experiment I sweep).
-func OverheadSuite() ([]*OverheadReport, error) {
-	return OverheadSuiteSharded(0)
-}
-
-// OverheadSuiteSharded is OverheadSuite on the sharded dependence
-// engine (0 = sequential).
-func OverheadSuiteSharded(shards int) ([]*OverheadReport, error) {
+// Experiment I sweep), on the sharded dependence engine when shards > 0.
+func OverheadSuite(shards int) ([]*OverheadReport, error) {
 	var out []*OverheadReport
 	for _, spec := range workloads.Rodinia() {
-		r, err := OverheadSharded(spec, shards)
+		r, err := Overhead(spec, shards)
 		if err != nil {
 			return out, err
 		}

@@ -38,12 +38,12 @@ func (s *storeSink) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, 
 
 func profileStores(t *testing.T, prog *isa.Program, blockName string) *storeSink {
 	t.Helper()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &storeSink{prog: prog, blockName: blockName}
-	if _, _, err := core.RunPass2(prog, st, sink, nil); err != nil {
+	if _, _, err := core.RunPass2(prog, st, sink, core.Env{}); err != nil {
 		t.Fatal(err)
 	}
 	return sink
@@ -110,11 +110,11 @@ func TestFig3Example2Recursion(t *testing.T) {
 // operation counts and loop iteration counts.
 func TestScheduleTreeWeights(t *testing.T) {
 	prog := workloads.Example1()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, stats, err := core.RunPass2(prog, st, nil, nil)
+	p2, stats, err := core.RunPass2(prog, st, nil, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestScheduleTreeRenderGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, name := range []string{"example1", "example2", "backprop", "bfs"} {
 		prog := workloads.ByName(name).Build()
-		st, err := core.AnalyzeStructure(prog, nil)
+		st, err := core.AnalyzeStructure(prog, core.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, _, err := core.RunPass2(prog, st, nil, nil)
+		p2, _, err := core.RunPass2(prog, st, nil, core.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,11 +60,11 @@ func buildFissioned() *isa.Program {
 // static order with their depth.
 func loopNodesOf(t *testing.T, prog *isa.Program) []*iiv.TreeNode {
 	t.Helper()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := core.RunPass2(prog, st, nil, nil)
+	p2, _, err := core.RunPass2(prog, st, nil, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestKellyMappingFusedVsFissioned(t *testing.T) {
 // (Fig. 3d step 8: (M0/L1, 0, A1/L2, 1, B1)).
 func TestRenderPaperForm(t *testing.T) {
 	prog := workloads.Example1()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

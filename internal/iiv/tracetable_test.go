@@ -21,7 +21,7 @@ import (
 func TestFig3TraceTables(t *testing.T) {
 	table := func(name string) string {
 		prog := workloads.ByName(name).Build()
-		st, err := core.AnalyzeStructure(prog, nil)
+		st, err := core.AnalyzeStructure(prog, core.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

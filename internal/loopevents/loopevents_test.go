@@ -16,7 +16,7 @@ import (
 // collect runs a program and returns its loop-event stream.
 func collect(t *testing.T, prog *isa.Program) []loopevents.Event {
 	t.Helper()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

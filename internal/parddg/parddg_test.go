@@ -12,7 +12,6 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/fold"
 	"polyprof/internal/isa"
-	"polyprof/internal/obs"
 	"polyprof/internal/parddg"
 	"polyprof/internal/workloads"
 )
@@ -31,7 +30,7 @@ func buildWorkload(t testing.TB, name string) *isa.Program {
 // budget, and returns the finished graph.
 func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits) (*ddg.Graph, error) {
 	t.Helper()
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits)
 				err = fmt.Errorf("contained panic: %v", r)
 			}
 		}()
-		if _, _, err := core.RunPass2Scoped(prog, st, sink, nil, obs.Scope{}, bud); err != nil {
+		if _, _, err := core.RunPass2(prog, st, sink, core.Env{Budget: bud}); err != nil {
 			return err
 		}
 		g, err = fin.FinishChecked()

@@ -8,7 +8,6 @@ import (
 	"polyprof/internal/budget"
 	"polyprof/internal/core"
 	"polyprof/internal/ddg"
-	"polyprof/internal/obs"
 	"polyprof/internal/obs/sampler"
 	"polyprof/internal/parddg"
 )
@@ -18,7 +17,7 @@ import (
 func runSampled(t testing.TB, shards int) (*ddg.Graph, *sampler.Report) {
 	t.Helper()
 	prog := buildWorkload(t, "example2")
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func runSampled(t testing.TB, shards int) (*ddg.Graph, *sampler.Report) {
 	smp.SetEnabled(true)
 	eng := parddg.NewEngine(prog, parddg.Options{Shards: shards, DDG: opts, Sampler: smp})
 	defer eng.Close()
-	if _, _, err := core.RunPass2Scoped(prog, st, eng, nil, obs.Scope{}, bud); err != nil {
+	if _, _, err := core.RunPass2(prog, st, eng, core.Env{Budget: bud}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := eng.FinishChecked()

@@ -82,11 +82,6 @@ type Machine struct {
 	// deadline and trace-event exhaustion every watchdogInterval steps.
 	Budget *budget.Budget
 
-	// InitMem, when set, is invoked once before execution with the raw
-	// memory so workloads can preload inputs (the paper's benchmarks read
-	// input files; ours synthesize equivalent data).
-	InitMem func(mem []uint64)
-
 	// Obs is the span-context this run publishes its dynamic event
 	// counters into; the zero Scope targets the process-wide default
 	// registry, so standalone machines behave as before.
@@ -250,9 +245,6 @@ func (m *Machine) Run() error {
 		}
 	} else {
 		m.mem = make([]uint64, m.prog.MemWords)
-		if m.InitMem != nil {
-			m.InitMem(m.mem)
-		}
 		m.stats = Stats{}
 		main := m.prog.Func(m.prog.Main)
 		m.stack = m.stack[:0]

@@ -150,24 +150,6 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-func TestInitMem(t *testing.T) {
-	pb := isa.NewProgram("t")
-	g := pb.Global("data", 4)
-	f := pb.Func("main", 0)
-	v := f.Load(f.IConst(g.Base), 1)
-	f.Store(f.IConst(g.Base), 0, f.Add(v, v))
-	f.Halt()
-	pb.SetMain(f)
-	m := vm.New(pb.MustBuild())
-	m.InitMem = func(mem []uint64) { mem[g.Base+1] = 21 }
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := int64(m.Mem()[g.Base]); got != 42 {
-		t.Errorf("got %d, want 42", got)
-	}
-}
-
 func TestIndexedAddressing(t *testing.T) {
 	m := buildAndRun(t, 16, func(f *isa.FuncBuilder) {
 		base := f.IConst(2)

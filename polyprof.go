@@ -127,25 +127,15 @@ func Profile(prog *Program) (*Report, error) {
 	return feedback.AnalyzeChecked(p)
 }
 
-// ProfileCtx is Profile under resource governance: the run aborts with
-// a *BudgetError when ctx is canceled, its deadline (or limits.Wall)
-// passes, or a hard step/event limit trips, and degrades — coarsening
-// the DDG, still sound in the may-only-add-dependences direction —
-// when a shadow-memory or edge limit trips.  A degraded run reports
-// Degraded/Degradation in its JSON form.
-func ProfileCtx(ctx context.Context, prog *Program, limits BudgetLimits) (*Report, error) {
-	opts := core.DefaultRunOptions()
-	opts.Budget = budget.New(ctx, limits)
-	p, err := core.Run(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	return feedback.AnalyzeChecked(p)
-}
-
-// ProfileOptions tunes a governed profiling run beyond ProfileCtx.
+// ProfileOptions configures a governed profiling run.
 type ProfileOptions struct {
-	// Limits are the run's resource limits (zero fields unlimited).
+	// Limits are the run's resource limits (zero fields unlimited).  The
+	// run aborts with a *BudgetError when its context is canceled, its
+	// deadline (or Limits.Wall) passes, or a hard step/event limit
+	// trips, and degrades — coarsening the DDG, still sound in the
+	// may-only-add-dependences direction — when a shadow-memory or edge
+	// limit trips.  A degraded run reports Degraded/Degradation in its
+	// JSON form.
 	Limits BudgetLimits
 	// ParallelDDG selects the sharded parallel dependence engine with
 	// that many shard workers; 0 keeps the sequential builder.  The
@@ -175,17 +165,22 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return core.DecodeCheckpoint(data)
 }
 
-// ProfileWith is ProfileCtx with engine selection: it runs the
-// pipeline under resource governance and, when opts.ParallelDDG > 0,
-// tracks dependences with the sharded parallel engine.
-func ProfileWith(ctx context.Context, prog *Program, popts ProfileOptions) (*Report, error) {
+// runOptions converts popts into the pipeline's run options, governed
+// by a fresh budget bound to ctx.
+func (popts ProfileOptions) runOptions(ctx context.Context) core.Options {
 	opts := core.DefaultRunOptions()
 	opts.Budget = budget.New(ctx, popts.Limits)
 	opts.ParallelDDG = popts.ParallelDDG
 	opts.EpochEvents = popts.EpochEvents
 	opts.OnEpoch = popts.OnEpoch
 	opts.Resume = popts.Resume
-	p, err := core.Run(prog, opts)
+	return opts
+}
+
+// ProfileWith is Profile under resource governance (ctx and
+// popts.Limits), engine selection and streaming: see ProfileOptions.
+func ProfileWith(ctx context.Context, prog *Program, popts ProfileOptions) (*Report, error) {
+	p, err := core.Run(prog, popts.runOptions(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -203,11 +198,7 @@ func ProfileWith(ctx context.Context, prog *Program, popts ProfileOptions) (*Rep
 // report; measurement re-executions charge the same budget as the
 // profiled run, and degraded runs refuse all transformations.
 func OptimizeWith(ctx context.Context, prog *Program, popts ProfileOptions, tileSize int) (*Report, *OptimizeReport, error) {
-	opts := core.DefaultRunOptions()
-	bud := budget.New(ctx, popts.Limits)
-	opts.Budget = bud
-	opts.ParallelDDG = popts.ParallelDDG
-	p, err := core.Run(prog, opts)
+	p, err := core.Run(prog, popts.runOptions(ctx))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,7 +208,7 @@ func OptimizeWith(ctx context.Context, prog *Program, popts ProfileOptions, tile
 	}
 	opt, err := transform.Optimize(p, rep.Model, rep.AllTransforms(), transform.Options{
 		TileSize: tileSize,
-		Budget:   bud,
+		Budget:   p.Budget,
 	})
 	return rep, opt, err
 }
@@ -274,7 +265,7 @@ func RenderTable5(rows []*BenchResult) string { return evaluation.RenderTable5(r
 // with the evolving dynamic interprocedural iteration vector — the
 // paper's Fig. 3(d)/(i) trace tables.
 func TraceTable(prog *Program) string {
-	st, err := core.AnalyzeStructure(prog, nil)
+	st, err := core.AnalyzeStructure(prog, core.Env{})
 	if err != nil {
 		return "error: " + err.Error()
 	}

@@ -20,7 +20,7 @@ func TestProfileCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = polyprof.ProfileCtx(ctx, prog, polyprof.BudgetLimits{})
+	_, err = polyprof.ProfileWith(ctx, prog, polyprof.ProfileOptions{})
 	var be *polyprof.BudgetError
 	if !errors.As(err, &be) || !be.Canceled() {
 		t.Fatalf("want canceled budget error, got %v", err)
@@ -34,7 +34,7 @@ func TestProfileCtxStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = polyprof.ProfileCtx(context.Background(), prog, polyprof.BudgetLimits{MaxSteps: 100})
+	_, err = polyprof.ProfileWith(context.Background(), prog, polyprof.ProfileOptions{Limits: polyprof.BudgetLimits{MaxSteps: 100}})
 	var be *polyprof.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want budget error, got %v", err)
@@ -51,7 +51,7 @@ func TestProfileCtxWallLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = polyprof.ProfileCtx(context.Background(), prog, polyprof.BudgetLimits{Wall: time.Nanosecond})
+	_, err = polyprof.ProfileWith(context.Background(), prog, polyprof.ProfileOptions{Limits: polyprof.BudgetLimits{Wall: time.Nanosecond}})
 	var be *polyprof.BudgetError
 	if !errors.As(err, &be) || !be.Timeout() {
 		t.Fatalf("want wall-clock budget error, got %v", err)
@@ -69,8 +69,8 @@ func TestDegradedReportFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := polyprof.ProfileCtx(context.Background(), prog,
-		polyprof.BudgetLimits{MaxShadowBytes: 4096})
+	rep, err := polyprof.ProfileWith(context.Background(), prog,
+		polyprof.ProfileOptions{Limits: polyprof.BudgetLimits{MaxShadowBytes: 4096}})
 	if err != nil {
 		t.Fatalf("degrading limits must not fail the run: %v", err)
 	}

@@ -3,6 +3,7 @@ package polyprof_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -355,5 +356,45 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	}
 	if bufRep.Profile.DDG.Degraded == nil {
 		t.Fatal("buffered run under the same ceiling did not degrade; ceiling too generous for the churn workload")
+	}
+}
+
+// TestOptimizeWithStreams: OptimizeWith honors the streaming options
+// (epoch callbacks fire), and its profile and optimize reports are
+// byte-identical to a buffered OptimizeWith.
+func TestOptimizeWithStreams(t *testing.T) {
+	prog, err := polyprof.Workload("backprop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(popts polyprof.ProfileOptions) (rep, opt []byte) {
+		t.Helper()
+		r, o, err := polyprof.OptimizeWith(context.Background(), prog, popts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := polyprof.DefaultCostModel()
+		if rep, err = r.JSON(&cm); err != nil {
+			t.Fatal(err)
+		}
+		if opt, err = json.Marshal(o); err != nil {
+			t.Fatal(err)
+		}
+		return rep, opt
+	}
+	wantRep, wantOpt := render(polyprof.ProfileOptions{})
+	epochs := 0
+	gotRep, gotOpt := render(polyprof.ProfileOptions{
+		EpochEvents: 20000,
+		OnEpoch:     func(*polyprof.Epoch) error { epochs++; return nil },
+	})
+	if epochs == 0 {
+		t.Error("OptimizeWith ran no epoch callback: streaming options dropped")
+	}
+	if !bytes.Equal(gotRep, wantRep) {
+		t.Error("streamed OptimizeWith profile report differs from the buffered one")
+	}
+	if !bytes.Equal(gotOpt, wantOpt) {
+		t.Error("streamed OptimizeWith optimize report differs from the buffered one")
 	}
 }

@@ -232,14 +232,6 @@ func (b *Budget) ShadowLimit() uint64 {
 	return b.limits.MaxShadowBytes
 }
 
-// ShadowBytes returns the bytes granted so far.
-func (b *Budget) ShadowBytes() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.shadow.Load()
-}
-
 // Tripped lists the degrading resources whose limits have been
 // exceeded, in a fixed order.  Hard resources abort instead and never
 // appear here.

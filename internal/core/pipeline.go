@@ -19,7 +19,6 @@ import (
 	"polyprof/internal/loopevents"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/progress"
 	"polyprof/internal/trace"
 	"polyprof/internal/vm"
 )
@@ -64,9 +63,8 @@ type Structure struct {
 }
 
 // Env is the run environment every pipeline stage takes: the
-// span-context it records into, the budget governing it and the live
-// progress tracker.  The zero Env records into the default registry,
-// unlimited and untracked.
+// span-context it records into and the budget governing it.  The zero
+// Env records into the default registry, unlimited.
 type Env struct {
 	// Obs is the span-context the run records into: stage spans nest
 	// under its parent span and all pipeline counters land in its
@@ -78,17 +76,14 @@ type Env struct {
 	// *budget.Error; degrading limits (shadow bytes, DDG edges) coarsen
 	// the graph — see ddg.Degradation.
 	Budget *budget.Budget
-	// Progress, when non-nil, receives live stage/event progress: pass 1
-	// discovers the program's dynamic op count, pass 2 then reports
-	// events against that exact total (the pipeline re-executes the
-	// same deterministic program).
-	Progress *progress.Tracker
 }
 
-// machine builds the VM of one pass, running under env.
-func (env Env) machine(prog *isa.Program, h trace.Hook) *vm.Machine {
+// machine builds the VM of one pass, running under env inside the
+// pass's span sp: the VM publishes its live op count into sp, and its
+// counters land in env's registry.
+func (env Env) machine(prog *isa.Program, h trace.Hook, sp *obs.Span) *vm.Machine {
 	m := vm.New(prog, h)
-	m.Obs, m.Budget, m.Progress = env.Obs, env.Budget, env.Progress
+	m.Obs, m.Budget = env.Obs.WithSpan(sp), env.Budget
 	return m
 }
 
@@ -103,12 +98,11 @@ func AnalyzeStructure(prog *isa.Program, env Env) (st *Structure, err error) {
 	defer sp.End()
 	defer RecoverStage("pass1-structure", sp, &err)
 	rec := cfg.NewRecorder(prog)
-	m := env.machine(prog, rec)
+	m := env.machine(prog, rec, sp)
 	if err := m.Run(); err != nil {
 		sp.Fail(err)
 		return nil, err
 	}
-	sp.AddEvents(m.Stats().Ops)
 	callGraph := cg.FromCallEdges(prog.Main, rec.CallEdges)
 	return &Structure{
 		CFG:       rec.G,
@@ -266,11 +260,13 @@ func runPass2(prog *isa.Program, st *Structure, sink InstrSink, env Env, ec *epo
 	if sink != nil {
 		name = "pass2-ddg"
 	}
-	sp := env.Obs.StartSpan(name)
+	// Pass 2 re-executes the same deterministic program, so pass 1's op
+	// count is its exact expected total.
+	sp := env.Obs.StartSpanTotal(name, st.Stats.Ops)
 	defer sp.End()
 	defer RecoverStage(name, sp, &err)
 	p = NewPass2(prog, st, sink)
-	m := env.machine(prog, p.hook())
+	m := env.machine(prog, p.hook(), sp)
 	if ec != nil {
 		if err := ec.arm(p, m, prog, st); err != nil {
 			sp.Fail(err)
@@ -281,7 +277,6 @@ func runPass2(prog *isa.Program, st *Structure, sink InstrSink, env Env, ec *epo
 		sp.Fail(err)
 		return nil, vm.Stats{}, err
 	}
-	sp.AddEvents(m.Stats().Ops)
 	p.Tree.Finalize()
 	return p, m.Stats(), nil
 }

@@ -13,12 +13,11 @@ import (
 
 // Options configures a full profiling run.
 type Options struct {
-	// DDG tunes dependence tracking (DefaultOptions when zero-valued
-	// TrackAnti/TrackOutput/TrackReg are all false — pass
-	// ddg.DefaultOptions() for the paper's configuration).
+	// DDG tunes dependence tracking; the zero value is the paper's
+	// configuration.
 	DDG ddg.Options
-	// Env is the run environment: span-context, budget and progress
-	// tracker, each promoted as opts.Obs, opts.Budget and opts.Progress.
+	// Env is the run environment: span-context and budget, promoted as
+	// opts.Obs and opts.Budget.
 	Env
 	// ParallelDDG selects the parallel dependence engine with that many
 	// shard workers (internal/parddg); 0 or negative keeps the in-line
@@ -47,7 +46,7 @@ type Options struct {
 }
 
 // DefaultRunOptions returns the configuration used throughout the
-// evaluation: all dependence kinds tracked.
+// evaluation: the zero Options.
 func DefaultRunOptions() Options {
 	return Options{DDG: ddg.DefaultOptions()}
 }
@@ -130,7 +129,6 @@ func (e *Engine) Fold(sc obs.Scope) (g *ddg.Graph, err error) {
 // Run executes the two instrumented passes and folds the DDG.
 func Run(prog *isa.Program, opts Options) (*Profile, error) {
 	env := opts.Env
-	env.Progress.StartStage("pass1-structure", 0)
 	st, err := AnalyzeStructure(prog, env)
 	if err != nil {
 		return nil, err
@@ -149,14 +147,10 @@ func Run(prog *isa.Program, opts Options) (*Profile, error) {
 	if opts.streaming() {
 		ec = &epochConfig{events: opts.EpochEvents, cb: opts.OnEpoch, resume: opts.Resume, eng: eng}
 	}
-	// Pass 2 re-executes the same deterministic program, so pass 1's op
-	// count is its exact expected total.
-	env.Progress.StartStage("pass2-ddg", st.Stats.Ops)
 	p2, stats, err := runPass2(prog, st, eng.Sink, env, ec)
 	if err != nil {
 		return nil, err
 	}
-	env.Progress.StartStage("fold-finish", 0)
 	g, err := eng.Fold(env.Obs)
 	if err != nil {
 		return nil, err

@@ -140,15 +140,10 @@ func (d *Dep) Piece() fold.Piece {
 	return d.Pieces[0]
 }
 
-// Options tunes the builder.
+// Options tunes the builder.  Every dependence kind is always tracked:
+// register flow, memory flow, anti (write-after-read, last-reader
+// approximation) and output (write-after-write).
 type Options struct {
-	// TrackAnti enables write-after-read edges (last-reader
-	// approximation).
-	TrackAnti bool
-	// TrackOutput enables write-after-write edges.
-	TrackOutput bool
-	// TrackReg enables register flow edges.
-	TrackReg bool
 	// NoStrideDetection disables the lattice folding extension
 	// (ablation: the paper's published folder, which over-approximates
 	// strided domains).
@@ -169,10 +164,9 @@ type Options struct {
 	Stream bool
 }
 
-// DefaultOptions tracks everything with the lattice extension enabled.
-func DefaultOptions() Options {
-	return Options{TrackAnti: true, TrackOutput: true, TrackReg: true}
-}
+// DefaultOptions is the paper's configuration with the lattice
+// extension enabled: the zero Options.
+func DefaultOptions() Options { return Options{} }
 
 type writerRec struct {
 	instr  *Instr
@@ -489,16 +483,14 @@ func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, i
 	fr := b.curFrame()
 	// Register flow dependencies: one edge per operand whose producer is
 	// known.
-	if b.opts.TrackReg {
-		b.usesBuf = in.Uses(b.usesBuf)
-		for _, r := range b.usesBuf {
-			if int(r) < len(fr.regw) {
-				if w := &fr.regw[r]; w.instr != nil {
-					if regs == nil {
-						b.parts[0].addDep(w.instr, w.coords, instr, coords, FlowReg)
-					} else {
-						regs.add(evIdx, w.instr, w.coords, FlowReg, false)
-					}
+	b.usesBuf = in.Uses(b.usesBuf)
+	for _, r := range b.usesBuf {
+		if int(r) < len(fr.regw) {
+			if w := &fr.regw[r]; w.instr != nil {
+				if regs == nil {
+					b.parts[0].addDep(w.instr, w.coords, instr, coords, FlowReg)
+				} else {
+					regs.add(evIdx, w.instr, w.coords, FlowReg, false)
 				}
 			}
 		}

@@ -210,9 +210,7 @@ func (p *partition) coarseEvent(e *Event, out *Points, ev int32) {
 	note := false
 	if e.Write {
 		if w.instr != nil {
-			if b.opts.TrackOutput {
-				p.emit(out, ev, w.instr, w.coords, e, Output)
-			}
+			p.emit(out, ev, w.instr, w.coords, e, Output)
 			w.set(e.Instr, e.Coords)
 		} else {
 			// Readers of this address can only be coarse too: the
@@ -220,10 +218,8 @@ func (p *partition) coarseEvent(e *Event, out *Points, ev int32) {
 			note = true
 		}
 		if r.instr != nil {
-			if b.opts.TrackAnti {
-				p.emit(out, ev, r.instr, r.coords, e, Anti)
-			}
-		} else if b.opts.TrackAnti {
+			p.emit(out, ev, r.instr, r.coords, e, Anti)
+		} else {
 			note = true
 		}
 	} else {
@@ -234,7 +230,7 @@ func (p *partition) coarseEvent(e *Event, out *Points, ev int32) {
 		}
 		if r.instr != nil {
 			r.set(e.Instr, e.Coords)
-		} else if b.opts.TrackAnti {
+		} else {
 			note = true
 		}
 	}
@@ -290,14 +286,10 @@ func (b *Builder) finishCoarse() {
 		for _, w := range writers {
 			for _, r := range readers {
 				b.addCoarseDep(w, r, FlowMem, rg.readers[r])
-				if b.opts.TrackAnti {
-					b.addCoarseDep(r, w, Anti, rg.writers[w])
-				}
+				b.addCoarseDep(r, w, Anti, rg.writers[w])
 			}
-			if b.opts.TrackOutput {
-				for _, w2 := range writers {
-					b.addCoarseDep(w, w2, Output, rg.writers[w2])
-				}
+			for _, w2 := range writers {
+				b.addCoarseDep(w, w2, Output, rg.writers[w2])
 			}
 		}
 	}

@@ -159,11 +159,11 @@ func (p *partition) staleDeps(e *Event, out *Points, ev int32, needW, needR bool
 	if needW && len(rg.writers) > 0 {
 		if !e.Write {
 			pull(rg.writers, FlowMem)
-		} else if p.b.opts.TrackOutput {
+		} else {
 			pull(rg.writers, Output)
 		}
 	}
-	if needR && e.Write && p.b.opts.TrackAnti && len(rg.readers) > 0 {
+	if needR && e.Write && len(rg.readers) > 0 {
 		pull(rg.readers, Anti)
 	}
 }

@@ -225,12 +225,12 @@ func (p *partition) resolve(e *Event, out *Points, ev int32) {
 			p.coarseEvent(e, out, ev)
 			return
 		}
-		if !wasNew && b.opts.TrackOutput {
+		if !wasNew {
 			p.emit(out, ev, w.instr, w.coords, e, Output)
 		}
 		r := &b.readers[e.Addr]
 		haveReader := r.instr != nil
-		if haveReader && b.opts.TrackAnti {
+		if haveReader {
 			p.emit(out, ev, r.instr, r.coords, e, Anti)
 		}
 		w.set(e.Instr, e.Coords)

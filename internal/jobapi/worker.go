@@ -11,7 +11,7 @@ import (
 
 	"polyprof/internal/jobexec"
 	"polyprof/internal/jobstore"
-	"polyprof/internal/progress"
+	"polyprof/internal/obs"
 )
 
 // WorkerOptions tunes a remote worker process.
@@ -29,7 +29,7 @@ type WorkerOptions struct {
 	// empty (default 500ms, jittered).
 	Poll time.Duration
 	// Exec configures each attempt (budgets, timeout, parallel engine);
-	// Exec.Tracker is ignored — the worker wires its own.
+	// Exec.Registry is ignored — the worker creates one per attempt.
 	Exec jobexec.Options
 	// Logf receives one line per lifecycle event (nil to disable).
 	Logf func(format string, args ...any)
@@ -136,8 +136,9 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 		evMu   sync.Mutex
 		events []jobstore.TraceEvent
 	)
-	tr := &progress.Tracker{}
-	tr.OnStage(func(stage string, total uint64) {
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	reg.OnStage(func(stage string) {
 		evMu.Lock()
 		events = append(events, jobstore.TraceEvent{
 			At: time.Now().UTC(), Event: jobstore.TraceStage, Stage: stage,
@@ -154,9 +155,9 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 	}()
 
 	exec := w.opts.Exec
-	exec.Tracker = tr
+	exec.Registry = reg
 	// Streaming wiring is the worker's own (caller-supplied hooks are
-	// ignored like Exec.Tracker): the epoch grid comes from the job
+	// ignored like Exec.Registry): the epoch grid comes from the job
 	// spec, checkpoints commit through the coordinator's lease-fenced
 	// endpoint, and a resume is shipped home as a trace event.  No
 	// provisional hook — remote attempts skip the per-epoch render;
@@ -184,7 +185,7 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 			evMu.Unlock()
 		}
 	}
-	res, _, runErr := jobexec.Run(attemptCtx, job, lease.Attempt, exec)
+	res, runErr := jobexec.Run(attemptCtx, job, lease.Attempt, exec)
 	cancel() // stop heartbeating before the result post races a renewal
 	hbWG.Wait()
 

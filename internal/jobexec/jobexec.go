@@ -24,7 +24,6 @@ import (
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
 	"polyprof/internal/obs/sampler"
-	"polyprof/internal/progress"
 	"polyprof/internal/transform"
 	"polyprof/internal/workloads"
 )
@@ -70,9 +69,11 @@ type Options struct {
 	// ParallelDDG selects the sharded parallel dependence engine with
 	// that many shard workers; 0 keeps the sequential builder.
 	ParallelDDG int
-	// Tracker receives stage transitions when non-nil; the caller owns
-	// it (wiring OnStage to its own persistence or trace shipping).
-	Tracker *progress.Tracker
+	// Registry records the attempt's span tree and metric deltas.  The
+	// caller creates it enabled and owns it: it reads live progress
+	// from it (Registry.Stage), wires Registry.OnStage to its own
+	// persistence or trace shipping, and merges or ships it afterwards.
+	Registry *obs.Registry
 
 	// Optimize runs the schedule-application engine after analysis:
 	// suggested schedules are applied, re-measured under the VM
@@ -128,20 +129,19 @@ func Program(job *jobstore.Job) (*isa.Program, error) {
 	}
 }
 
-// Run executes one attempt.  The returned registry holds the attempt's
-// span tree ("job:<name>#<attempt>" root) and metric deltas for the
-// caller to merge or ship; the Result is always non-nil with Status
-// already classified.  The error is the pipeline error (nil on
+// Run executes one attempt, recording its span tree
+// ("job:<name>#<attempt>" root, one child span per pipeline stage) and
+// metric deltas into opts.Registry.  The Result is always non-nil with
+// Status already classified.  The error is the pipeline error (nil on
 // success) for the caller's retry/quarantine decision.
-func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jobstore.Result, *obs.Registry, error) {
+func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jobstore.Result, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 
-	reg := obs.NewRegistry()
-	reg.SetEnabled(true)
+	reg := opts.Registry
 	root := reg.Scope().StartSpan(fmt.Sprintf("job:%s#%d", job.Name(), attempt))
 	sc := reg.Scope().WithSpan(root)
 	res := &jobstore.Result{Status: "ok", SpanID: root.ID()}
@@ -160,7 +160,6 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 		ro.Obs = sc
 		ro.Budget = bud
 		ro.ParallelDDG = opts.ParallelDDG
-		ro.Progress = opts.Tracker
 		if opts.EpochEvents > 0 {
 			ro.EpochEvents = opts.EpochEvents
 			ro.OnEpoch = epochHook(opts)
@@ -194,7 +193,6 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 		if err != nil {
 			return err
 		}
-		opts.Tracker.StartStage("feedback", 0)
 		rep, err := feedback.AnalyzeChecked(p)
 		if err != nil {
 			return err
@@ -226,7 +224,7 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 	}
 	root.End()
 	res.WallNS = int64(time.Since(start))
-	return res, reg, err
+	return res, err
 }
 
 // runOptimize is the optional transform stage: apply the suggested
@@ -235,7 +233,6 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 // a pipeline-stage panic (stage-panic flight bundle, attempt fails,
 // daemon survives).
 func runOptimize(sc obs.Scope, p *core.Profile, rep *feedback.Report, bud *budget.Budget, opts Options) (data json.RawMessage, err error) {
-	opts.Tracker.StartStage("transform", 0)
 	sp := sc.StartSpan("transform")
 	defer sp.End()
 	defer core.RecoverStage("transform", sp, &err)

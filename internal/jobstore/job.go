@@ -126,7 +126,7 @@ type Job struct {
 
 	// Progress is the live position of a running attempt (current stage,
 	// events processed, expected total).  It is volatile: filled into
-	// Get/List clones from the attached tracker while the job runs,
+	// Get clones from the attempt's span registry while the job runs,
 	// never stored on the canonical job and never WAL-persisted — after
 	// a restart a recovered job reports no progress until its next
 	// attempt starts.

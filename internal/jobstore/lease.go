@@ -196,7 +196,7 @@ func (s *Store) CompleteLease(jobID string, token uint64, res *Result, evs []Tra
 	if j.CacheKey != "" {
 		s.cache[j.CacheKey] = j.ID
 	}
-	delete(s.trackers, jobID)
+	delete(s.live, jobID)
 	s.reg.Add("jobs.completed", 1)
 	s.publishGauges()
 	return nil
@@ -327,7 +327,7 @@ func (s *Store) quarantineLocked(j *Job, jerr *JobError) {
 	}); werr != nil {
 		s.logf("jobstore: job %s: quarantine record not persisted (%v); continuing", j.ID, werr)
 	}
-	delete(s.trackers, j.ID)
+	delete(s.live, j.ID)
 	s.reg.Add("jobs.quarantined", 1)
 	s.publishGauges()
 }
@@ -348,19 +348,6 @@ func (s *Store) retryLocked(j *Job, jerr *JobError, nextRun time.Time) {
 	}
 	s.reg.Add("jobs.retries", 1)
 	s.publishGauges()
-}
-
-// LeaseOf returns the job's current lease (token included — callers
-// are trusted in-process code; the HTTP layer serves LeaseView), or
-// nil.
-func (s *Store) LeaseOf(jobID string) *Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ls := s.leases[jobID]
-	if ls == nil {
-		return nil
-	}
-	return cloneLease(ls)
 }
 
 // Leases counts outstanding leases.

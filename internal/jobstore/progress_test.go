@@ -3,13 +3,26 @@ package jobstore
 import (
 	"testing"
 
-	"polyprof/internal/progress"
+	"polyprof/internal/obs"
 )
 
+// attemptRegistry returns an enabled attempt registry with its root
+// span open, the way the job runners build one: stage spans started
+// under the returned scope are what Get reports as live progress.
+func attemptRegistry(t *testing.T) (*obs.Registry, obs.Scope) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	root := reg.Scope().StartSpan("job:example1#1")
+	t.Cleanup(func() { root.End() })
+	return reg, reg.Scope().WithSpan(root)
+}
+
 // TestProgressLifecycle: live progress is visible only while the job
-// runs with a tracker attached, events are monotone within a stage,
-// and the view is volatile — a store restart clears it instead of
-// resurrecting stale numbers from the WAL.
+// runs with its attempt registry attached and a stage span open,
+// events are monotone within a stage, and the view is volatile — a
+// store restart clears it instead of resurrecting stale numbers from
+// the WAL.
 func TestProgressLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := testOpen(t, dir)
@@ -25,21 +38,21 @@ func TestProgressLifecycle(t *testing.T) {
 	if _, err := s.Start(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Running but no tracker attached yet: still no progress.
+	// Running but no registry attached yet: still no progress.
 	if p := s.Get(j.ID).Progress; p != nil {
 		t.Fatalf("untracked running job has progress %+v", p)
 	}
 
-	tr := &progress.Tracker{}
-	s.AttachProgress(j.ID, tr)
-	// Attached but no stage started yet: nothing to report.
+	reg, sc := attemptRegistry(t)
+	s.AttachProgress(j.ID, reg)
+	// Attached but no stage span started yet: nothing to report.
 	if p := s.Get(j.ID).Progress; p != nil {
 		t.Fatalf("tracked job before its first stage has progress %+v", p)
 	}
-	tr.StartStage("pass2-ddg", 1000)
+	pass2 := sc.StartSpanTotal("pass2-ddg", 1000)
 	var last uint64
 	for _, n := range []uint64{10, 250, 999} {
-		tr.SetEvents(n)
+		pass2.SetEvents(n)
 		p := s.Get(j.ID).Progress
 		if p == nil {
 			t.Fatal("running tracked job has no progress")
@@ -52,14 +65,16 @@ func TestProgressLifecycle(t *testing.T) {
 		}
 		last = p.Events
 	}
-	// Stage boundary resets the counter but keeps reporting.
-	tr.StartStage("fold-finish", 0)
-	if p := s.Get(j.ID).Progress; p == nil || p.Stage != "fold-finish" || p.Events != 0 {
+	// A stage change resets the counter but keeps reporting.
+	pass2.End()
+	fold := sc.StartSpan("fold-finish")
+	if p := s.Get(j.ID).Progress; p == nil || p.Stage != "fold-finish" || p.Events != 0 || p.Total != 0 {
 		t.Fatalf("post-stage-change progress = %+v", p)
 	}
+	fold.End()
 
 	// Restart the store mid-run (a crash): the recovered job must come
-	// back without any progress — trackers are in-memory only.
+	// back without any progress — attached registries are in-memory only.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,22 +91,26 @@ func TestProgressLifecycle(t *testing.T) {
 		t.Fatalf("restart resurrected progress %+v", got.Progress)
 	}
 
-	// A fresh attempt attaches a fresh tracker and reports again from
+	// A fresh attempt attaches a fresh registry and reports again from
 	// zero; completing the job ends the live view for good.
 	if _, err := s2.Start(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	tr2 := &progress.Tracker{}
-	s2.AttachProgress(j.ID, tr2)
-	tr2.StartStage("pass1-structure", 0)
-	if p := s2.Get(j.ID).Progress; p == nil || p.Stage != "pass1-structure" {
+	reg2, sc2 := attemptRegistry(t)
+	s2.AttachProgress(j.ID, reg2)
+	pass1 := sc2.StartSpan("pass1-structure")
+	defer pass1.End()
+	if p := s2.Get(j.ID).Progress; p == nil || p.Stage != "pass1-structure" || p.Events != 0 {
 		t.Fatalf("second-attempt progress = %+v", p)
 	}
 	if err := s2.Complete(j.ID, &Result{}); err != nil {
 		t.Fatal(err)
 	}
-	s2.DetachProgress(j.ID)
 	if p := s2.Get(j.ID).Progress; p != nil {
 		t.Fatalf("terminal job has progress %+v", p)
+	}
+	s2.DetachProgress(j.ID)
+	if p := s2.Get(j.ID).Progress; p != nil {
+		t.Fatalf("detached terminal job has progress %+v", p)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"polyprof/internal/obs"
-	"polyprof/internal/progress"
 )
 
 // record is the WAL envelope.  Every state transition of every job is
@@ -138,11 +137,12 @@ type Store struct {
 	// answered from here in O(1).
 	cache map[string]string
 
-	// trackers holds the live-progress sources of currently running
-	// attempts, keyed by job id.  Deliberately volatile (never
-	// WAL-persisted): progress is only meaningful within one attempt of
-	// one process, so a restart starts from a clean slate.
-	trackers map[string]*progress.Tracker
+	// live holds the span registries of currently running attempts,
+	// keyed by job id: a job's live progress is its attempt's newest
+	// open stage span.  Deliberately volatile (never WAL-persisted):
+	// progress is only meaningful within one attempt of one process, so
+	// a restart starts from a clean slate.
+	live map[string]*obs.Registry
 
 	// ckpts holds the latest committed streaming checkpoint per job id.
 	// WAL-persisted and snapshot-carried — unlike progress, a
@@ -170,14 +170,14 @@ func Open(dir string, opts Options) (*Store, []*Job, error) {
 		return nil, nil, err
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		reg:      opts.Registry,
-		jobs:     map[string]*Job{},
-		trackers: map[string]*progress.Tracker{},
-		leases:   map[string]*Lease{},
-		cache:    map[string]string{},
-		ckpts:    map[string]*JobCheckpoint{},
+		dir:    dir,
+		opts:   opts,
+		reg:    opts.Registry,
+		jobs:   map[string]*Job{},
+		live:   map[string]*obs.Registry{},
+		leases: map[string]*Lease{},
+		cache:  map[string]string{},
+		ckpts:  map[string]*JobCheckpoint{},
 	}
 	if err := s.load(); err != nil {
 		return nil, nil, err
@@ -647,7 +647,7 @@ func (s *Store) Complete(id string, res *Result) error {
 	if j.CacheKey != "" {
 		s.cache[j.CacheKey] = j.ID
 	}
-	delete(s.trackers, id)
+	delete(s.live, id)
 	delete(s.ckpts, id)
 	s.reg.Add("jobs.completed", 1)
 	s.publishGauges()
@@ -737,7 +737,7 @@ func (s *Store) Quarantine(id string, jerr *JobError) error {
 	}); werr != nil {
 		s.logf("jobstore: job %s: quarantine record not persisted (%v); continuing", id, werr)
 	}
-	delete(s.trackers, id)
+	delete(s.live, id)
 	delete(s.ckpts, id)
 	s.reg.Add("jobs.quarantined", 1)
 	s.publishGauges()
@@ -783,7 +783,7 @@ func (s *Store) deleteLocked(id string) error {
 		return err
 	}
 	delete(s.jobs, id)
-	delete(s.trackers, id)
+	delete(s.live, id)
 	delete(s.ckpts, id)
 	if j.CacheKey != "" && s.cache[j.CacheKey] == id {
 		delete(s.cache, j.CacheKey)
@@ -825,24 +825,22 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	return n, nil
 }
 
-// AttachProgress registers the live-progress source for the job's
-// current attempt; Get fills it into the job while it is running.
-// The registration is in-memory only — DetachProgress (or any terminal
-// transition) removes it, and restarts never resurrect it.
-func (s *Store) AttachProgress(id string, tr *progress.Tracker) {
-	if tr == nil {
-		return
-	}
+// AttachProgress registers the span registry of the job's current
+// attempt; Get reads its live progress from it while the job is
+// running.  The registration is in-memory only — DetachProgress (or
+// any terminal transition) removes it, and restarts never resurrect
+// it.
+func (s *Store) AttachProgress(id string, reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.trackers[id] = tr
+	s.live[id] = reg
 }
 
-// DetachProgress removes the job's live-progress source.
+// DetachProgress removes the job's attempt registry.
 func (s *Store) DetachProgress(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.trackers, id)
+	delete(s.live, id)
 }
 
 // NoteStage persists a stage-progress lifecycle event for a running
@@ -876,27 +874,24 @@ func (s *Store) NoteStage(id, stage string) {
 	s.appends++
 }
 
-// liveProgress builds the volatile Progress view of a running job, or
-// nil.  A tracker attached before its first stage started has nothing
-// to report yet, so it reads as nil too.  Callers hold s.mu; the
-// tracker itself is lock-free.
+// liveProgress builds the volatile Progress view of a running job from
+// its attempt's newest open stage span, or nil — also while no stage
+// span is open.  Callers hold s.mu, which orders before the registry's
+// lock (the registry's OnStage hook runs outside it and may take s.mu).
 func (s *Store) liveProgress(j *Job) *Progress {
-	if j.State != StateRunning {
+	reg := s.live[j.ID]
+	if j.State != StateRunning || reg == nil {
 		return nil
 	}
-	tr := s.trackers[j.ID]
-	if tr == nil {
+	stage, events, total, ok := reg.Stage()
+	if !ok {
 		return nil
 	}
-	snap := tr.Snapshot()
-	if snap.Stage == "" {
-		return nil
-	}
-	return &Progress{Stage: snap.Stage, Events: snap.Events, Total: snap.Total}
+	return &Progress{Stage: stage, Events: events, Total: total}
 }
 
 // Get returns a copy of the job, or nil.  While the job is running and
-// a progress tracker is attached, the copy carries the live Progress.
+// its attempt registry is attached, the copy carries the live Progress.
 func (s *Store) Get(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -959,24 +954,12 @@ func (s *Store) History() []json.RawMessage {
 	return out
 }
 
-// Counts returns the number of jobs per state.
-func (s *Store) Counts() map[State]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.countsLocked()
-}
-
-func (s *Store) countsLocked() map[State]int {
+// publishGauges pushes the per-state job gauges.  Callers hold s.mu.
+func (s *Store) publishGauges() {
 	counts := map[State]int{}
 	for _, j := range s.jobs {
 		counts[j.State]++
 	}
-	return counts
-}
-
-// publishGauges pushes the per-state job gauges.  Callers hold s.mu.
-func (s *Store) publishGauges() {
-	counts := s.countsLocked()
 	for _, st := range States() {
 		s.reg.SetGauge("jobs."+string(st), int64(counts[st]))
 	}

@@ -28,9 +28,6 @@ type Counter struct{ v atomic.Uint64 }
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -145,6 +142,7 @@ func (h *Histogram) Bucket(i int) uint64 {
 type Registry struct {
 	enabled    atomic.Bool
 	nextSpanID atomic.Uint64
+	onStage    atomic.Pointer[func(stage string)]
 
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -41,12 +41,17 @@ func (s Scope) Span() *Span { return s.span }
 // StartSpan opens a span nested under the scope's parent span; with no
 // parent in the scope it nests under the registry's innermost active
 // span, like Registry.StartSpan.
-func (s Scope) StartSpan(name string) *Span {
+func (s Scope) StartSpan(name string) *Span { return s.StartSpanTotal(name, 0) }
+
+// StartSpanTotal is StartSpan for a stage whose expected event count
+// is known up front.  The total is fixed before the span is visible,
+// so Registry.Stage never reports the stage without it.
+func (s Scope) StartSpanTotal(name string, total uint64) *Span {
 	r := s.Registry()
 	if s.span != nil && s.span.id != 0 {
-		return r.startSpan(name, s.span, true)
+		return r.startSpan(name, total, s.span, true)
 	}
-	return r.startSpan(name, nil, false)
+	return r.startSpan(name, total, nil, false)
 }
 
 // Add increments the named counter when the scope's registry collects.

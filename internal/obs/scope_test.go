@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -282,5 +283,108 @@ func TestMetricsServerServeClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("server still reachable after Close")
+	}
+}
+
+// TestRegistryStage: stage spans are the direct children of a root
+// span.  OnStage announces exactly those, from outside the registry
+// lock (a hook calling Stage must not deadlock), and Stage reads the
+// newest open one with its live events and a total that is never
+// observed missing.
+func TestRegistryStage(t *testing.T) {
+	r := NewRegistry()
+	r.SetEnabled(true)
+	var announced, seen []string
+	r.OnStage(func(stage string) {
+		announced = append(announced, stage)
+		name, _, _, _ := r.Stage()
+		seen = append(seen, name)
+	})
+	if _, _, _, ok := r.Stage(); ok {
+		t.Fatal("stage reported before any span")
+	}
+
+	// A concurrent reader polls Stage the way GET /v1/jobs/{id} does.
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if name, _, total, ok := r.Stage(); ok && name == "pass2-ddg" && total != 100 {
+				t.Errorf("pass2-ddg read with total %d, want 100", total)
+			}
+		}
+	}()
+	go func() {
+		defer close(done)
+		root := r.Scope().StartSpan("job:test#1")
+		sc := r.Scope().WithSpan(root)
+		pass1 := sc.StartSpan("pass1-structure")
+		pass1.SetEvents(7)
+		inner := sc.WithSpan(pass1).StartSpan("inner")
+		implicit := r.StartSpan("implicit") // nests under inner
+		if name, events, total, ok := r.Stage(); !ok || name != "pass1-structure" || events != 7 || total != 0 {
+			t.Errorf("Stage() = %q %d %d %v, want pass1-structure 7 0", name, events, total, ok)
+		}
+		implicit.End()
+		inner.End()
+		pass1.End()
+		if name, _, _, ok := r.Stage(); ok {
+			t.Errorf("Stage() = %q between stages", name)
+		}
+
+		shards := sc.StartSpan("ddg-shards")
+		pass2 := sc.StartSpanTotal("pass2-ddg", 100)
+		pass2.SetEvents(40)
+		if name, events, total, ok := r.Stage(); !ok || name != "pass2-ddg" || events != 40 || total != 100 {
+			t.Errorf("Stage() = %q %d %d %v, want pass2-ddg 40 100", name, events, total, ok)
+		}
+		pass2.End()
+		shards.AddEvents(3)
+		if name, events, _, ok := r.Stage(); !ok || name != "ddg-shards" || events != 3 {
+			t.Errorf("Stage() = %q %d %v, want the older open ddg-shards with 3 events", name, events, ok)
+		}
+		shards.End()
+		root.End()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stage hook deadlocked against the registry lock")
+	}
+	<-polled
+
+	want := []string{"pass1-structure", "ddg-shards", "pass2-ddg"}
+	if !slices.Equal(announced, want) {
+		t.Fatalf("OnStage announced %v, want %v", announced, want)
+	}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("Stage() inside the hook saw %v, want %v", seen, want)
+	}
+	for _, rec := range r.Spans() {
+		if rec.Name == "pass1-structure" && rec.Events != 7 {
+			t.Fatalf("pass1 record events = %d, want the live count 7", rec.Events)
+		}
+	}
+
+	// SetEvents on a nil span (a root Scope's parent) or a disabled
+	// registry's shared no-op span is a no-op; a disabled registry
+	// announces nothing.
+	NewRegistry().Scope().Span().SetEvents(1)
+	off := NewRegistry()
+	off.OnStage(func(stage string) { t.Fatalf("disabled registry announced %q", stage) })
+	root := off.Scope().StartSpan("job")
+	sp := off.Scope().WithSpan(root).StartSpan("pass1-structure")
+	sp.SetEvents(5)
+	if rec := sp.End(); rec.Events != 0 {
+		t.Fatalf("no-op span recorded %d events", rec.Events)
+	}
+	if noopSpan.events.Load() != 0 {
+		t.Fatal("SetEvents wrote into the shared no-op span")
 	}
 }

@@ -14,6 +14,11 @@ import (
 // span, so the rendered trace shows the stage structure (pass1 under a
 // workload, sched-build under a request root, ...).
 //
+// A span directly under a root span is a stage span: the pipeline's
+// stages (pass1-structure, pass2-ddg, fold-finish, ...) under a job or
+// request root.  Registry.Stage reads the newest open one live, and
+// Registry.OnStage announces each as it starts.
+//
 // Like the registry, a Span is safe for concurrent use: AddEvents may
 // be called from multiple goroutines, and a concurrent End closes the
 // span exactly once (events added after End lose the race and are
@@ -29,6 +34,8 @@ type Span struct {
 	depth  int
 	start  time.Time
 	events atomic.Uint64
+	// total is the expected event count, fixed at start (0: unknown).
+	total  uint64
 	errMsg atomic.Pointer[string]
 }
 
@@ -77,13 +84,15 @@ func SetSpanHook(f func(SpanRecord)) {
 // StartSpan opens a span nested under the registry's innermost active
 // span; call End on the returned span when the stage completes.
 func (r *Registry) StartSpan(name string) *Span {
-	return r.startSpan(name, nil, false)
+	return r.startSpan(name, 0, nil, false)
 }
 
-// startSpan opens a span.  With explicit set, parent names the parent
-// span (nil for a root); otherwise the innermost active span is the
-// parent, preserving the implicit stack nesting of plain StartSpan.
-func (r *Registry) startSpan(name string, parent *Span, explicit bool) *Span {
+// startSpan opens a span expecting total events.  With explicit set,
+// parent names the parent span (nil for a root); otherwise the
+// innermost active span is the parent, preserving the implicit stack
+// nesting of plain StartSpan.  A stage span is announced to the
+// OnStage hook after r.mu is released.
+func (r *Registry) startSpan(name string, total uint64, parent *Span, explicit bool) *Span {
 	if !r.enabled.Load() {
 		return noopSpan
 	}
@@ -91,7 +100,7 @@ func (r *Registry) startSpan(name string, parent *Span, explicit bool) *Span {
 	if !explicit && len(r.active) > 0 {
 		parent = r.active[len(r.active)-1]
 	}
-	s := &Span{name: name, id: r.nextSpanID.Add(1), start: time.Now()}
+	s := &Span{name: name, id: r.nextSpanID.Add(1), start: time.Now(), total: total}
 	if parent != nil && parent.id != 0 {
 		s.parent = parent.id
 		s.depth = parent.depth + 1
@@ -99,7 +108,35 @@ func (r *Registry) startSpan(name string, parent *Span, explicit bool) *Span {
 	s.reg.Store(r)
 	r.active = append(r.active, s)
 	r.mu.Unlock()
+	if h := r.onStage.Load(); h != nil && s.depth == 1 {
+		(*h)(name)
+	}
 	return s
+}
+
+// OnStage installs (nil removes) the hook that receives the name of
+// every stage span as it starts.  The hook runs outside the registry
+// lock, so it may take locks of its own — the job store's — and call
+// Stage; the one lock order is store lock, then registry lock.
+func (r *Registry) OnStage(f func(stage string)) {
+	if f == nil {
+		r.onStage.Store(nil)
+		return
+	}
+	r.onStage.Store(&f)
+}
+
+// Stage returns the newest open stage span with its live event count
+// and expected total; ok is false while no stage span is open.
+func (r *Registry) Stage() (name string, events, total uint64, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.active) - 1; i >= 0; i-- {
+		if s := r.active[i]; s.depth == 1 {
+			return s.name, s.events.Load(), s.total, true
+		}
+	}
+	return "", 0, 0, false
 }
 
 // AddEvents accumulates the stage's processed-event count.
@@ -108,6 +145,16 @@ func (s *Span) AddEvents(n uint64) {
 		return
 	}
 	s.events.Add(n)
+}
+
+// SetEvents publishes the stage's live event count; within one span
+// callers only move it forward.  A nil span (the parent of a root
+// Scope) is a no-op.
+func (s *Span) SetEvents(n uint64) {
+	if s == nil || s.reg.Load() == nil {
+		return
+	}
+	s.events.Store(n)
 }
 
 // Fail records an error status on the span; the span must still be

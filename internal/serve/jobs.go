@@ -18,7 +18,6 @@ import (
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/progress"
 	"polyprof/internal/workloads"
 )
 
@@ -357,22 +356,23 @@ func (s *Server) handleJobGet(rw http.ResponseWriter, req *http.Request) {
 func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*jobstore.Result, error) {
 	start := time.Now()
 
-	// Live progress: the tracker is attached to the store for the
-	// duration of the attempt, so GET /v1/jobs/{id} reports the running
-	// stage and event counts.  Detach on every exit path — terminal
-	// transitions also clear it, but a retried attempt must not leave a
-	// stale tracker behind.
-	tr := &progress.Tracker{}
-	// Every stage transition is persisted into the job's lifecycle
+	// Live progress: the attempt's span registry is attached to the
+	// store for the duration of the attempt, so GET /v1/jobs/{id}
+	// reports the open stage span and its event counts.  Detach on
+	// every exit path — terminal transitions also clear it, but a
+	// retried attempt must not leave a stale registry behind.
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	// Every stage span start is persisted into the job's lifecycle
 	// trace (unsynced WAL record — survives kill -9, cheap) and mirrored
 	// into the flight ring, so a crash or a bundle can name the stage.
-	tr.OnStage(func(stage string, total uint64) {
+	reg.OnStage(func(stage string) {
 		s.store.NoteStage(job.ID, stage)
 		flight.LogEvent(flight.Event{
 			Kind: "stage", Name: stage, Trace: job.TraceID, Detail: "job " + job.ID,
 		})
 	})
-	s.store.AttachProgress(job.ID, tr)
+	s.store.AttachProgress(job.ID, reg)
 	defer s.store.DetachProgress(job.ID)
 
 	// Slow-job watchdog: an attempt outliving the threshold freezes the
@@ -410,7 +410,7 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*j
 		Limits:      s.opts.Limits,
 		Timeout:     s.opts.RequestTimeout,
 		ParallelDDG: s.opts.ParallelDDG,
-		Tracker:     tr,
+		Registry:    reg,
 		Optimize:    job.Optimize,
 	}
 	if job.EpochEvents > 0 {
@@ -434,7 +434,7 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*j
 			})
 		}
 	}
-	res, reqReg, err := jobexec.Run(ctx, job, attempt, exOpts)
+	res, err := jobexec.Run(ctx, job, attempt, exOpts)
 	if err == nil && job.EpochEvents > 0 {
 		// The job is about to complete; drop its cached provisional (the
 		// final report supersedes it, and terminal jobs answer ?stream=1
@@ -442,8 +442,8 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*j
 		defer s.streams.clear(job.ID)
 	}
 
-	logMetricsDelta(fmt.Sprintf("job:%s#%d", job.Name(), attempt), job.TraceID, reqReg)
-	s.reg.Merge(reqReg)
+	logMetricsDelta(fmt.Sprintf("job:%s#%d", job.Name(), attempt), job.TraceID, reg)
+	s.reg.Merge(reg)
 	s.reg.Add("serve.jobs.runs", 1)
 	if err != nil {
 		s.reg.Add("serve.jobs.errors", 1)

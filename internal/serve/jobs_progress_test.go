@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"polyprof/internal/jobstore"
+	"polyprof/internal/obs"
+	"polyprof/internal/obs/flight"
 )
 
 // slowLoopProgram returns an isa-JSON program spinning a counted loop
@@ -37,7 +42,8 @@ func slowLoopProgram(iters int) string {
 // TestJobProgressLive is the live-progress acceptance check: while a
 // slow job runs, GET /v1/jobs/{id} reports a progress object whose
 // stage is named and whose event counter moves forward, and the field
-// disappears once the job is terminal.
+// disappears once the job is terminal.  Every pass2-ddg sample carries
+// the pass's exact expected total: the job's final op count.
 func TestJobProgressLive(t *testing.T) {
 	iters := 1_000_000
 	if testing.Short() {
@@ -60,6 +66,7 @@ func TestJobProgressLive(t *testing.T) {
 		sawEvents   bool
 		lastStage   string
 		lastEvents  uint64
+		pass2Totals []uint64
 	)
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -84,6 +91,11 @@ func TestJobProgressLive(t *testing.T) {
 			if !sawEvents {
 				t.Fatal("progress stages observed but the event counter never moved")
 			}
+			for _, total := range pass2Totals {
+				if total != j.Result.Ops {
+					t.Fatalf("pass2-ddg progress total %d, want the job's %d ops", total, j.Result.Ops)
+				}
+			}
 			return
 		}
 		if j.State == jobstore.StateRunning && j.Progress != nil {
@@ -91,6 +103,9 @@ func TestJobProgressLive(t *testing.T) {
 			p := j.Progress
 			if p.Stage == "" {
 				t.Fatalf("running progress without a stage: %+v", p)
+			}
+			if p.Stage == "pass2-ddg" {
+				pass2Totals = append(pass2Totals, p.Total)
 			}
 			if p.Stage == lastStage && p.Events < lastEvents {
 				t.Fatalf("events went backwards within stage %s: %d -> %d", p.Stage, lastEvents, p.Events)
@@ -106,4 +121,88 @@ func TestJobProgressLive(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("job never finished")
+}
+
+// TestJobStagesAreSpans: a job's persisted stage records are exactly
+// the attempt root's child spans, in start order — stage names exist
+// once, as span names — for the sequential and the parallel engine.
+func TestJobStagesAreSpans(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		want   []string
+	}{
+		{0, []string{"pass1-structure", "pass2-ddg", "fold-finish", "sched-build", "feedback-analyze", "transform"}},
+		{2, []string{"pass1-structure", "ddg-shards", "pass2-ddg", "fold-finish", "sched-build", "feedback-analyze", "transform"}},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			_, ts := newTestServer(t, Options{DataDir: t.TempDir(), ParallelDDG: tc.shards})
+			// The daemon's flight recorder owns the process-wide span
+			// hook; take it over for this test and leave both off after.
+			var (
+				mu   sync.Mutex
+				recs []obs.SpanRecord
+			)
+			obs.SetSpanHook(func(rec obs.SpanRecord) {
+				mu.Lock()
+				recs = append(recs, rec)
+				mu.Unlock()
+			})
+			t.Cleanup(flight.Default.Disable)
+
+			resp, body := postJob(t, ts, "workload=example1&optimize=1", nil)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+			}
+			var sum jobstore.JobSummary
+			if err := json.Unmarshal(body, &sum); err != nil {
+				t.Fatal(err)
+			}
+			if j := waitJob(t, ts, sum.ID); j.State != jobstore.StateSucceeded {
+				t.Fatalf("job ended %s: %+v", j.State, j.Error)
+			}
+			resp, body = get(t, ts, "/v1/jobs/"+sum.ID+"?trace=1")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET job trace = %d: %s", resp.StatusCode, body)
+			}
+			var j jobstore.Job
+			if err := json.Unmarshal(body, &j); err != nil {
+				t.Fatal(err)
+			}
+			var stages []string
+			for _, ev := range j.Trace {
+				if ev.Event == jobstore.TraceStage {
+					stages = append(stages, ev.Stage)
+				}
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			var root *obs.SpanRecord
+			for i := range recs {
+				if recs[i].ID == j.Result.SpanID && recs[i].Name == "job:example1#1" {
+					root = &recs[i]
+				}
+			}
+			if root == nil {
+				t.Fatalf("no root span %d among %d records", j.Result.SpanID, len(recs))
+			}
+			var children []obs.SpanRecord
+			for _, rec := range recs {
+				if rec.Parent == root.ID && !rec.Start.Before(root.Start) {
+					children = append(children, rec)
+				}
+			}
+			slices.SortFunc(children, func(a, b obs.SpanRecord) int { return cmp.Compare(a.ID, b.ID) })
+			var spans []string
+			for _, rec := range children {
+				spans = append(spans, rec.Name)
+			}
+			if !slices.Equal(stages, spans) {
+				t.Fatalf("stage records %v, root child spans %v", stages, spans)
+			}
+			if !slices.Equal(stages, tc.want) {
+				t.Fatalf("stage records %v, want %v", stages, tc.want)
+			}
+		})
+	}
 }

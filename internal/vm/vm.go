@@ -14,7 +14,6 @@ import (
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/progress"
 	"polyprof/internal/trace"
 )
 
@@ -84,17 +83,15 @@ type Machine struct {
 
 	// Obs is the span-context this run publishes its dynamic event
 	// counters into; the zero Scope targets the process-wide default
-	// registry, so standalone machines behave as before.
+	// registry, so standalone machines behave as before.  Its span, when
+	// set, receives the live executed-op count at every watchdog
+	// checkpoint (once per 2^16 steps) and once at run end, so long runs
+	// can be observed without touching the per-step hot path.
 	Obs obs.Scope
 
 	// Cost, when set, accumulates simulated cycles during execution
 	// (base per-opcode costs plus cache-modeled memory latency).
 	Cost *CycleModel
-
-	// Progress, when set, receives the live executed-op count at every
-	// watchdog checkpoint (once per 2^16 steps) and once at run end, so
-	// long runs can be observed without touching the per-step hot path.
-	Progress *progress.Tracker
 
 	// EpochEvents, with OnEpoch, pauses the run every EpochEvents
 	// executed instructions (exactly at multiples of EpochEvents, so
@@ -193,11 +190,11 @@ func (m *Machine) flushInstrs() {
 }
 
 // publishStats records the run's dynamic event counters in the scoped
-// metrics registry.  Counting happens in Stats during execution; this
-// publishes once per run, so the interpreter loop carries no
-// instrumentation cost.
+// metrics registry and its final op count in the scope's span.
+// Counting happens in Stats during execution; this publishes once per
+// run, so the interpreter loop carries no instrumentation cost.
 func (m *Machine) publishStats() {
-	m.Progress.SetEvents(m.stats.Ops)
+	m.Obs.Span().SetEvents(m.stats.Ops)
 	if !m.Obs.Enabled() {
 		return
 	}
@@ -311,7 +308,7 @@ func (m *Machine) Run() error {
 
 // checkpoint is the amortized watchdog body.
 func (m *Machine) checkpoint(limit uint64, budgetSteps bool, counted *uint64) error {
-	m.Progress.SetEvents(m.stats.Ops)
+	m.Obs.Span().SetEvents(m.stats.Ops)
 	if err := stepFault.Hit(); err != nil {
 		return fmt.Errorf("vm %q: %w", m.prog.Name, err)
 	}

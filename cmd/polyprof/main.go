@@ -113,11 +113,12 @@ commands:
   disasm <workload>       print the pseudo-assembler listing
   table5                  run the whole Rodinia suite (Experiment I+II)
   overhead [workload|all] per-stage profiling cost table (Experiment I)
-  diag [workload|all]     parallel-engine utilization diagnosis: per-actor
-                          busy fractions, sequencer occupancy, queue depths,
-                          critical path and an Amdahl projected-speedup table
-                          (-parallel-ddg n shards, default all cores; -json;
-                          -trace adds per-actor timeline tracks)
+  diag [workload|all]     parallel-engine diagnosis read from the engine's
+                          spans: per-actor busy fractions, sequencer
+                          occupancy, backpressure, critical path and an
+                          Amdahl projected-speedup table (-parallel-ddg n
+                          shards, default all cores; -json; -trace writes
+                          the span tree, shard spans carry blocked time)
   casestudy <name>        backprop (Table 3) or gemsfdtd (Table 4)
   ddg <workload>          dump the folded polyhedral DDG of the region
   report <workload> [-json]  full feedback document (or JSON)
@@ -253,9 +254,6 @@ type obsFlags struct {
 	// on stdout; the metrics section then goes to stderr so stdout
 	// stays valid JSON for consumers piping it.
 	jsonOut bool
-	// extraSpans are appended to the Chrome trace alongside the span
-	// tree (the diag command adds the sampler's per-actor timelines).
-	extraSpans []obs.SpanRecord
 
 	srv *obs.MetricsServer
 }
@@ -356,7 +354,7 @@ func (f *obsFlags) finish() error {
 		fmt.Fprint(out, obs.TakeSnapshot().Text())
 	}
 	if f.trace != "" {
-		spans := append(obs.Default.Spans(), f.extraSpans...)
+		spans := obs.Default.Spans()
 		if err := obs.WriteChromeTrace(f.trace, spans); err != nil {
 			return err
 		}
@@ -753,9 +751,9 @@ func cmdOverhead(args []string) error {
 }
 
 // cmdDiag profiles one workload (or the suite) on the sharded parallel
-// dependence engine with the utilization sampler attached and prints
-// the parallel diagnosis: who is busy, who is blocked, what Amdahl
-// says about adding shards.
+// dependence engine and prints the parallel diagnosis read from the
+// engine's spans: who is busy, who is blocked, what Amdahl says about
+// adding shards.
 func cmdDiag(args []string) error {
 	fs := flag.NewFlagSet("diag", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit machine-readable diagnosis reports")
@@ -772,6 +770,8 @@ func cmdDiag(args []string) error {
 	if err := of.start(); err != nil {
 		return err
 	}
+	// The diagnosis is read from the run's spans, so diag always records.
+	obs.Enable()
 	// diag is about the parallel engine, so an absent -parallel-ddg
 	// means all cores rather than the sequential builder.
 	shards := resolveShards(*par)
@@ -793,9 +793,6 @@ func cmdDiag(args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	for _, r := range rs {
-		of.extraSpans = append(of.extraSpans, r.Timeline...)
 	}
 	if *asJSON {
 		data, err := evaluation.DiagJSON(rs)

@@ -6,7 +6,6 @@ import (
 	"polyprof/internal/iiv"
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/sampler"
 	"polyprof/internal/parddg"
 	"polyprof/internal/vm"
 )
@@ -24,10 +23,6 @@ type Options struct {
 	// builder.  Both run the same partition core and produce a
 	// bit-for-bit identical graph on non-degraded runs.
 	ParallelDDG int
-	// Sampler, when non-nil and enabled, attaches the parallel-engine
-	// utilization profiler to the sharded dependence engine (no effect
-	// on sequential runs).
-	Sampler *sampler.Sampler
 	// EpochEvents chunks pass 2 into epochs of this many dynamic
 	// instructions (streaming mode, see stream.go); 0 runs buffered.
 	// Boundaries are exact op-counter multiples, so they land
@@ -105,7 +100,7 @@ func NewEngine(prog *isa.Program, opts Options) *Engine {
 		d.Stream = true
 	}
 	if opts.ParallelDDG > 0 {
-		eng := parddg.NewEngine(prog, parddg.Options{Shards: opts.ParallelDDG, DDG: d, Sampler: opts.Sampler})
+		eng := parddg.NewEngine(prog, parddg.Options{Shards: opts.ParallelDDG, DDG: d})
 		return &Engine{Sink: eng, Builder: eng.Builder(), Flush: eng.Flush, Close: eng.Close, fin: eng}
 	}
 	b := ddg.NewBuilder(prog, d)

@@ -8,46 +8,40 @@ import (
 
 	"polyprof/internal/core"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/sampler"
+	"polyprof/internal/parddg"
 	"polyprof/internal/workloads"
 )
 
 // DiagReport is the result of one parallel-engine diagnosis run: the
-// full pipeline executed on the sharded dependence engine with the
-// utilization sampler attached, plus the derived diagnosis.
+// full pipeline executed on the sharded dependence engine, plus the
+// diagnosis derived from the engine's spans.
 type DiagReport struct {
 	Workload string `json:"workload"`
 	Shards   int    `json:"shards"`
 	Ops      uint64 `json:"ops"`
 	WallNS   int64  `json:"wall_ns"`
-	// Parallel is the sampler's diagnosis: per-actor busy fractions,
+	// Parallel is the engine's diagnosis: per-actor busy fractions,
 	// sequencer occupancy, backpressure, critical path, Amdahl table.
-	Parallel *sampler.Report `json:"parallel"`
-
-	// Timeline carries the per-actor state timelines for Chrome-trace
-	// export (`polyprof diag -trace`); omitted from JSON reports, which
-	// only need the aggregates.
-	Timeline []obs.SpanRecord `json:"-"`
+	Parallel *parddg.Report `json:"parallel"`
 }
 
 // Diagnose profiles one workload end to end on the sharded dependence
-// engine with the utilization sampler enabled and derives the parallel
-// diagnosis.  shards must be positive — the diagnosis is about the
-// parallel engine; there is nothing to sample on a sequential run.
+// engine, recording into sc, and derives the parallel diagnosis from
+// the engine's spans.  shards must be positive — the diagnosis is about
+// the parallel engine — and sc must record: the spans are the data.
 func Diagnose(spec workloads.Spec, shards int, sc obs.Scope) (*DiagReport, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("diag: shards must be positive (got %d)", shards)
 	}
+	if !sc.Enabled() {
+		return nil, fmt.Errorf("diag: the scope's registry must be enabled")
+	}
 	root := sc.StartSpan("diag:" + spec.Name)
 	defer root.End()
-	ssc := sc.WithSpan(root)
 
-	smp := sampler.New()
-	smp.SetEnabled(true)
 	opts := core.DefaultRunOptions()
-	opts.Obs = ssc
+	opts.Obs = sc.WithSpan(root)
 	opts.ParallelDDG = shards
-	opts.Sampler = smp
 
 	start := time.Now()
 	p, err := core.Run(spec.Build(), opts)
@@ -60,8 +54,7 @@ func Diagnose(spec workloads.Spec, shards int, sc obs.Scope) (*DiagReport, error
 		Shards:   shards,
 		Ops:      p.DDG.TotalOps,
 		WallNS:   int64(time.Since(start)),
-		Parallel: smp.Report(),
-		Timeline: smp.TimelineSpans(),
+		Parallel: parddg.Diagnose(sc.Registry().Spans()),
 	}, nil
 }
 

@@ -72,7 +72,9 @@ func TestDiagJSONSchemaGolden(t *testing.T) {
 	if spec == nil {
 		t.Fatal("example1 workload missing")
 	}
-	rep, err := Diagnose(*spec, 2, obs.NewRegistry().Scope())
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	rep, err := Diagnose(*spec, 2, reg.Scope())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,66 @@ import (
 	"polyprof/internal/workloads"
 )
 
+// recordingScope returns the root scope of a fresh enabled registry.
+func recordingScope() obs.Scope {
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	return reg.Scope()
+}
+
 func TestDiagnoseRejectsSequential(t *testing.T) {
-	if _, err := Diagnose(*workloads.ByName("example1"), 0, obs.Scope{}); err == nil {
+	if _, err := Diagnose(*workloads.ByName("example1"), 0, recordingScope()); err == nil {
 		t.Fatal("Diagnose(shards=0) succeeded; want error")
+	}
+}
+
+// TestDiagnoseRejectsDisabledScope: the diagnosis is read from the
+// run's spans, so a scope that records none is an error.
+func TestDiagnoseRejectsDisabledScope(t *testing.T) {
+	if _, err := Diagnose(*workloads.ByName("example1"), 2, obs.NewRegistry().Scope()); err == nil {
+		t.Fatal("Diagnose(disabled scope) succeeded; want error")
+	}
+}
+
+// TestDiagActorStatesSumToWall: on a live run every actor's states,
+// read back from the -json document, sum to the engine wall exactly,
+// so no busy fraction is understated or exceeds 1.
+func TestDiagActorStatesSumToWall(t *testing.T) {
+	r, err := Diagnose(*workloads.ByName("example2"), 2, recordingScope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := DiagJSON([]*DiagReport{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []struct {
+		Parallel struct {
+			WallNS int64 `json:"wall_ns"`
+			Actors []struct {
+				Name      string  `json:"name"`
+				Running   int64   `json:"running_ns"`
+				BlockSend int64   `json:"blocked_send_ns"`
+				BlockRecv int64   `json:"blocked_recv_ns"`
+				Idle      int64   `json:"idle_ns"`
+				BusyFrac  float64 `json:"busy_frac"`
+			} `json:"actors"`
+		} `json:"parallel"`
+	}
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	par := decoded[0].Parallel
+	if par.WallNS <= 0 || len(par.Actors) != 2+2 {
+		t.Fatalf("parallel section = %s", data)
+	}
+	for _, a := range par.Actors {
+		if sum := a.Running + a.BlockSend + a.BlockRecv + a.Idle; sum != par.WallNS {
+			t.Errorf("actor %s: running+blocked+idle = %d, want parallel.wall_ns %d", a.Name, sum, par.WallNS)
+		}
+		if a.BusyFrac > 1 {
+			t.Errorf("actor %s busy_frac = %v > 1", a.Name, a.BusyFrac)
+		}
 	}
 }
 
@@ -22,7 +79,9 @@ func TestDiagnoseLive(t *testing.T) {
 	if spec == nil {
 		t.Fatal("workload example2 missing")
 	}
-	r, err := Diagnose(*spec, 2, obs.Scope{})
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	r, err := Diagnose(*spec, 2, reg.Scope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,17 +94,20 @@ func TestDiagnoseLive(t *testing.T) {
 	if r.Parallel == nil || len(r.Parallel.Actors) != 2+2 { // sequencer + 2 shards + merge
 		t.Fatalf("parallel section = %+v", r.Parallel)
 	}
-	if len(r.Timeline) == 0 {
-		t.Fatal("no timeline spans recorded")
+	// `diag -trace` writes the registry's spans: the shard actors are
+	// there, with their blocked time.
+	shards := map[string]obs.SpanRecord{}
+	for _, sp := range reg.Spans() {
+		shards[sp.Name] = sp
 	}
-	for _, sp := range r.Timeline {
-		if sp.Track == "" || sp.Wall <= 0 {
-			t.Fatalf("bad timeline span %+v", sp)
+	for _, name := range []string{"ddg.shard.0", "ddg.shard.1"} {
+		if sp, ok := shards[name]; !ok || sp.Wall <= 0 || sp.Blocks == 0 {
+			t.Fatalf("trace span %s = %+v (present %v), want wall > 0 with blocked intervals", name, sp, ok)
 		}
 	}
 
 	// The JSON shape is the contract for CI artifacts: stable top-level
-	// keys, no timeline (aggregates only), parallel section present.
+	// keys, parallel section present.
 	data, err := DiagJSON([]*DiagReport{r})
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +123,6 @@ func TestDiagnoseLive(t *testing.T) {
 		if _, ok := decoded[0][key]; !ok {
 			t.Fatalf("diag JSON missing %q: %s", key, data)
 		}
-	}
-	if _, ok := decoded[0]["Timeline"]; ok {
-		t.Fatal("timeline leaked into diag JSON")
 	}
 	var par struct {
 		SequencerOccupancy float64         `json:"sequencer_occupancy"`

@@ -9,7 +9,7 @@ import (
 	"polyprof/internal/core"
 	"polyprof/internal/feedback"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/sampler"
+	"polyprof/internal/parddg"
 	"polyprof/internal/sched"
 	"polyprof/internal/workloads"
 )
@@ -45,7 +45,7 @@ type OverheadReport struct {
 	// Parallel is the utilization diagnosis of the sharded dependence
 	// engine (per-actor busy fractions, sequencer occupancy, Amdahl
 	// projection); nil on sequential runs.
-	Parallel *sampler.Report `json:"parallel,omitempty"`
+	Parallel *parddg.Report `json:"parallel,omitempty"`
 }
 
 // OverheadStages is the fixed stage order of the report.
@@ -77,6 +77,13 @@ var OverheadStages = []string{"pass1", "pass2-iiv", "ddg", "fold", "sched", "fee
 // folding overhead.
 func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 	var sc obs.Scope
+	if shards > 0 && !sc.Enabled() {
+		// The parallel diagnosis is read from the engine's spans, so a
+		// sharded run records into a registry of its own.
+		reg := obs.NewRegistry()
+		reg.SetEnabled(true)
+		sc = reg.Scope()
+	}
 	root := sc.StartSpan("overhead:" + spec.Name)
 	defer root.End()
 	env := core.Env{Obs: sc.WithSpan(root)}
@@ -111,10 +118,6 @@ func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 	opts := core.DefaultRunOptions()
 	opts.Env = env
 	opts.ParallelDDG = shards
-	if shards > 0 {
-		opts.Sampler = sampler.New()
-		opts.Sampler.SetEnabled(true)
-	}
 	eng := core.NewEngine(prog, opts)
 	defer eng.Close()
 	p2, stats, err := core.RunPass2(prog, st, eng.Sink, env)
@@ -132,8 +135,8 @@ func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 		return nil, fmt.Errorf("%s: fold: %w", spec.Name, err)
 	}
 	add("fold", time.Since(t0), core.FoldedStreams(g), "streams")
-	if opts.Sampler != nil {
-		rep.Parallel = opts.Sampler.Report()
+	if shards > 0 {
+		rep.Parallel = parddg.Diagnose(sc.Registry().Spans())
 	}
 
 	profile := &core.Profile{Prog: prog, Structure: st, Tree: p2.Tree, DDG: g, Stats: stats, Obs: env.Obs}

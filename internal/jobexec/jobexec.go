@@ -23,7 +23,6 @@ import (
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/obs/sampler"
 	"polyprof/internal/transform"
 	"polyprof/internal/workloads"
 )
@@ -180,14 +179,6 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 					}
 				}
 			}
-		}
-		if opts.ParallelDDG > 0 {
-			// Parallel attempts carry the utilization sampler; its
-			// headline gauges land in the attempt registry for the caller
-			// to merge (the polyprof_ddg_* families on /metrics).
-			smp := sampler.New()
-			smp.SetEnabled(true)
-			ro.Sampler = smp
 		}
 		p, err := core.Run(prog, ro)
 		if err != nil {

@@ -39,10 +39,10 @@ func trackOf(sp SpanRecord) string {
 // ChromeTrace renders finished spans as a Chrome trace-event JSON
 // document: one complete ("X") event per span and one track (tid) per
 // distinct track name (Track when set, the span name otherwise), so
-// every pipeline stage — and every parddg actor timeline — gets its
-// own row in Perfetto.  Timestamps are microseconds relative to the
-// earliest span start; span id/parent, event counts, throughput, and
-// error status travel in the event args.
+// every pipeline stage gets its own row in Perfetto.  Timestamps are
+// microseconds relative to the earliest span start; span id/parent,
+// event counts, throughput, blocked time and error status travel in
+// the event args.
 func ChromeTrace(spans []SpanRecord) ([]byte, error) {
 	doc := TraceDoc{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{}}
 	if len(spans) == 0 {
@@ -84,6 +84,10 @@ func ChromeTrace(spans []SpanRecord) ([]byte, error) {
 		if sp.Events > 0 {
 			args["events"] = sp.Events
 			args["events_per_sec"] = sp.EventsPerSec
+		}
+		if sp.Blocks > 0 {
+			args["blocked_ns"] = sp.Blocked.Nanoseconds()
+			args["blocks"] = sp.Blocks
 		}
 		if sp.Err != "" {
 			args["error"] = sp.Err

@@ -49,8 +49,9 @@ type Bundle struct {
 	Events []Event `json:"events"`
 	// Metrics is the process metrics snapshot at trigger time.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// Sampler is the latest parallel-engine diagnosis, when one ran.
-	Sampler json.RawMessage `json:"sampler,omitempty"`
+	// Diagnosis is the latest parallel-engine diagnosis, when one ran.
+	// Its JSON key, "sampler", is kept for existing bundle readers.
+	Diagnosis json.RawMessage `json:"sampler,omitempty"`
 	// Extra is trigger-site payload (e.g. the job record with its
 	// lifecycle trace).
 	Extra json.RawMessage `json:"extra,omitempty"`
@@ -94,7 +95,7 @@ func buildBundle(reason string, info TriggerInfo, at time.Time, seq uint64,
 		Events: events,
 	}
 	if len(diagnosis) > 0 {
-		b.Sampler = diagnosis
+		b.Diagnosis = diagnosis
 	}
 	if reg != nil {
 		snap := reg.Snapshot()

@@ -1,11 +1,12 @@
 // Package flight is the always-on flight recorder: a bounded in-memory
 // ring of recent observability events (finished stage spans, job
 // lifecycle transitions, budget/degradation decisions, parallel-engine
-// state, per-request metric deltas) that costs one atomic load per
-// recording site while disabled, and on an anomaly trigger freezes the
-// ring into a self-contained JSON bundle on disk — the last N seconds
-// of process history, a goroutine and heap profile, the metrics
-// snapshot, the latest parallel-sampler diagnosis, and build metadata —
+// events and diagnoses, per-request metric deltas) that costs one
+// atomic load per recording site while disabled, and on an anomaly
+// trigger freezes the ring into a self-contained JSON bundle on disk —
+// the last N seconds of process history, a goroutine and heap profile,
+// the metrics snapshot, the latest parallel diagnosis (parddg.Diagnose
+// over a parallel run's spans), and build metadata —
 // so a panic, budget blowout, quarantine, or slow job explains itself
 // after the fact instead of leaving behind a terminal error string.
 //
@@ -36,8 +37,8 @@ import (
 
 // Event is one ring-buffer entry.  Kind groups events for rendering
 // ("span", "stage", "request", "job", "budget", "degrade", "parddg",
-// "sampler", "trigger"); Trace carries the request/job trace ID when
-// the site knows it.
+// "diagnosis" — a parallel run's diagnosis headline —, "trigger");
+// Trace carries the request/job trace ID when the site knows it.
 type Event struct {
 	At     time.Time `json:"at"`
 	Kind   string    `json:"kind"`
@@ -100,7 +101,7 @@ type Recorder struct {
 	opts        Options
 	seq         uint64
 	lastTrigger map[string]time.Time
-	diagnosis   json.RawMessage // latest parallel-sampler report
+	diagnosis   json.RawMessage // latest parallel diagnosis
 }
 
 // Default is the process-wide recorder every instrumentation site in
@@ -227,8 +228,8 @@ func (r *Recorder) LogEvent(ev Event) {
 	r.mu.Unlock()
 }
 
-// SetDiagnosis stores the latest parallel-sampler report (marshaled
-// JSON) for inclusion in subsequent bundles.
+// SetDiagnosis stores the latest parallel diagnosis (marshaled JSON)
+// for inclusion in subsequent bundles.
 func (r *Recorder) SetDiagnosis(report json.RawMessage) {
 	if r == nil || !r.enabled.Load() {
 		return

@@ -91,8 +91,8 @@ func TestTriggerWritesReadableBundle(t *testing.T) {
 	var diag struct {
 		Shards int `json:"shards"`
 	}
-	if err := json.Unmarshal(b.Sampler, &diag); err != nil || diag.Shards != 4 {
-		t.Fatalf("bundle sampler = %s (%v)", b.Sampler, err)
+	if err := json.Unmarshal(b.Diagnosis, &diag); err != nil || diag.Shards != 4 {
+		t.Fatalf("bundle sampler = %s (%v)", b.Diagnosis, err)
 	}
 	if !strings.Contains(string(b.Extra), `"attempt": 2`) && !strings.Contains(string(b.Extra), `"attempt":2`) {
 		t.Fatalf("bundle extra = %s", b.Extra)

@@ -77,7 +77,7 @@ func Render(b *Bundle) string {
 			fmt.Fprintf(&sb, "  %-40s %12d\n", c.Name, c.Value)
 		}
 	}
-	if len(b.Sampler) > 0 {
+	if len(b.Diagnosis) > 0 {
 		sb.WriteString("\nparallel diagnosis: present (see bundle JSON \"sampler\")\n")
 	}
 	if b.Goroutines != "" {

@@ -211,6 +211,103 @@ func TestSpanConcurrentAddEventsEnd(t *testing.T) {
 	}
 }
 
+// TestSpanBlock: blocked intervals charged from several goroutines sum
+// into the record and the Chrome-trace args; a disabled registry's
+// span, a nil span and an ended span ignore them.
+func TestSpanBlock(t *testing.T) {
+	r := NewRegistry()
+	r.SetEnabled(true)
+	sp := r.StartSpan("ddg.shard.0")
+	for i := 0; i < 400; i++ {
+		sp.Block(3 * time.Nanosecond)
+	}
+	rec := sp.End()
+	if rec.Blocked != 1200 || rec.Blocks != 400 {
+		t.Fatalf("record blocked = %v in %d intervals, want 1.2µs in 400", rec.Blocked, rec.Blocks)
+	}
+	data, err := ChromeTrace([]SpanRecord{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"blocked_ns": 1200`) || !strings.Contains(string(data), `"blocks": 400`) {
+		t.Fatalf("chrome trace lacks the blocked args:\n%s", data)
+	}
+	plain, _ := json.Marshal(SpanRecord{Name: "pass1"})
+	if strings.Contains(string(plain), "blocked") {
+		t.Fatalf("unblocked record carries blocked keys: %s", plain)
+	}
+}
+
+// TestSpanBlockDisabledIsNoOp: blocking a span of a disabled registry,
+// a nil span or an ended span records nothing.
+func TestSpanBlockDisabledIsNoOp(t *testing.T) {
+	off := NewRegistry()
+	noop := off.StartSpan("ddg-shards")
+	noop.Block(time.Second)
+	if rec := noop.End(); rec.Blocks != 0 || rec.Blocked != 0 {
+		t.Fatalf("disabled span recorded blocks: %+v", rec)
+	}
+	if len(off.Spans()) != 0 {
+		t.Fatal("disabled registry recorded a span")
+	}
+	var nilSpan *Span
+	nilSpan.Block(time.Second)
+
+	r := NewRegistry()
+	r.SetEnabled(true)
+	sp := r.StartSpan("ddg.shard.0")
+	sp.Block(time.Millisecond)
+	sp.End()
+	sp.Block(time.Second)
+	if got := r.Spans()[0]; got.Blocked != time.Millisecond || got.Blocks != 1 {
+		t.Fatalf("block after End changed the record: %+v", got)
+	}
+}
+
+// TestSpanBlockConcurrent: several actors block on one shared span and
+// on spans of their own while readers scrape the registry; every
+// interval is counted once.
+func TestSpanBlockConcurrent(t *testing.T) {
+	r := NewRegistry()
+	r.SetEnabled(true)
+	root := r.StartSpan("ddg-shards")
+	const actors, blocks = 4, 100
+	var wg sync.WaitGroup
+	for g := 0; g < actors; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := r.Scope().WithSpan(root).StartSpan("ddg.shard")
+			for i := 0; i < blocks; i++ {
+				root.Block(3 * time.Nanosecond)
+				own.Block(time.Nanosecond)
+			}
+			own.End()
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		r.Stage()
+		if _, err := ChromeTrace(r.Spans()); err != nil {
+			t.Fatalf("scrape %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	rec := root.End()
+	if rec.Blocked != actors*blocks*3 || rec.Blocks != actors*blocks {
+		t.Fatalf("shared span blocked = %v in %d intervals, want %v in %d",
+			rec.Blocked, rec.Blocks, time.Duration(actors*blocks*3), actors*blocks)
+	}
+	spans := r.Spans()
+	if len(spans) != actors+1 {
+		t.Fatalf("got %d spans, want %d", len(spans), actors+1)
+	}
+	for _, s := range spans[:actors] {
+		if s.Blocked != blocks || s.Blocks != blocks || s.Parent != rec.ID {
+			t.Fatalf("actor span %+v, want %d blocks of 1ns under %d", s, blocks, rec.ID)
+		}
+	}
+}
+
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
 	r.SetEnabled(true)

@@ -1,4 +1,4 @@
-package sampler
+package parddg
 
 import (
 	"fmt"
@@ -9,25 +9,31 @@ import (
 	"polyprof/internal/obs"
 )
 
-// ActorStat is one actor's accumulated utilization.
+// The engine's actors are spans: the sequencer is the engine root, each
+// shard worker and the merge are its direct children.  Blocked time is
+// recorded on the actor's own span (obs.Span.Block).
+const (
+	rootSpan        = "ddg-shards"
+	mergeSpan       = "ddg-merge"
+	shardSpanPrefix = "ddg.shard."
+)
+
+// ActorStat is one actor's time over the engine's wall; the four
+// states sum to the report's WallNS exactly.
 type ActorStat struct {
-	Name        string  `json:"name"`
-	Role        string  `json:"role"`
-	RunningNS   int64   `json:"running_ns"`
+	Name      string `json:"name"`
+	Role      string `json:"role"`
+	RunningNS int64  `json:"running_ns"`
+	// BlockSendNS is always 0: a shard channel holds maxInflight
+	// batches and no more than maxInflight exist, so a send never
+	// blocks.  The key stays for the report's consumers.
 	BlockSendNS int64   `json:"blocked_send_ns"`
 	BlockRecvNS int64   `json:"blocked_recv_ns"`
 	IdleNS      int64   `json:"idle_ns"`
 	BusyFrac    float64 `json:"busy_frac"` // running / wall
-	Transitions uint64  `json:"transitions"`
-}
-
-// QueueStat summarizes one sampled depth series.
-type QueueStat struct {
-	Name    string  `json:"name"`
-	Samples uint64  `json:"samples"`
-	Avg     float64 `json:"avg"`
-	Max     int64   `json:"max"`
-	Last    int64   `json:"last"`
+	// Transitions counts state changes: into and out of the actor's
+	// span and each of its blocked intervals.
+	Transitions uint64 `json:"transitions"`
 }
 
 // SpeedupRow is one entry of the Amdahl projection table.
@@ -36,14 +42,14 @@ type SpeedupRow struct {
 	Projected float64 `json:"projected_speedup"`
 }
 
-// Report is the parallel diagnosis derived from one engine run's
-// timelines.  All fractions are of the sampled wall interval.
+// Report is the parallel diagnosis of one engine run.  All fractions
+// are of the engine's wall: its root span, from NewEngine to the end of
+// the merge.
 type Report struct {
 	WallNS int64 `json:"wall_ns"`
 	Shards int   `json:"shards"`
 
 	Actors []ActorStat `json:"actors"`
-	Queues []QueueStat `json:"queues,omitempty"`
 
 	// SequencerOccupancy is the fraction of wall the sequencer spent
 	// running — the pipeline's measured serial fraction.  While it
@@ -51,8 +57,8 @@ type Report struct {
 	SequencerOccupancy float64 `json:"sequencer_occupancy"`
 	// MaxShardBusy is the busiest shard's running fraction.
 	MaxShardBusy float64 `json:"max_shard_busy"`
-	// BackpressureNS totals sequencer blocked-send + blocked-recv time:
-	// how long the serial stage itself was stalled on the pipeline.
+	// BackpressureNS is the sequencer's blocked time: how long the
+	// serial stage itself was stalled on the pipeline.
 	BackpressureNS int64 `json:"backpressure_ns"`
 	// SerialFrac is the Amdahl serial fraction s estimated from useful
 	// work: sequencer+merge running time over total running time.
@@ -66,68 +72,70 @@ type Report struct {
 	// Amdahl projects speedup over a 1-worker run at various shard
 	// counts, from SerialFrac: 1/(s + (1-s)/N).
 	Amdahl []SpeedupRow `json:"amdahl"`
-
-	// DroppedSegments counts timeline segments past the per-actor cap
-	// (the accumulated totals above stay exact regardless).
-	DroppedSegments uint64 `json:"dropped_segments,omitempty"`
 }
 
 // amdahlPoints is the projection table's shard axis.
 var amdahlPoints = []int{1, 2, 4, 8, 16, 32}
 
-// Report derives the diagnosis from the current timelines.  Call after
-// Finish for a closed run; calling mid-run reports the live prefix.
-func (s *Sampler) Report() *Report {
-	if s == nil {
+// Diagnose derives the parallel diagnosis from span records: the newest
+// engine root ("ddg-shards") and its direct children.  It returns nil
+// when the records hold no engine run.
+func Diagnose(spans []obs.SpanRecord) *Report {
+	var root *obs.SpanRecord
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Name == rootSpan && spans[i].ID != 0 {
+			root = &spans[i]
+			break
+		}
+	}
+	if root == nil {
 		return nil
 	}
-	s.mu.Lock()
-	actors := append([]*Actor(nil), s.actors...)
-	queues := append([]*Queue(nil), s.queues...)
-	now := s.finishNS
-	s.mu.Unlock()
-	if now == 0 {
-		now = s.clock()
-	}
-
-	r := &Report{WallNS: now}
-	var serialNS, parallelNS, maxShardNS int64
-	for _, a := range actors {
-		ns := a.stateNS(now)
-		st := ActorStat{
-			Name:        a.name,
-			Role:        roleName(a.role),
-			RunningNS:   ns[Running],
-			BlockSendNS: ns[BlockedSend],
-			BlockRecvNS: ns[BlockedRecv],
-			IdleNS:      ns[Idle],
-			Transitions: a.transitions.Load(),
+	var shards []obs.SpanRecord
+	var mergeNS int64
+	hasMerge := false
+	for _, sp := range spans {
+		switch {
+		case sp.Parent != root.ID:
+		case sp.Name == mergeSpan:
+			mergeNS, hasMerge = int64(sp.Wall), true
+		case strings.HasPrefix(sp.Name, shardSpanPrefix):
+			shards = append(shards, sp)
 		}
-		if now > 0 {
-			st.BusyFrac = frac(ns[Running], now)
+	}
+	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
+
+	wall := int64(root.Wall)
+	r := &Report{WallNS: wall, Shards: len(shards)}
+	add := func(name, role string, running, blocked int64, blocks uint64) ActorStat {
+		st := ActorStat{
+			Name: name, Role: role,
+			RunningNS: running, BlockRecvNS: blocked,
+			IdleNS:      wall - running - blocked,
+			BusyFrac:    frac(running, wall),
+			Transitions: 2*blocks + 2,
 		}
 		r.Actors = append(r.Actors, st)
-		a.mu.Lock()
-		r.DroppedSegments += a.dropped
-		a.mu.Unlock()
+		return st
+	}
 
-		switch a.role {
-		case RoleSequencer:
-			r.SequencerOccupancy = st.BusyFrac
-			r.BackpressureNS += ns[BlockedSend] + ns[BlockedRecv]
-			serialNS += ns[Running]
-		case RoleMerge:
-			serialNS += ns[Running]
-		case RoleShard:
-			r.Shards++
-			parallelNS += ns[Running]
-			if ns[Running] > maxShardNS {
-				maxShardNS = ns[Running]
-			}
-			if st.BusyFrac > r.MaxShardBusy {
-				r.MaxShardBusy = st.BusyFrac
-			}
-		}
+	// The sequencer is the whole pass-2 serial thread — VM execution
+	// plus event sequencing — from engine creation to drain, minus its
+	// blocked intervals; it idles while the merge runs.
+	seqBlocked := int64(root.Blocked)
+	seq := add("sequencer", "sequencer", wall-seqBlocked-mergeNS, seqBlocked, root.Blocks)
+	r.SequencerOccupancy = seq.BusyFrac
+	r.BackpressureNS = seqBlocked
+	serialNS := seq.RunningNS
+	if hasMerge {
+		serialNS += add("merge", "merge", mergeNS, 0, 0).RunningNS
+	}
+	var parallelNS, maxShardNS int64
+	for i, sp := range shards {
+		st := add(fmt.Sprintf("shard-%d", i), "shard", int64(sp.Wall-sp.Blocked), int64(sp.Blocked), sp.Blocks)
+		parallelNS += st.RunningNS
+		maxShardNS = max(maxShardNS, st.RunningNS)
+		r.MaxShardBusy = max(r.MaxShardBusy, st.BusyFrac)
 	}
 
 	// Serial fraction over useful work, not wall: wall double-counts
@@ -141,46 +149,15 @@ func (s *Sampler) Report() *Report {
 	for _, n := range amdahlPoints {
 		r.Amdahl = append(r.Amdahl, SpeedupRow{Shards: n, Projected: speedup(r.SerialFrac, n)})
 	}
-
-	// Dominant: the busiest pipeline actor.  Stable tie-break by name
-	// keeps the golden test deterministic.
+	// Dominant: the busiest actor; ties keep the earlier actor.
 	best := -1.0
 	for _, st := range r.Actors {
-		if st.Role == "other" {
-			continue
-		}
 		if st.BusyFrac > best {
 			best = st.BusyFrac
 			r.Dominant = st.Name
 		}
 	}
-
-	for _, q := range queues {
-		qs := QueueStat{
-			Name:    q.name,
-			Samples: q.samples.Load(),
-			Max:     q.max.Load(),
-			Last:    q.last.Load(),
-		}
-		if qs.Samples > 0 {
-			qs.Avg = float64(q.sum.Load()) / float64(qs.Samples)
-		}
-		r.Queues = append(r.Queues, qs)
-	}
-	sort.Slice(r.Queues, func(i, j int) bool { return r.Queues[i].Name < r.Queues[j].Name })
 	return r
-}
-
-func roleName(r Role) string {
-	switch r {
-	case RoleSequencer:
-		return "sequencer"
-	case RoleShard:
-		return "shard"
-	case RoleMerge:
-		return "merge"
-	}
-	return "other"
 }
 
 func frac(part, whole int64) float64 {
@@ -192,9 +169,7 @@ func frac(part, whole int64) float64 {
 
 // speedup is Amdahl's law: serial fraction s, N-way parallel remainder.
 func speedup(s float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	denom := s + (1-s)/float64(n)
 	if denom <= 0 {
 		return float64(n)
@@ -202,11 +177,10 @@ func speedup(s float64, n int) float64 {
 	return 1 / denom
 }
 
-// Publish records the report's headline figures as obs metrics, so the
+// Publish records the report's headline figures as metrics, so the
 // serving daemon's /metrics endpoint exposes the shard-utilization
-// families after every parallel run.  Fractions publish in basis
-// points of percent times 100 — i.e. percent with two decimals — as
-// integer gauges.
+// families after every parallel run.  Fractions publish as percent
+// with two decimals (×100) in integer gauges.
 func (r *Report) Publish(sc obs.Scope) {
 	if r == nil || !sc.Enabled() {
 		return
@@ -220,12 +194,6 @@ func (r *Report) Publish(sc obs.Scope) {
 		if st.Role == "shard" {
 			sc.Observe("ddg.shard.busy_ratio_pct100", uint64(pct100(st.BusyFrac)))
 			sc.Observe("ddg.shard.blocked_recv_ns", uint64(st.BlockRecvNS))
-		}
-	}
-	for _, q := range r.Queues {
-		if q.Samples > 0 {
-			sc.Observe("ddg.queue.depth.max", uint64(q.Max))
-			sc.Observe("ddg.queue.depth.avg", uint64(q.Avg))
 		}
 	}
 }
@@ -242,13 +210,13 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&sb, "parallel diagnosis (%d shards, wall %s):\n",
 		r.Shards, obs.FormatDuration(time.Duration(r.WallNS)))
 	fmt.Fprintf(&sb, "  %-16s %-10s %8s %12s %12s %12s\n",
-		"actor", "role", "busy", "running", "blk-send", "blk-recv")
+		"actor", "role", "busy", "running", "blocked", "idle")
 	for _, a := range r.Actors {
 		fmt.Fprintf(&sb, "  %-16s %-10s %7.1f%% %12s %12s %12s\n",
 			a.Name, a.Role, 100*a.BusyFrac,
 			obs.FormatDuration(time.Duration(a.RunningNS)),
-			obs.FormatDuration(time.Duration(a.BlockSendNS)),
-			obs.FormatDuration(time.Duration(a.BlockRecvNS)))
+			obs.FormatDuration(time.Duration(a.BlockRecvNS)),
+			obs.FormatDuration(time.Duration(a.IdleNS)))
 	}
 	fmt.Fprintf(&sb, "  sequencer occupancy  %6.1f%%   max shard busy %6.1f%%   dominant: %s\n",
 		100*r.SequencerOccupancy, 100*r.MaxShardBusy, r.Dominant)
@@ -256,13 +224,6 @@ func (r *Report) Render() string {
 		100*r.SerialFrac,
 		obs.FormatDuration(time.Duration(r.CriticalPathNS)),
 		obs.FormatDuration(time.Duration(r.BackpressureNS)))
-	if len(r.Queues) > 0 {
-		sb.WriteString("  queues (sampled depth):\n")
-		for _, q := range r.Queues {
-			fmt.Fprintf(&sb, "    %-24s samples=%-6d avg=%.2f max=%d last=%d\n",
-				q.Name, q.Samples, q.Avg, q.Max, q.Last)
-		}
-	}
 	sb.WriteString("  projected speedup (Amdahl, from measured serial fraction):\n   ")
 	for _, row := range r.Amdahl {
 		fmt.Fprintf(&sb, " N=%-2d %.2fx ", row.Shards, row.Projected)

@@ -7,8 +7,6 @@
 // with the same checkpoint format as sequential ones.
 package parddg
 
-import "polyprof/internal/obs/sampler"
-
 // Flush is a non-terminal pipeline barrier: it ships the partial batch
 // and blocks until every in-flight batch has been fully processed and
 // recycled.  On return the shard workers are idle (blocked on their
@@ -33,11 +31,11 @@ func (e *Engine) Flush() error {
 		return e.failure()
 	}
 	hold := make([]*batch, 0, n)
-	e.seqAct.Transition(sampler.BlockedRecv)
+	t0 := e.now()
 	for i := 0; i < n; i++ {
 		hold = append(hold, <-e.free)
 	}
-	e.seqAct.Transition(sampler.Running)
+	block(e.root, t0)
 	for _, b := range hold {
 		e.free <- b
 	}

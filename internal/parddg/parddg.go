@@ -33,7 +33,6 @@ import (
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/obs/sampler"
 	"polyprof/internal/trace"
 )
 
@@ -50,6 +49,7 @@ const batchSize = 4096
 
 // maxInflight bounds allocated batches; a full pipeline blocks the
 // sequencer on the free list (backpressure) instead of growing memory.
+// Each shard channel holds maxInflight batches, so a send never blocks.
 const maxInflight = 8
 
 // Options tunes the engine.
@@ -59,16 +59,7 @@ type Options struct {
 	// DDG carries the builder options (tracked kinds, stride detection,
 	// obs scope, budget, streaming).
 	DDG ddg.Options
-	// Sampler, when non-nil and enabled, collects per-actor utilization
-	// timelines (sequencer/shards/merge) and queue-depth samples for
-	// the parallel diagnosis report.  Nil costs the hot paths a single
-	// nil check per transition site.
-	Sampler *sampler.Sampler
 }
-
-// pollInterval is the queue-depth sampling period while the sampler is
-// enabled.
-const pollInterval = 250 * time.Microsecond
 
 // batch is one dispatch unit.  The same pointer goes to every worker:
 // Resolve writes each partition's own point list, the WaitGroup is the
@@ -91,7 +82,7 @@ type batch struct {
 type Engine struct {
 	b   *ddg.Builder
 	n   int
-	obs obs.Scope // the run's scope, where the sampler publishes
+	obs obs.Scope // the run's scope, where the diagnosis publishes
 
 	workers    []*worker
 	chans      []chan *batch
@@ -104,17 +95,17 @@ type Engine struct {
 	failErr error
 	failed  atomic.Bool
 
+	// The engine's actors are spans: root is the sequencer, each
+	// worker and the merge open a child.  timed gates the clock reads
+	// that charge blocked intervals to them; recs collects the actor
+	// records for the diagnosis published at finish.
 	sc       obs.Scope // scope under the engine root span
 	root     *obs.Span
+	timed    bool
+	recs     []obs.SpanRecord
 	drained  bool
 	finished bool
 	closed   bool
-
-	// Utilization sampling (nil when no sampler is attached).
-	smp      *sampler.Sampler
-	seqAct   *sampler.Actor
-	mergeAct *sampler.Actor
-	inflight *sampler.Queue
 }
 
 // NewEngine creates an engine for one execution of prog and starts its
@@ -129,20 +120,10 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 	}
 	e.root = opt.DDG.Obs.StartSpan("ddg-shards")
 	e.sc = opt.DDG.Obs.WithSpan(e.root)
+	e.timed = e.sc.Enabled()
 	flight.Log("parddg", "engine-start", fmt.Sprintf("%d shards, %d mem words", n, prog.MemWords))
 	e.cur = e.newBatch()
 	e.allocated = 1
-	if e.smp = opt.Sampler; e.smp != nil {
-		e.seqAct = e.smp.Actor("sequencer", sampler.RoleSequencer)
-		e.mergeAct = e.smp.Actor("merge", sampler.RoleMerge)
-		e.inflight = e.smp.Queue("parddg.inflight")
-		// The sequencer actor is the whole pass-2 serial thread — VM
-		// execution plus event sequencing — not just time inside the sink:
-		// that thread is the pipeline's serial stage, and its occupancy is
-		// what bounds speedup.  It runs from engine creation until drain,
-		// minus the explicitly sampled blocking intervals.
-		e.seqAct.Transition(sampler.Running)
-	}
 	for i := 0; i < n; i++ {
 		w := newWorker(e, i)
 		e.workers = append(e.workers, w)
@@ -151,29 +132,33 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 		go func(w *worker) {
 			defer e.workerJoin.Done()
 			for {
-				w.act.Transition(sampler.BlockedRecv)
+				t0 := e.now()
 				b, ok := <-w.ch
+				block(w.sp, t0)
 				if !ok {
-					w.act.Transition(sampler.Idle)
 					return
 				}
-				w.act.Transition(sampler.Running)
 				w.process(b)
 			}
 		}(w)
 	}
-	// Channel length reads are safe concurrently, so the poller can
-	// sample shard backlogs from outside the pipeline; the in-flight
-	// batch count is sequencer state and is sampled at dispatch instead.
-	if e.smp != nil {
-		workers := e.workers
-		e.smp.StartPoll(pollInterval, func() {
-			for _, w := range workers {
-				w.depthQ.Observe(int64(len(w.ch)))
-			}
-		})
-	}
 	return e
+}
+
+// now reads the clock for a blocked interval, only while the engine's
+// scope records.
+func (e *Engine) now() time.Time {
+	if !e.timed {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// block charges the interval since t0 (from now) to sp.
+func block(sp *obs.Span, t0 time.Time) {
+	if !t0.IsZero() {
+		sp.Block(time.Since(t0))
+	}
 }
 
 // Builder returns the dependence state the engine drives.  Read,
@@ -227,11 +212,10 @@ func (e *Engine) ctxCoords(coords []int64) []int64 {
 	return b.coords[off : off+len(coords)]
 }
 
-// OnInstrBatch implements core.BatchSink.  No sampler transitions here:
-// the sequencer actor stays "running" across sink calls (VM execution
-// between batches is serial-stage work too) and only the blocking
-// points in dispatch/drain transition, keeping the sampled path far off
-// the per-event hot loop.
+// OnInstrBatch implements core.BatchSink.  No clock reads here: the
+// sequencer counts as running across sink calls (VM execution between
+// batches is serial-stage work too); only its blocking points in
+// dispatch, Flush and drain are timed, far off the per-event hot loop.
 func (e *Engine) OnInstrBatch(ctxKey string, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr) {
 	cc := e.ctxCoords(coords)
 	for i := range evs {
@@ -280,12 +264,9 @@ func (e *Engine) dispatch() {
 		// ones (the freshly shipped batch counts).
 		sc.Observe("parddg.batch.queue_depth", uint64(e.allocated-len(e.free)))
 	}
-	e.inflight.Observe(int64(e.allocated - len(e.free)))
-	e.seqAct.Transition(sampler.BlockedSend)
 	for _, ch := range e.chans {
 		ch <- b
 	}
-	e.seqAct.Transition(sampler.Running)
 	select {
 	case nb := <-e.free:
 		e.cur = nb
@@ -296,9 +277,9 @@ func (e *Engine) dispatch() {
 		} else {
 			// Pipeline backpressure: every allocated batch is still in
 			// flight, so the sequencer stalls on the free list.
-			e.seqAct.Transition(sampler.BlockedRecv)
+			t0 := e.now()
 			e.cur = <-e.free
-			e.seqAct.Transition(sampler.Running)
+			block(e.root, t0)
 		}
 	}
 }
@@ -325,12 +306,11 @@ func (e *Engine) drain() {
 	for _, ch := range e.chans {
 		close(ch)
 	}
-	e.seqAct.Transition(sampler.BlockedRecv)
+	t0 := e.now()
 	e.workerJoin.Wait()
-	e.seqAct.Transition(sampler.Idle)
-	e.smp.StopPoll()
+	block(e.root, t0)
 	for _, w := range e.workers {
-		w.sp.End()
+		e.recs = append(e.recs, w.sp.End())
 	}
 }
 
@@ -340,43 +320,44 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 		return nil, fmt.Errorf("parddg: engine already finished")
 	}
 	e.drain()
-	e.mergeAct.Transition(sampler.Running)
+	g, err := e.merge()
+	if err != nil {
+		e.fail(err)
+	} else {
+		e.root.AddEvents(g.TotalOps)
+	}
+	e.end(err)
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// merge runs the builder's merge under the merge actor's span.
+func (e *Engine) merge() (*ddg.Graph, error) {
+	sp := e.sc.StartSpan("ddg-merge")
+	defer func() { e.recs = append(e.recs, sp.End()) }()
 	if err := mergeFault.Hit(); err != nil {
 		e.fail(fmt.Errorf("parddg: merge: %w", err))
 	}
 	if e.failed.Load() {
-		return nil, e.finishFail(e.failure())
+		err := e.failure()
+		sp.Fail(err)
+		return nil, err
 	}
 	g, err := e.b.FinishChecked()
-	if err != nil {
-		e.fail(err)
-		return nil, e.finishFail(err)
-	}
-	e.mergeAct.Transition(sampler.Idle)
-	e.finishSampling()
-	e.root.AddEvents(g.TotalOps)
-	e.root.End()
-	e.finished = true
-	return g, nil
+	sp.Fail(err)
+	return g, err
 }
 
-func (e *Engine) finishFail(err error) error {
-	e.finishSampling()
+// end closes the engine root with err's status and, while the scope
+// records, publishes the run's diagnosis.
+func (e *Engine) end(err error) {
 	e.root.Fail(err)
-	e.root.End()
+	e.recs = append(e.recs, e.root.End())
 	e.finished = true
-	return err
-}
-
-// finishSampling closes the utilization timelines and publishes the
-// diagnosis headline metrics; safe to call on every exit path.
-func (e *Engine) finishSampling() {
-	if e.smp == nil {
-		return
-	}
-	e.smp.Finish()
-	if rep := e.smp.Report(); rep != nil {
-		rep.Publish(e.obs)
+	if e.timed {
+		Diagnose(e.recs).Publish(e.obs)
 	}
 }
 
@@ -390,7 +371,6 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.drain()
 	if !e.finished {
-		e.finishSampling()
-		e.root.End()
+		e.end(nil)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/sampler"
 )
 
 // worker is one shard: it runs partition id of the builder over every
@@ -13,25 +12,16 @@ type worker struct {
 	e  *Engine
 	id int
 	ch chan *batch
-	sp *obs.Span
-
-	// Utilization sampling handles (nil without an attached sampler).
-	act    *sampler.Actor
-	depthQ *sampler.Queue
+	sp *obs.Span // the shard actor: blocked on its channel or the barrier
 }
 
 func newWorker(e *Engine, id int) *worker {
-	w := &worker{
+	return &worker{
 		e:  e,
 		id: id,
 		ch: make(chan *batch, maxInflight),
 		sp: e.sc.StartSpan(fmt.Sprintf("ddg.shard.%d", id)),
 	}
-	if e.smp != nil {
-		w.act = e.smp.Actor(fmt.Sprintf("shard-%d", id), sampler.RoleShard)
-		w.depthQ = e.smp.Queue(fmt.Sprintf("parddg.shard.%d.backlog", id))
-	}
-	return w
 }
 
 // process runs both steps of one batch.  Every worker calls Done
@@ -48,9 +38,9 @@ func (w *worker) process(b *batch) {
 	b.wg.Done()
 	// The stage barrier is upstream waiting: this shard cannot fold
 	// until every shard has resolved its memory events.
-	w.act.Transition(sampler.BlockedRecv)
+	t0 := e.now()
 	b.wg.Wait()
-	w.act.Transition(sampler.Running)
+	block(w.sp, t0)
 	if !e.failed.Load() {
 		w.run("fold", func() { e.b.Fold(w.id, b.events, b.regs.List, b.mem) })
 	}

@@ -262,7 +262,7 @@ func TestChaosClientDisconnectCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec := workloads.ByName("example1")
-	resp := s.runProfile(ctx, "req-cancel", *spec, false, false)
+	resp := s.runProfile(ctx, "req-cancel", *spec, false)
 	if resp.Status != "canceled" {
 		t.Fatalf("status = %q (%s), want canceled", resp.Status, resp.Error)
 	}

@@ -372,3 +372,64 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 		t.Fatalf("slow-job bundle names job %q, want %q", slow.Job, sum.ID)
 	}
 }
+
+// TestParallelDiagnosisInBundleAndMetrics: a parallel profile request's
+// diagnosis, read from its spans, lands in the next flight bundle, and
+// the engine's gauges reach /metrics with no wiring in the handler.
+func TestParallelDiagnosisInBundleAndMetrics(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	_, ts, dir := newFlightServer(t, Options{ParallelDDG: 2})
+	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile = %d: %s", resp.StatusCode, body)
+	}
+	if err := faultinject.ArmString("serve.handler=panic:diag:1"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("faulted profile = %d, want 500: %s", resp.StatusCode, body)
+	}
+	infos := waitBundles(t, dir, 1)
+	resp, body := get(t, ts, "/v1/flight/"+infos[0].ID)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/flight/{id} = %d: %s", resp.StatusCode, body)
+	}
+	var b flight.Bundle
+	if err := json.Unmarshal(body, &b); err != nil {
+		t.Fatal(err)
+	}
+	var diag struct {
+		Shards int `json:"shards"`
+	}
+	if err := json.Unmarshal(b.Diagnosis, &diag); err != nil || diag.Shards != 2 {
+		t.Fatalf("bundle sampler section = %s (%v), want the 2-shard diagnosis", b.Diagnosis, err)
+	}
+	assertParallelMetrics(t, ts)
+}
+
+// TestParallelJobMetrics: a parallel job's attempt registry carries the
+// engine's gauges into /metrics.
+func TestParallelJobMetrics(t *testing.T) {
+	_, ts, _ := newFlightServer(t, Options{ParallelDDG: 2})
+	resp, body := postJob(t, ts, "workload=example1", nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	var sum jobstore.JobSummary
+	if err := json.Unmarshal(body, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if j := waitJob(t, ts, sum.ID); j.State != jobstore.StateSucceeded {
+		t.Fatalf("job state = %s", j.State)
+	}
+	assertParallelMetrics(t, ts)
+}
+
+func assertParallelMetrics(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	for _, family := range []string{"polyprof_ddg_seq_busy_ratio_pct100", "polyprof_ddg_par_serial_frac_pct100"} {
+		if !strings.Contains(string(body), family) {
+			t.Errorf("/metrics lacks %s:\n%s", family, body)
+		}
+	}
+}

@@ -74,7 +74,7 @@ import (
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/obs/sampler"
+	"polyprof/internal/parddg"
 	"polyprof/internal/workloads"
 )
 
@@ -509,7 +509,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 		id = fmt.Sprintf("req-%d", s.reqSeq.Add(1))
 	}
 	wantTrace := req.URL.Query().Get("trace") == "1"
-	resp := s.runProfile(ctx, id, *spec, req.URL.Query().Get("metrics") == "1", wantTrace)
+	resp := s.runProfile(ctx, id, *spec, req.URL.Query().Get("metrics") == "1")
 
 	w.Header().Set("X-Request-ID", id)
 	if wantTrace {
@@ -547,7 +547,7 @@ func httpStatus(status string) int {
 // runProfile executes the pipeline for one request under its own
 // registry and budget and returns the response; the summary lands in
 // the ring and the request metrics merge into the process registry.
-func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec, wantMetrics, wantTrace bool) *ProfileResponse {
+func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec, wantMetrics bool) *ProfileResponse {
 	reqReg := obs.NewRegistry()
 	reqReg.SetEnabled(true)
 	root := reqReg.Scope().StartSpan("request:" + spec.Name)
@@ -556,19 +556,9 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 	resp := &ProfileResponse{RequestID: id, Workload: spec.Name, Status: "ok", SpanID: root.ID()}
 	start := time.Now()
 
-	// Parallel runs carry the utilization sampler: its headline gauges
-	// land in the request registry (merged into /metrics below), and a
-	// ?trace=1 request additionally gets the per-actor state timelines
-	// as Perfetto tracks.
-	var smp *sampler.Sampler
-	if s.opts.ParallelDDG > 0 {
-		smp = sampler.New()
-		smp.SetEnabled(true)
-	}
-
 	flight.LogEvent(flight.Event{Kind: "request", Name: "profile:" + spec.Name, Trace: id, Detail: "start"})
 	bud := budget.New(ctx, s.opts.Limits)
-	if err := s.runPipeline(bud, sc, root, spec, smp, resp); err != nil {
+	if err := s.runPipeline(bud, sc, root, spec, resp); err != nil {
 		resp.Error = err.Error()
 		root.Fail(err)
 		if resp.Status == "ok" { // not already "panic"
@@ -578,21 +568,18 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 	root.End()
 	resp.WallNS = int64(time.Since(start))
 	resp.Spans = reqReg.Spans()
-	if smp != nil {
-		// The sampler's diagnosis rides along in any later flight bundle,
-		// and its headline lands in the ring.
-		rep := smp.Report()
+	if rep := parddg.Diagnose(resp.Spans); rep != nil {
+		// A parallel run's diagnosis rides along in any later flight
+		// bundle, and its headline lands in the ring.  The engine has
+		// already published its gauges into the request registry.
 		if data, err := json.Marshal(rep); err == nil {
 			flight.Default.SetDiagnosis(data)
 		}
 		flight.LogEvent(flight.Event{
-			Kind: "sampler", Name: "parddg", Trace: id,
+			Kind: "diagnosis", Name: "parddg", Trace: id,
 			Detail: fmt.Sprintf("serial_frac=%.2f dominant=%s", rep.SerialFrac, rep.Dominant),
 			WallNS: rep.CriticalPathNS,
 		})
-	}
-	if smp != nil && wantTrace {
-		resp.Spans = append(resp.Spans, smp.TimelineSpans()...)
 	}
 	if wantMetrics {
 		snap := reqReg.Snapshot()
@@ -669,7 +656,7 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 // here — the injected serve.handler fault, a hostile workload slipping
 // past a stage's own recovery — becomes a "panic" response instead of
 // killing the daemon.
-func (s *Server) runPipeline(bud *budget.Budget, sc obs.Scope, root *obs.Span, spec workloads.Spec, smp *sampler.Sampler, resp *ProfileResponse) (err error) {
+func (s *Server) runPipeline(bud *budget.Budget, sc obs.Scope, root *obs.Span, spec workloads.Spec, resp *ProfileResponse) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -691,7 +678,6 @@ func (s *Server) runPipeline(bud *budget.Budget, sc obs.Scope, root *obs.Span, s
 	opts.Obs = sc
 	opts.Budget = bud
 	opts.ParallelDDG = s.opts.ParallelDDG
-	opts.Sampler = smp
 	p, err := core.Run(prog, opts)
 	if err != nil {
 		return err

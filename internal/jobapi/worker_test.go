@@ -138,6 +138,98 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLocalAndRemoteTraceKindsMatch: one job lifecycle for every kind
+// of worker — a job run by a coordinator's local slot and the same job
+// run by a remote worker leave the same sequence of lifecycle trace
+// event kinds (intake, WAL append, queue wait, lease, stages, complete).
+func TestLocalAndRemoteTraceKindsMatch(t *testing.T) {
+	local, err := serve.New(serve.Options{DataDir: t.TempDir(), Workers: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	lts := httptest.NewServer(local.Handler())
+	t.Cleanup(lts.Close)
+	rts := startCoordinator(t, serve.Options{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	w := jobapi.NewWorker(jobapi.WorkerOptions{
+		Coordinator: rts.URL, Name: "remote", Slots: 1, Poll: 25 * time.Millisecond,
+		Exec: jobexec.Options{Timeout: 30 * time.Second}, Logf: t.Logf,
+	})
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	kinds := func(j *jobstore.Job) []string {
+		var out []string
+		for _, ev := range j.Trace {
+			out = append(out, ev.Event)
+		}
+		return out
+	}
+	for _, name := range []string{"example1", "example2", "backprop"} {
+		query := "workload=" + name + "&nocache=1"
+		lj := waitState(t, lts, submitWorkload(t, lts, query), jobstore.StateSucceeded, 30*time.Second)
+		rj := waitState(t, rts, submitWorkload(t, rts, query), jobstore.StateSucceeded, 30*time.Second)
+		lk, rk := kinds(lj), kinds(rj)
+		if strings.Join(lk, " ") != strings.Join(rk, " ") {
+			t.Fatalf("%s: trace kinds differ\nlocal:  %v\nremote: %v", name, lk, rk)
+		}
+		if lj.Lease != nil || rj.Lease != nil {
+			t.Fatalf("%s: terminal job still shows a lease", name)
+		}
+	}
+}
+
+// TestWorkerAndLocalPoolShareQueue: a coordinator's local slots and a
+// remote worker claim from one queue at the same time; every job runs
+// exactly once, through one lease per attempt, to the same report.
+func TestWorkerAndLocalPoolShareQueue(t *testing.T) {
+	s, err := serve.New(serve.Options{DataDir: t.TempDir(), Workers: 2, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	w := jobapi.NewWorker(jobapi.WorkerOptions{
+		Coordinator: ts.URL, Name: "remote", Slots: 2, Poll: 5 * time.Millisecond,
+		Exec: jobexec.Options{Timeout: 30 * time.Second}, Logf: t.Logf,
+	})
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	var ids []string
+	for i := 0; i < 12; i++ {
+		ids = append(ids, submitWorkload(t, ts, "workload=example1&nocache=1"))
+	}
+	var report string
+	for _, id := range ids {
+		j := waitState(t, ts, id, jobstore.StateSucceeded, 30*time.Second)
+		if j.Attempts != 1 {
+			t.Fatalf("job %s took %d attempts", id, j.Attempts)
+		}
+		leases := 0
+		for _, ev := range j.Trace {
+			if ev.Event == jobstore.TraceLease {
+				leases++
+			}
+		}
+		if leases != 1 {
+			t.Fatalf("job %s was leased %d times: %+v", id, leases, j.Trace)
+		}
+		if report == "" {
+			report = string(j.Result.Report)
+		} else if string(j.Result.Report) != report {
+			t.Fatalf("job %s report differs", id)
+		}
+	}
+}
+
 // TestWorkerHeartbeatPartitionZombie: a worker whose heartbeats are
 // partitioned loses its lease to the reclaimer mid-attempt; its late
 // result post is fenced (no double-completion), and the re-queued job

@@ -17,7 +17,7 @@ func deterministicReport(j *Job) string {
 	return fmt.Sprintf(`{"workload":%q,"len":%d}`, j.Workload, len(j.Workload))
 }
 
-func chaosRunner(_ context.Context, job *Job, attempt int) (*Result, error) {
+func chaosRunner(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 	return &Result{Status: "ok", Report: []byte(deterministicReport(job))}, nil
 }
 
@@ -37,7 +37,7 @@ func chaosSubmit(t *testing.T, s *Store, p *Pool) (id string) {
 		t.Logf("submit rejected (injected): %v", err)
 		return ""
 	}
-	p.Enqueue(j.ID, time.Time{})
+	p.Wake(time.Time{})
 	return j.ID
 }
 
@@ -85,13 +85,13 @@ func TestChaosEveryJobstoreFaultPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s, recovered := open()
+		s, _ := open()
 		pool := NewPool(s, chaosRunner, PoolOptions{
 			Workers: 2, MaxAttempts: 10,
 			BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
 			Registry: obs.NewRegistry(), Logf: t.Logf,
 		})
-		pool.Start(recovered)
+		pool.Start()
 
 		if id := chaosSubmit(t, s, pool); id != "" {
 			acked[id] = true
@@ -122,14 +122,14 @@ func TestChaosEveryJobstoreFaultPoint(t *testing.T) {
 	}
 
 	// Final recovery: reopen cleanly and drain everything.
-	s, recovered := open()
+	s, _ := open()
 	defer s.Close()
 	pool := NewPool(s, chaosRunner, PoolOptions{
 		Workers: 2, MaxAttempts: 10,
 		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
 		Registry: obs.NewRegistry(), Logf: t.Logf,
 	})
-	pool.Start(recovered)
+	pool.Start()
 	defer pool.Stop()
 
 	if len(acked) == 0 {

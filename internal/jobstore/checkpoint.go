@@ -25,42 +25,24 @@ type JobCheckpoint struct {
 	Data []byte `json:"data"`
 }
 
-// SaveCheckpoint commits a streaming epoch checkpoint for a running
-// job.  When it returns nil the record is fsynced — the epoch is
-// committed, and a SIGKILL'd or lease-reclaimed attempt will resume
-// from it.  A checkpoint too large for one WAL record is skipped with
-// a warning (resume then falls back to the previous committed epoch —
-// strictly a performance loss, never a correctness one).
-func (s *Store) SaveCheckpoint(ck *JobCheckpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveCheckpointLocked(ck)
-}
-
-// SaveLeasedCheckpoint is SaveCheckpoint under a fencing token: the
-// remote-worker path.  A worker whose lease was reclaimed (or whose
-// job already completed elsewhere) gets ErrFenced and must abandon the
-// attempt — its stale epochs never overwrite the current owner's.
+// SaveLeasedCheckpoint commits a streaming epoch checkpoint for the
+// attempt holding the job's lease — a local slot or a remote worker.
+// When it returns nil the record is fsynced: the epoch is committed,
+// and a SIGKILL'd or lease-reclaimed attempt will resume from it.  A
+// holder whose lease was reclaimed (or whose job already completed
+// elsewhere) gets ErrFenced and must abandon the attempt — its stale
+// epochs never overwrite the current owner's.  A checkpoint too large
+// for one WAL record is skipped with a warning (resume then falls back
+// to the previous committed epoch — strictly a performance loss, never
+// a correctness one).
 func (s *Store) SaveLeasedCheckpoint(jobID string, token uint64, ck *JobCheckpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.fenceCheckLocked(jobID, token); err != nil {
+	j, err := s.fenceCheckLocked(jobID, token)
+	if err != nil {
 		return err
 	}
-	return s.saveCheckpointLocked(ck)
-}
-
-func (s *Store) saveCheckpointLocked(ck *JobCheckpoint) error {
-	if ck == nil || ck.JobID == "" {
-		return fmt.Errorf("jobstore: checkpoint without a job id")
-	}
-	j, ok := s.jobs[ck.JobID]
-	if !ok {
-		return fmt.Errorf("jobstore: unknown job %s", ck.JobID)
-	}
-	if j.State != StateRunning {
-		return fmt.Errorf("jobstore: job %s is %s, not running; refusing checkpoint", ck.JobID, j.State)
-	}
+	ck.JobID = jobID
 	if ck.At.IsZero() {
 		ck.At = time.Now().UTC()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestCheckpointRoundTrip: a running job's checkpoint commits, replaces
@@ -18,18 +19,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No checkpoint before the job runs, and none accepted either.
-	if err := s.SaveCheckpoint(&JobCheckpoint{JobID: j.ID, Epoch: 1, Data: []byte("x")}); err == nil {
+	if err := s.SaveLeasedCheckpoint(j.ID, s.FenceToken(), &JobCheckpoint{JobID: j.ID, Epoch: 1, Data: []byte("x")}); err == nil {
 		t.Fatal("checkpoint accepted for a queued job")
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	lease := claim(t, s, j.ID)
 	for e := uint64(1); e <= 3; e++ {
 		ck := &JobCheckpoint{
 			JobID: j.ID, Epoch: e, Events: e * 1000, Attempt: 1,
 			Data: []byte(fmt.Sprintf("ckpt-%d", e)),
 		}
-		if err := s.SaveCheckpoint(ck); err != nil {
+		if err := s.SaveLeasedCheckpoint(j.ID, lease.Token, ck); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,10 +59,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// The terminal transition clears it, durably.
-	if _, err := s3.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+	lease = claim(t, s3, j.ID)
+	if err := s3.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got = s3.LoadCheckpoint(j.ID); got != nil {
@@ -89,14 +86,12 @@ func TestCheckpointOversizeSkipped(t *testing.T) {
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveCheckpoint(&JobCheckpoint{JobID: j.ID, Epoch: 1, Data: []byte("small")}); err != nil {
+	lease := claim(t, s, j.ID)
+	if err := s.SaveLeasedCheckpoint(j.ID, lease.Token, &JobCheckpoint{JobID: j.ID, Epoch: 1, Data: []byte("small")}); err != nil {
 		t.Fatal(err)
 	}
 	huge := &JobCheckpoint{JobID: j.ID, Epoch: 2, Data: make([]byte, MaxWALRecord+1)}
-	if err := s.SaveCheckpoint(huge); err != nil {
+	if err := s.SaveLeasedCheckpoint(j.ID, lease.Token, huge); err != nil {
 		t.Fatalf("oversize checkpoint should skip, not fail: %v", err)
 	}
 	if got := s.LoadCheckpoint(j.ID); got == nil || got.Epoch != 1 {
@@ -114,10 +109,8 @@ func TestNoteCacheHitOnTerminalJob(t *testing.T) {
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+	lease := claim(t, s, j.ID)
+	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.NoteCacheHit(j.ID, "duplicate submission job-99")
@@ -163,10 +156,8 @@ func TestListPage(t *testing.T) {
 	}
 	// Make two of them succeed so the state filter has something to do.
 	for _, id := range ids[:2] {
-		if _, err := s.Start(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Complete(id, &Result{Status: "ok"}); err != nil {
+		lease := claim(t, s, id)
+		if err := s.CompleteLease(id, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,5 +178,80 @@ func TestListPage(t *testing.T) {
 	}
 	if page, total = s.ListPage("", 0, 0); total != 7 || len(page) != 7 {
 		t.Fatalf("page(unlimited): total=%d len=%d", total, len(page))
+	}
+}
+
+// TestCheckpointClearedOnLeasedTerminal: every terminal transition of a
+// leased job drops its checkpoint — a remote worker's completion and a
+// quarantine alike — and the drop holds across a snapshot and reopen.
+func TestCheckpointClearedOnLeasedTerminal(t *testing.T) {
+	for _, end := range []string{"complete", "quarantine"} {
+		t.Run(end, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := testOpen(t, dir)
+			j := &Job{Kind: KindWorkload, Workload: "example1", EpochEvents: 1000}
+			if err := s.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+			lease, _, err := s.AcquireLease("w1", time.Minute, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveLeasedCheckpoint(j.ID, lease.Token, &JobCheckpoint{Epoch: 1, Events: 1000, Data: []byte("ckpt-1")}); err != nil {
+				t.Fatal(err)
+			}
+			if s.LoadCheckpoint(j.ID) == nil {
+				t.Fatal("checkpoint not committed")
+			}
+			if end == "complete" {
+				err = s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil)
+			} else {
+				_, err = leasePool(t, s, 3).Fail(j.ID, lease.Token, &JobError{Message: "bad program", Terminal: true}, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck := s.LoadCheckpoint(j.ID); ck != nil {
+				t.Fatalf("checkpoint survived %s: %+v", end, ck)
+			}
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			s2, _ := testOpen(t, dir)
+			defer s2.Close()
+			if ck := s2.LoadCheckpoint(j.ID); ck != nil {
+				t.Fatalf("checkpoint resurrected after snapshot and reopen: %+v", ck)
+			}
+		})
+	}
+}
+
+// TestSnapshotDropsDeadCheckpoints: a snapshot that still carries the
+// checkpoint of a terminal job (written before terminal transitions
+// cleared it) loses it on open, by the same rule WAL replay applies.
+func TestSnapshotDropsDeadCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := testOpen(t, dir)
+	j := &Job{Kind: KindWorkload, Workload: "example1", EpochEvents: 1000}
+	if err := s.Submit(j); err != nil {
+		t.Fatal(err)
+	}
+	lease := claim(t, s, j.ID)
+	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Plant the leak the way older stores left it, then compact it
+	// into the snapshot.
+	s.mu.Lock()
+	s.ckpts[j.ID] = &JobCheckpoint{JobID: j.ID, Epoch: 1, Data: []byte("dead")}
+	s.mu.Unlock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := testOpen(t, dir)
+	defer s2.Close()
+	if ck := s2.LoadCheckpoint(j.ID); ck != nil {
+		t.Fatalf("dead checkpoint loaded from the snapshot: %+v", ck)
 	}
 }

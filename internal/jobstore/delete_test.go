@@ -23,13 +23,11 @@ func TestDeleteTerminalOnly(t *testing.T) {
 	if err := s.Delete(j.ID); !errors.Is(err, ErrJobActive) {
 		t.Fatalf("delete queued = %v, want ErrJobActive", err)
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	lease := claim(t, s, j.ID)
 	if err := s.Delete(j.ID); !errors.Is(err, ErrJobActive) {
 		t.Fatalf("delete running = %v, want ErrJobActive", err)
 	}
-	if err := s.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(j.ID); err != nil {
@@ -64,10 +62,8 @@ func TestDeleteSurvivesReplay(t *testing.T) {
 		if err := s1.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s1.Start(j.ID); err != nil {
-			t.Fatal(err)
-		}
-		if err := s1.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+		lease := claim(t, s1, j.ID)
+		if err := s1.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,10 +118,8 @@ func TestExpireBefore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if finish {
-			if _, err := s.Start(j.ID); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+			lease := claim(t, s, j.ID)
+			if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,20 +163,18 @@ func TestPoolTTLSweeper(t *testing.T) {
 	if err := s.Submit(done); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Start(done.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Complete(done.ID, &Result{Status: "ok"}); err != nil {
+	lease := claim(t, s, done.ID)
+	if err := s.CompleteLease(done.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
 	s.jobs[done.ID].FinishedAt = time.Now().UTC().Add(-time.Hour)
 	s.mu.Unlock()
 
-	p := NewPool(s, func(ctx context.Context, job *Job, attempt int) (*Result, error) {
+	p := NewPool(s, func(ctx context.Context, job *Job, _ *Lease) (*Result, error) {
 		return &Result{Status: "ok"}, nil
 	}, PoolOptions{TTL: time.Minute})
-	p.Start(nil)
+	p.Start()
 	defer p.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -108,9 +108,10 @@ type Job struct {
 	// different jobs.
 	Optimize bool `json:"optimize,omitempty"`
 
-	// Lease is the volatile view of the job's outstanding remote lease
-	// (worker, attempt, expiry — never the fencing token).  Like
-	// Progress it is filled into Get clones and never persisted.
+	// Lease is the volatile view of the job's outstanding lease
+	// (worker, attempt, expiry — never the fencing token); a pool slot's
+	// lease names worker "local" and never expires.  Like Progress it
+	// is filled into Get clones and never persisted.
 	Lease *LeaseView `json:"lease,omitempty"`
 
 	SubmittedAt time.Time `json:"submitted_at"`

@@ -6,30 +6,37 @@ import (
 	"time"
 )
 
-// Leases are how remote, stateless workers claim work from the
-// coordinator's store.  A lease is (job id, attempt, fencing token,
-// TTL): the worker heartbeats to extend the TTL while its attempt
-// runs and posts the terminal result under the token.  The store's
-// reclaimer re-queues any job whose lease expires — the worker was
-// killed, partitioned away, or wedged — and the fencing token makes a
-// zombie's late heartbeat or result a structured rejection instead of
-// a double-completion:
+// Every attempt runs under a lease, whoever runs it: the pool's own
+// slots and remote, stateless workers claim work the same way.  A
+// lease is (job id, attempt, fencing token, TTL).  A remote worker
+// heartbeats to extend the TTL while its attempt runs and posts the
+// terminal result under the token.  The pool's reclaimer resolves any
+// lease whose TTL passes (the worker was killed, partitioned away, or
+// wedged), and the fencing token makes a zombie's late heartbeat or
+// result a structured rejection instead of a double-completion:
 //
 //   - Tokens are issued from a store-wide monotonic counter that is
 //     WAL-persisted (and snapshot-carried), so a token granted after a
 //     coordinator restart is always greater than any granted before.
-//   - Only the exact token of the job's *current* lease may renew or
-//     complete it.  A reclaimed, restarted, or re-leased job has no
-//     lease (or a newer one), so the stale token fails with ErrFenced.
+//   - Only the exact token of the job's *current* lease may renew,
+//     checkpoint or resolve it.  A reclaimed, restarted, or re-leased
+//     job has no lease (or a newer one), so the stale token fails with
+//     ErrFenced.
 //   - The WAL's terminal-never-regresses replay invariant holds across
 //     reclaim races: a completion that reached the WAL wins; a zombie
 //     arriving later is fenced at the store boundary before any state
 //     transition is attempted.
 //
-// Leases are deliberately volatile: a coordinator restart invalidates
-// every outstanding lease (replay re-queues the leased jobs), which is
-// exactly the safe direction — the attempts re-run, and the pipeline's
-// determinism makes the re-run's report bit-identical.
+// A lease granted with TTL 0 never expires: that is how the pool's own
+// slots claim.  Nothing can outlive such a lease's holder, because
+// leases are volatile — a restart voids every one of them (replay
+// re-queues the leased jobs), which is the safe direction: the
+// attempts re-run, and the pipeline's determinism makes the re-run's
+// report bit-identical.
+//
+// The store applies outcomes; it decides none.  Whether a failed
+// attempt retries or quarantines, and after which backoff, is
+// Pool.Fail's call.
 
 // Lease is one granted claim on a job.  The Token is the fencing
 // token: every state-changing call on the lease must present it.
@@ -42,9 +49,10 @@ type Lease struct {
 	TTL       time.Duration `json:"ttl_ns"`
 }
 
-// LeaseView is the volatile lease info filled into Get/List clones of
-// a remotely running job — everything but the fencing token, which
-// only the granted worker may hold.
+// LeaseView is the volatile lease info filled into Get clones of a
+// running job — everything but the fencing token, which only the
+// lease holder may hold.  ExpiresAt is zero for a lease of the pool's
+// own slots, which never expires.
 type LeaseView struct {
 	Worker    string    `json:"worker,omitempty"`
 	Attempt   int       `json:"attempt"`
@@ -76,59 +84,71 @@ func ClampLeaseTTL(req, def time.Duration) time.Duration {
 // Lease error taxonomy, classified so the serving layer can map them
 // to HTTP: no ready job → 204, fenced (stale token, reclaimed lease,
 // already-terminal job) → 409, job deleted/unknown → 410.
+// ErrAttemptsSpent never leaves the pool (see AcquireLease).
 var (
-	ErrNoReadyJob = errors.New("no ready job")
-	ErrFenced     = errors.New("fenced")
-	ErrLeaseGone  = errors.New("job gone")
+	ErrNoReadyJob    = errors.New("no ready job")
+	ErrFenced        = errors.New("fenced")
+	ErrLeaseGone     = errors.New("job gone")
+	ErrAttemptsSpent = errors.New("attempt budget spent")
 )
 
-// AcquireLease claims the oldest ready queued job for worker: the job
-// transitions to running (attempt counter incremented and persisted,
-// exactly like a local Start) and a lease with a fresh fencing token
-// is granted for ttl.  Jobs whose persisted attempt counter already
-// reached maxAttempts are quarantined during the scan instead of being
-// handed out — the remote twin of the pool's crash-loop guard.  When
-// no queued job is ready it returns ErrNoReadyJob.
+// AcquireLease claims the oldest ready job for worker — queued, its
+// NextRunAt passed, in submission order — under a lease with a fresh
+// fencing token.  The job transitions to running with its attempt
+// counter incremented and persisted, and the grant records the job's
+// queue wait.  ttl 0 grants a lease that never expires (the pool's own
+// slots).
+//
+// A ready job whose attempt counter already reached maxAttempts is
+// leased without starting another attempt and returned with
+// ErrAttemptsSpent: its attempts were cut short by process deaths
+// (every other failed attempt is resolved by Pool.Fail), and the
+// caller must resolve the lease with FailLease instead of running it.
+// When no queued job is ready it returns ErrNoReadyJob.
 func (s *Store) AcquireLease(worker string, ttl time.Duration, maxAttempts int) (*Lease, *Job, error) {
 	now := time.Now().UTC()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range s.order {
 		j := s.jobs[id]
-		if j.State != StateQueued || (!j.NextRunAt.IsZero() && j.NextRunAt.After(now)) {
+		if j.State != StateQueued || j.NextRunAt.After(now) {
 			continue
 		}
-		if maxAttempts > 0 && j.Attempts >= maxAttempts {
-			s.quarantineLocked(j, &JobError{
-				Message:  fmt.Sprintf("quarantined after %d crash-interrupted attempts", j.Attempts),
-				Terminal: true,
-				Attempt:  j.Attempts,
-			})
-			continue
+		if j.Attempts >= maxAttempts {
+			j.State = StateRunning
+			return s.leaseLocked(j, worker, ttl, now), j.Clone(), ErrAttemptsSpent
 		}
 		return s.grantLocked(j, worker, ttl, now)
 	}
 	return nil, nil, ErrNoReadyJob
 }
 
-// grantLocked issues the lease: queued → running with a fresh fencing
-// token, WAL-persisted like Start (best-effort: losing the record
-// replays the job as queued, which only re-runs it).
+// grantLocked starts the job's next attempt under a new lease, WAL-
+// persisted best-effort: losing the record replays the job as queued,
+// which only re-runs it.
 func (s *Store) grantLocked(j *Job, worker string, ttl time.Duration, now time.Time) (*Lease, *Job, error) {
-	s.fence++
+	// Queue wait: from when the job last became eligible — submission,
+	// the scheduled retry time, or its latest lifecycle event (a retry
+	// without backoff), whichever is latest.
+	base := j.SubmittedAt
+	if j.NextRunAt.After(base) {
+		base = j.NextRunAt
+	}
+	if n := len(j.Trace); n > 0 && j.Trace[n-1].At.After(base) {
+		base = j.Trace[n-1].At
+	}
 	j.State = StateRunning
 	j.Attempts++
 	j.StartedAt = now
 	j.NextRunAt = time.Time{}
-	lease := &Lease{
-		JobID: j.ID, Attempt: j.Attempts, Token: s.fence,
-		Worker: worker, ExpiresAt: now.Add(ttl), TTL: ttl,
+	lease := s.leaseLocked(j, worker, ttl, now)
+	detail := fmt.Sprintf("worker %s token %d", worker, lease.Token)
+	if ttl > 0 {
+		detail += " ttl " + ttl.String()
 	}
-	s.leases[j.ID] = lease
-	evs := traceAppend(j, TraceEvent{
-		At: now, Event: TraceLease, Attempt: j.Attempts,
-		Detail: fmt.Sprintf("worker %s token %d ttl %s", worker, lease.Token, ttl),
-	})
+	evs := traceAppend(j,
+		TraceEvent{At: now, Event: TraceQueueWait, Attempt: j.Attempts, WallNS: int64(max(now.Sub(base), 0))},
+		TraceEvent{At: now, Event: TraceLease, Attempt: j.Attempts, Detail: detail})
 	if werr := s.appendLocked(record{
 		T: "state", ID: j.ID, State: StateRunning, Attempts: j.Attempts, At: now,
 		Fence: lease.Token, Worker: worker, TraceEvents: evs,
@@ -137,7 +157,19 @@ func (s *Store) grantLocked(j *Job, worker string, ttl time.Duration, now time.T
 	}
 	s.reg.Add("jobs.leases.granted", 1)
 	s.publishGauges()
-	return cloneLease(lease), j.Clone(), nil
+	return lease, j.Clone(), nil
+}
+
+// leaseLocked registers a lease on the job's current attempt and
+// returns a copy for the holder.
+func (s *Store) leaseLocked(j *Job, worker string, ttl time.Duration, now time.Time) *Lease {
+	s.fence++
+	ls := &Lease{JobID: j.ID, Attempt: j.Attempts, Token: s.fence, Worker: worker, TTL: ttl}
+	if ttl > 0 {
+		ls.ExpiresAt = now.Add(ttl)
+	}
+	s.leases[j.ID] = ls
+	return cloneLease(ls)
 }
 
 // RenewLease extends the lease's TTL (a worker heartbeat).  Fencing:
@@ -164,10 +196,12 @@ func (s *Store) RenewLease(jobID string, token uint64, ttl time.Duration) (*Leas
 
 // CompleteLease marks a leased job succeeded under its fencing token,
 // first appending the trace events the worker shipped with the result
-// (pipeline stages observed on the remote node).  A stale token —
-// the lease was reclaimed, the coordinator restarted, or another
-// worker re-ran the job to completion — fails with ErrFenced and the
-// job is untouched: terminal-never-regresses holds across nodes.
+// (pipeline stages observed on a remote node).  When it returns nil
+// the completion record is fsynced: a restart serves the result from
+// disk and never re-runs the job.  A stale token — the lease was
+// reclaimed, the coordinator restarted, or another worker re-ran the
+// job to completion — fails with ErrFenced and the job is untouched:
+// terminal-never-regresses holds across nodes.
 func (s *Store) CompleteLease(jobID string, token uint64, res *Result, evs []TraceEvent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -183,8 +217,8 @@ func (s *Store) CompleteLease(jobID string, token uint64, res *Result, evs []Tra
 	if err := s.appendLocked(record{
 		T: "state", ID: jobID, State: StateSucceeded, At: now, Result: res, TraceEvents: traced,
 	}); err != nil {
-		// Not durable: keep the lease so the worker can retry the post,
-		// and roll the trace back to match disk.
+		// Not durable: keep the lease so the holder can retry or fail
+		// the attempt, and roll the trace back to match disk.
 		j.Trace = j.Trace[:len(j.Trace)-len(traced)]
 		return err
 	}
@@ -197,44 +231,48 @@ func (s *Store) CompleteLease(jobID string, token uint64, res *Result, evs []Tra
 		s.cache[j.CacheKey] = j.ID
 	}
 	delete(s.live, jobID)
+	delete(s.ckpts, jobID)
 	s.reg.Add("jobs.completed", 1)
 	s.publishGauges()
 	return nil
 }
 
-// FailLease resolves a failed remote attempt under its fencing token,
-// first appending the trace events the worker shipped (stages the
-// attempt reached before dying): terminal errors (and exhausted
-// attempt budgets) quarantine the job, anything else re-queues it for
-// nextRun.  It returns whether the job was re-queued so the caller can
-// wake local workers.
-func (s *Store) FailLease(jobID string, token uint64, jerr *JobError, evs []TraceEvent, maxAttempts int, nextRun time.Time) (requeued bool, err error) {
+// FailLease applies Pool.Fail's verdict on a failed attempt under its
+// fencing token.  The trace events the worker shipped (stages the
+// attempt reached before failing) are appended first; then a terminal
+// jerr quarantines the job and any other re-queues it for nextRun.
+// Persistence is best-effort: losing the record replays the job as
+// running, which re-queues it.
+func (s *Store) FailLease(jobID string, token uint64, jerr *JobError, evs []TraceEvent, nextRun time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, err := s.fenceCheckLocked(jobID, token)
 	if err != nil {
-		return false, err
+		return err
 	}
-	traceAppend(j, evs...)
+	now := time.Now().UTC()
 	delete(s.leases, jobID)
-	if jerr != nil && jerr.Terminal {
-		s.quarantineLocked(j, jerr)
-		return false, nil
+	j.Error = jerr
+	rec := record{T: "state", ID: jobID, Attempts: j.Attempts, Error: jerr}
+	ev := TraceEvent{At: now, Attempt: j.Attempts, Detail: jerr.Message}
+	if jerr.Terminal {
+		j.State, j.FinishedAt, rec.At = StateFailed, now, now
+		ev.Event = TraceQuarantine
+		delete(s.live, jobID)
+		delete(s.ckpts, jobID)
+		s.reg.Add("jobs.quarantined", 1)
+	} else {
+		j.State, j.NextRunAt, rec.NextRunAt = StateQueued, nextRun, nextRun
+		ev.Event = TraceRetry
+		s.reg.Add("jobs.retries", 1)
 	}
-	if maxAttempts > 0 && j.Attempts >= maxAttempts {
-		q := &JobError{
-			Message:  fmt.Sprintf("quarantined after %d attempts: %s", j.Attempts, errMessage(jerr)),
-			Terminal: true,
-			Attempt:  j.Attempts,
-		}
-		if jerr != nil {
-			q.Budget, q.SpanID = jerr.Budget, jerr.SpanID
-		}
-		s.quarantineLocked(j, q)
-		return false, nil
+	rec.State = j.State
+	rec.TraceEvents = append(traceAppend(j, evs...), traceAppend(j, ev)...)
+	if werr := s.appendLocked(rec); werr != nil {
+		s.logf("jobstore: job %s: %s record not persisted (%v); continuing", jobID, ev.Event, werr)
 	}
-	s.retryLocked(j, jerr, nextRun)
-	return true, nil
+	s.publishGauges()
+	return nil
 }
 
 // fenceCheckLocked validates a lease-holding call: the job must exist
@@ -257,97 +295,42 @@ func (s *Store) fenceCheckLocked(jobID string, token uint64) (*Job, error) {
 	return j, nil
 }
 
-// Reclaimed describes one lease the reclaimer took back.
-type Reclaimed struct {
-	JobID       string
-	Worker      string
-	Attempt     int
-	Token       uint64
-	Quarantined bool
-	TraceID     string
-}
-
-// ReclaimExpired re-queues every job whose lease TTL has passed — the
-// worker was killed, partitioned, or wedged.  Jobs whose attempt
-// budget is exhausted quarantine instead.  The zombie worker's token
-// dies here: any later heartbeat or result post under it is fenced.
-func (s *Store) ReclaimExpired(now time.Time, maxAttempts int) []Reclaimed {
+// ExpiredLeases returns the leases whose TTL has passed by now, for the
+// pool's reclaimer to resolve.  Leases that never expire (the pool's
+// own slots) are the only ones skipped.
+func (s *Store) ExpiredLeases(now time.Time) []*Lease {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Reclaimed
-	for id, ls := range s.leases {
-		if ls.ExpiresAt.After(now) {
-			continue
+	var out []*Lease
+	for _, ls := range s.leases {
+		if !ls.ExpiresAt.IsZero() && !ls.ExpiresAt.After(now) {
+			out = append(out, cloneLease(ls))
 		}
-		j, ok := s.jobs[id]
-		delete(s.leases, id)
-		if !ok || j.State != StateRunning {
-			continue
-		}
-		rc := Reclaimed{JobID: id, Worker: ls.Worker, Attempt: ls.Attempt, Token: ls.Token, TraceID: j.TraceID}
-		jerr := &JobError{
-			Message: fmt.Sprintf("lease expired: worker %s silent past %s (attempt %d)",
-				ls.Worker, ls.TTL, ls.Attempt),
-			Attempt: ls.Attempt,
-		}
-		traceAppend(j, TraceEvent{
-			At: now, Event: TraceReclaim, Attempt: ls.Attempt,
-			Detail: fmt.Sprintf("worker %s token %d", ls.Worker, ls.Token),
-		})
-		if maxAttempts > 0 && j.Attempts >= maxAttempts {
-			jerr.Terminal = true
-			jerr.Message = fmt.Sprintf("quarantined after %d attempts; last: %s", j.Attempts, jerr.Message)
-			s.quarantineLocked(j, jerr)
-			rc.Quarantined = true
-		} else {
-			s.retryLocked(j, jerr, time.Time{})
-		}
-		s.reg.Add("jobs.leases.reclaimed", 1)
-		out = append(out, rc)
-	}
-	if len(out) > 0 {
-		s.publishGauges()
 	}
 	return out
 }
 
-// quarantineLocked is Quarantine's body for callers already holding
-// s.mu (lease resolution, the acquire scan's crash-loop guard).
-func (s *Store) quarantineLocked(j *Job, jerr *JobError) {
+// NextRunAt returns when the earliest queued job becomes claimable —
+// its retry time, or now once that has passed — or zero when no job is
+// queued.
+func (s *Store) NextRunAt() time.Time {
 	now := time.Now().UTC()
-	j.State = StateFailed
-	j.Error = jerr
-	j.FinishedAt = now
-	evs := traceAppend(j, TraceEvent{
-		At: now, Event: TraceQuarantine, Attempt: j.Attempts, Detail: errMessage(jerr),
-	})
-	if werr := s.appendLocked(record{
-		T: "state", ID: j.ID, State: StateFailed, Attempts: j.Attempts, At: now, Error: jerr,
-		TraceEvents: evs,
-	}); werr != nil {
-		s.logf("jobstore: job %s: quarantine record not persisted (%v); continuing", j.ID, werr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var next time.Time
+	for _, j := range s.jobs {
+		if j.State != StateQueued {
+			continue
+		}
+		at := j.NextRunAt
+		if at.Before(now) {
+			at = now
+		}
+		if next.IsZero() || at.Before(next) {
+			next = at
+		}
 	}
-	delete(s.live, j.ID)
-	s.reg.Add("jobs.quarantined", 1)
-	s.publishGauges()
-}
-
-// retryLocked is Retry's body for callers already holding s.mu.
-func (s *Store) retryLocked(j *Job, jerr *JobError, nextRun time.Time) {
-	j.State = StateQueued
-	j.Error = jerr
-	j.NextRunAt = nextRun
-	evs := traceAppend(j, TraceEvent{
-		At: time.Now().UTC(), Event: TraceRetry, Attempt: j.Attempts, Detail: errMessage(jerr),
-	})
-	if werr := s.appendLocked(record{
-		T: "state", ID: j.ID, State: StateQueued, Attempts: j.Attempts,
-		Error: jerr, NextRunAt: nextRun, TraceEvents: evs,
-	}); werr != nil {
-		s.logf("jobstore: job %s: retry record not persisted (%v); continuing", j.ID, werr)
-	}
-	s.reg.Add("jobs.retries", 1)
-	s.publishGauges()
+	return next
 }
 
 // Leases counts outstanding leases.
@@ -368,11 +351,4 @@ func (s *Store) FenceToken() uint64 {
 func cloneLease(ls *Lease) *Lease {
 	c := *ls
 	return &c
-}
-
-func errMessage(jerr *JobError) string {
-	if jerr == nil {
-		return ""
-	}
-	return jerr.Message
 }

@@ -18,6 +18,14 @@ func submitJob(t *testing.T, s *Store) *Job {
 	return j
 }
 
+// leasePool builds a pool with no slots over s, so a test drives its
+// Fail and reclaim by hand.
+func leasePool(t *testing.T, s *Store, maxAttempts int) *Pool {
+	p := fastPool(s, nil, -1, maxAttempts)
+	t.Cleanup(p.Stop)
+	return p
+}
+
 // expireLease forces the job's lease into the past so the reclaimer
 // sees it as expired without the test sleeping out a real TTL.
 func expireLease(s *Store, jobID string) {
@@ -100,10 +108,8 @@ func TestLeaseAcquireOrderAndBackoffGate(t *testing.T) {
 	j2 := submitJob(t, s)
 
 	// Push j1 into a delayed retry: it must not be claimable.
-	if _, err := s.Start(j1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Retry(j1.ID, &JobError{Message: "transient"}, time.Now().Add(time.Hour)); err != nil {
+	l1 := claim(t, s, j1.ID)
+	if err := s.FailLease(j1.ID, l1.Token, &JobError{Message: "transient"}, nil, time.Now().Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,9 +144,9 @@ func TestLeaseExpiredResultPostFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	expireLease(s, j.ID)
-	rcs := s.ReclaimExpired(time.Now().UTC(), 3)
-	if len(rcs) != 1 || rcs[0].JobID != j.ID || rcs[0].Quarantined {
-		t.Fatalf("reclaimed = %+v", rcs)
+	p := leasePool(t, s, 3)
+	if n := p.reclaim(time.Now().UTC()); n != 1 {
+		t.Fatalf("reclaimed %d leases, want 1", n)
 	}
 	if got := s.Get(j.ID); got.State != StateQueued {
 		t.Fatalf("job after reclaim = %s, want queued", got.State)
@@ -153,7 +159,7 @@ func TestLeaseExpiredResultPostFenced(t *testing.T) {
 	if got := s.Get(j.ID); got.State != StateQueued || got.Result != nil {
 		t.Fatalf("job mutated by fenced completion: %+v", got)
 	}
-	if _, err := s.FailLease(j.ID, lease.Token, &JobError{Message: "late"}, nil, 3, time.Time{}); !errors.Is(err, ErrFenced) {
+	if _, err := p.Fail(j.ID, lease.Token, &JobError{Message: "late"}, nil); !errors.Is(err, ErrFenced) {
 		t.Fatalf("zombie failure post = %v, want ErrFenced", err)
 	}
 	if n := reg.Counter("jobs.leases.fenced").Value(); n == 0 {
@@ -173,8 +179,8 @@ func TestLeaseDuplicateHeartbeatAfterReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	expireLease(s, j.ID)
-	if rcs := s.ReclaimExpired(time.Now().UTC(), 5); len(rcs) != 1 {
-		t.Fatalf("reclaimed = %+v", rcs)
+	if n := leasePool(t, s, 5).reclaim(time.Now().UTC()); n != 1 {
+		t.Fatalf("reclaimed %d leases, want 1", n)
 	}
 	if _, err := s.RenewLease(j.ID, old.Token, time.Second); !errors.Is(err, ErrFenced) {
 		t.Fatalf("zombie heartbeat = %v, want ErrFenced", err)
@@ -202,6 +208,7 @@ func TestLeaseReclaimQuarantinesAtMaxAttempts(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	j := submitJob(t, s)
+	p := leasePool(t, s, 2)
 
 	for i := 0; i < 2; i++ {
 		lease, _, err := s.AcquireLease("w1", time.Second, 2)
@@ -209,14 +216,14 @@ func TestLeaseReclaimQuarantinesAtMaxAttempts(t *testing.T) {
 			t.Fatalf("claim %d: %v", i, err)
 		}
 		expireLease(s, j.ID)
-		rcs := s.ReclaimExpired(time.Now().UTC(), 2)
-		if len(rcs) != 1 {
-			t.Fatalf("claim %d: reclaimed = %+v", i, rcs)
+		if n := p.reclaim(time.Now().UTC()); n != 1 {
+			t.Fatalf("claim %d: reclaimed %d leases, want 1", i, n)
 		}
-		if i == 0 && rcs[0].Quarantined {
+		quarantined := s.Get(j.ID).State == StateFailed
+		if i == 0 && quarantined {
 			t.Fatal("quarantined with attempts to spare")
 		}
-		if i == 1 && !rcs[0].Quarantined {
+		if i == 1 && !quarantined {
 			t.Fatal("not quarantined at max attempts")
 		}
 		_ = lease
@@ -300,7 +307,7 @@ func TestLeaseTerminalNeverRegresses(t *testing.T) {
 	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); !errors.Is(err, ErrFenced) {
 		t.Fatalf("duplicate completion = %v, want ErrFenced", err)
 	}
-	if _, err := s.FailLease(j.ID, lease.Token, &JobError{Message: "late"}, nil, 3, time.Time{}); !errors.Is(err, ErrFenced) {
+	if err := s.FailLease(j.ID, lease.Token, &JobError{Message: "late"}, nil, time.Time{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("failure after completion = %v, want ErrFenced", err)
 	}
 	if got := s.Get(j.ID); got.State != StateSucceeded {
@@ -320,9 +327,8 @@ func TestLeaseFailLeaseRetriesAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	nextRun := time.Now().UTC().Add(time.Hour)
-	requeued, err := s.FailLease(j.ID, lease.Token, &JobError{Message: "transient", Attempt: 1}, nil, 3, nextRun)
-	if err != nil || !requeued {
-		t.Fatalf("FailLease = requeued %v, err %v", requeued, err)
+	if err := s.FailLease(j.ID, lease.Token, &JobError{Message: "transient", Attempt: 1}, nil, nextRun); err != nil {
+		t.Fatalf("FailLease = %v", err)
 	}
 	got := s.Get(j.ID)
 	if got.State != StateQueued || !got.NextRunAt.Equal(nextRun) {
@@ -337,9 +343,8 @@ func TestLeaseFailLeaseRetriesAndQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requeued, err = s.FailLease(j.ID, lease.Token, &JobError{Message: "bad program", Terminal: true, Attempt: 2}, nil, 3, time.Time{})
-	if err != nil || requeued {
-		t.Fatalf("terminal FailLease = requeued %v, err %v", requeued, err)
+	if err := s.FailLease(j.ID, lease.Token, &JobError{Message: "bad program", Terminal: true, Attempt: 2}, nil, time.Time{}); err != nil {
+		t.Fatalf("terminal FailLease = %v", err)
 	}
 	if got := s.Get(j.ID); got.State != StateFailed {
 		t.Fatalf("job after terminal failure = %s", got.State)

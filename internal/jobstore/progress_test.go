@@ -35,9 +35,7 @@ func TestProgressLifecycle(t *testing.T) {
 		t.Fatalf("queued job has progress %+v", p)
 	}
 
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	claim(t, s, j.ID)
 	// Running but no registry attached yet: still no progress.
 	if p := s.Get(j.ID).Progress; p != nil {
 		t.Fatalf("untracked running job has progress %+v", p)
@@ -93,9 +91,7 @@ func TestProgressLifecycle(t *testing.T) {
 
 	// A fresh attempt attaches a fresh registry and reports again from
 	// zero; completing the job ends the live view for good.
-	if _, err := s2.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	lease := claim(t, s2, j.ID)
 	reg2, sc2 := attemptRegistry(t)
 	s2.AttachProgress(j.ID, reg2)
 	pass1 := sc2.StartSpan("pass1-structure")
@@ -103,7 +99,7 @@ func TestProgressLifecycle(t *testing.T) {
 	if p := s2.Get(j.ID).Progress; p == nil || p.Stage != "pass1-structure" || p.Events != 0 {
 		t.Fatalf("second-attempt progress = %+v", p)
 	}
-	if err := s2.Complete(j.ID, &Result{}); err != nil {
+	if err := s2.CompleteLease(j.ID, lease.Token, &Result{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p := s2.Get(j.ID).Progress; p != nil {

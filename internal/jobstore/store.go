@@ -43,8 +43,9 @@ type record struct {
 	TraceEvents []TraceEvent `json:"trace,omitempty"`
 	// Fence is the fencing token granted with a lease transition
 	// (T == "state" into running via AcquireLease); replay folds the
-	// maximum so tokens stay monotonic across restarts.  Worker names
-	// the node the lease went to (diagnostics only).
+	// maximum so tokens stay monotonic across restarts.  Records written
+	// before every attempt was leased carry none.  Worker names the node
+	// the lease went to (diagnostics only).
 	Fence  uint64 `json:"fence,omitempty"`
 	Worker string `json:"worker,omitempty"`
 	// Hist is one request-history entry (T == "hist"), an opaque blob
@@ -128,9 +129,10 @@ type Store struct {
 	// WAL-carried on every grant and snapshot-persisted, so a token
 	// granted after a restart always exceeds any granted before.
 	fence uint64
-	// leases holds the outstanding remote claims, keyed by job id.
-	// Deliberately volatile: a restart invalidates every lease (the
-	// leased jobs replay as running and are re-queued).
+	// leases holds the outstanding claims of local slots and remote
+	// workers, keyed by job id.  Deliberately volatile: a restart
+	// invalidates every lease (the leased jobs replay as running and are
+	// re-queued).
 	leases map[string]*Lease
 	// cache indexes succeeded jobs by their content-address (CacheKey),
 	// rebuilt from the jobs map on open — a duplicate submission is
@@ -242,7 +244,13 @@ func (s *Store) load() error {
 			}
 			s.history = snap.History
 			for _, ck := range snap.Checkpoints {
-				if ck != nil && ck.JobID != "" {
+				// The replay rule: only a live job keeps its checkpoint
+				// (snapshots written before every terminal transition
+				// cleared it may still carry dead ones).
+				if ck == nil {
+					continue
+				}
+				if j := s.jobs[ck.JobID]; j != nil && !j.State.Terminal() {
 					s.ckpts[ck.JobID] = ck
 				}
 			}
@@ -565,95 +573,6 @@ func (s *Store) Submit(j *Job) error {
 	return nil
 }
 
-// Start claims a queued job for execution, incrementing its attempt
-// counter.  It fails if the job is not queued (double-dispatch guard).
-// A WAL append failure does not block the attempt: the in-memory state
-// advances and the next transition will persist it — at worst a crash
-// replays the job as queued and it re-runs, which is the safe
-// direction.
-func (s *Store) Start(id string) (attempt int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return 0, fmt.Errorf("jobstore: unknown job %s", id)
-	}
-	if j.State != StateQueued {
-		return 0, fmt.Errorf("jobstore: job %s is %s, not queued", id, j.State)
-	}
-	now := time.Now().UTC()
-	// Queue wait: from when the job last became eligible — submission,
-	// the scheduled retry time, or its latest lifecycle event (a retry
-	// without backoff), whichever is latest.
-	base := j.SubmittedAt
-	if j.NextRunAt.After(base) {
-		base = j.NextRunAt
-	}
-	if n := len(j.Trace); n > 0 && j.Trace[n-1].At.After(base) {
-		base = j.Trace[n-1].At
-	}
-	wait := now.Sub(base)
-	if wait < 0 {
-		wait = 0
-	}
-	j.State = StateRunning
-	j.Attempts++
-	j.StartedAt = now
-	j.NextRunAt = time.Time{}
-	evs := traceAppend(j,
-		TraceEvent{At: now, Event: TraceQueueWait, Attempt: j.Attempts, WallNS: int64(wait)},
-		TraceEvent{At: now, Event: TraceLease, Attempt: j.Attempts})
-	if werr := s.appendLocked(record{
-		T: "state", ID: id, State: StateRunning, Attempts: j.Attempts, At: j.StartedAt,
-		TraceEvents: evs,
-	}); werr != nil {
-		s.logf("jobstore: job %s: start record not persisted (%v); continuing", id, werr)
-	}
-	s.publishGauges()
-	return j.Attempts, nil
-}
-
-// Complete marks a job succeeded.  When Complete returns nil the
-// completion record is fsynced: a restart will serve the result from
-// disk and never re-run the job.  On append failure the job is
-// re-queued in memory (err is returned) so a re-run — deterministic —
-// can complete it later.
-func (s *Store) Complete(id string, res *Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("jobstore: unknown job %s", id)
-	}
-	if j.State.Terminal() {
-		return fmt.Errorf("jobstore: job %s already %s; refusing double completion", id, j.State)
-	}
-	now := time.Now().UTC()
-	evs := traceAppend(j, TraceEvent{
-		At: now, Event: TraceComplete, Attempt: j.Attempts, WallNS: res.WallNS,
-	})
-	if err := s.appendLocked(record{
-		T: "state", ID: id, State: StateSucceeded, At: now, Result: res, TraceEvents: evs,
-	}); err != nil {
-		j.Trace = j.Trace[:len(j.Trace)-len(evs)]
-		j.State = StateQueued
-		s.publishGauges()
-		return err
-	}
-	j.State = StateSucceeded
-	j.FinishedAt = now
-	j.Result = res
-	j.Error = nil
-	if j.CacheKey != "" {
-		s.cache[j.CacheKey] = j.ID
-	}
-	delete(s.live, id)
-	delete(s.ckpts, id)
-	s.reg.Add("jobs.completed", 1)
-	s.publishGauges()
-	return nil
-}
-
 // LookupCache returns the succeeded job holding the content-addressed
 // result for key, or nil — the O(1) answer to a duplicate submission.
 func (s *Store) LookupCache(key string) *Job {
@@ -672,76 +591,6 @@ func (s *Store) LookupCache(key string) *Job {
 		return nil
 	}
 	return j.Clone()
-}
-
-// Retry re-queues a failed attempt for execution at nextRun (backoff).
-// Persistence is best-effort: losing the record merely replays the job
-// as running → re-enqueued, which is where we are anyway.
-func (s *Store) Retry(id string, jerr *JobError, nextRun time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("jobstore: unknown job %s", id)
-	}
-	if j.State.Terminal() {
-		return fmt.Errorf("jobstore: job %s already %s", id, j.State)
-	}
-	j.State = StateQueued
-	j.Error = jerr
-	j.NextRunAt = nextRun
-	detail := ""
-	if jerr != nil {
-		detail = jerr.Message
-	}
-	evs := traceAppend(j, TraceEvent{
-		At: time.Now().UTC(), Event: TraceRetry, Attempt: j.Attempts, Detail: detail,
-	})
-	if werr := s.appendLocked(record{
-		T: "state", ID: id, State: StateQueued, Attempts: j.Attempts,
-		Error: jerr, NextRunAt: nextRun, TraceEvents: evs,
-	}); werr != nil {
-		s.logf("jobstore: job %s: retry record not persisted (%v); continuing", id, werr)
-	}
-	s.reg.Add("jobs.retries", 1)
-	s.publishGauges()
-	return nil
-}
-
-// Quarantine marks a job terminally failed (poison or terminal error),
-// keeping its last error and span id.
-func (s *Store) Quarantine(id string, jerr *JobError) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("jobstore: unknown job %s", id)
-	}
-	if j.State.Terminal() {
-		return fmt.Errorf("jobstore: job %s already %s", id, j.State)
-	}
-	now := time.Now().UTC()
-	j.State = StateFailed
-	j.Error = jerr
-	j.FinishedAt = now
-	detail := ""
-	if jerr != nil {
-		detail = jerr.Message
-	}
-	evs := traceAppend(j, TraceEvent{
-		At: now, Event: TraceQuarantine, Attempt: j.Attempts, Detail: detail,
-	})
-	if werr := s.appendLocked(record{
-		T: "state", ID: id, State: StateFailed, Attempts: j.Attempts, At: now, Error: jerr,
-		TraceEvents: evs,
-	}); werr != nil {
-		s.logf("jobstore: job %s: quarantine record not persisted (%v); continuing", id, werr)
-	}
-	delete(s.live, id)
-	delete(s.ckpts, id)
-	s.reg.Add("jobs.quarantined", 1)
-	s.publishGauges()
-	return nil
 }
 
 // ErrUnknownJob and ErrJobActive classify Delete failures so the

@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,6 +22,20 @@ func testOpen(t *testing.T, dir string) (*Store, []*Job) {
 	return s, recovered
 }
 
+// claim leases the oldest ready job, which must be id, the way a pool
+// slot does: under a lease that never expires.
+func claim(t *testing.T, s *Store, id string) *Lease {
+	t.Helper()
+	lease, job, err := s.AcquireLease(LocalWorker, 0, 3)
+	if err != nil {
+		t.Fatalf("claim %s: %v", id, err)
+	}
+	if job.ID != id {
+		t.Fatalf("claimed %s, want %s", job.ID, id)
+	}
+	return lease
+}
+
 // TestStoreSubmitGetList: the basic lifecycle without restarts.
 func TestStoreSubmitGetList(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
@@ -33,18 +48,18 @@ func TestStoreSubmitGetList(t *testing.T) {
 	if j.ID == "" || j.State != StateQueued {
 		t.Fatalf("submitted job = %+v", j)
 	}
-	attempt, err := s.Start(j.ID)
-	if err != nil || attempt != 1 {
-		t.Fatalf("start = %d, %v", attempt, err)
+	lease := claim(t, s, j.ID)
+	if lease.Attempt != 1 {
+		t.Fatalf("claim attempt = %d", lease.Attempt)
 	}
-	if _, err := s.Start(j.ID); err == nil {
+	if _, _, err := s.AcquireLease(LocalWorker, 0, 3); err == nil {
 		t.Fatal("double start accepted")
 	}
 	res := &Result{Status: "ok", Report: json.RawMessage(`{"x":1}`)}
-	if err := s.Complete(j.ID, res); err != nil {
+	if err := s.CompleteLease(j.ID, lease.Token, res, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Complete(j.ID, res); err == nil {
+	if err := s.CompleteLease(j.ID, lease.Token, res, nil); err == nil {
 		t.Fatal("double completion accepted")
 	}
 	got := s.Get(j.ID)
@@ -73,23 +88,19 @@ func TestStoreRestartDurability(t *testing.T) {
 		}
 		return j
 	}
-	queued := mk()
+	// Claims take the oldest ready job, so the queued one is submitted
+	// last.
 	running := mk()
 	done := mk()
 	failed := mk()
-	if _, err := s.Start(running.ID); err != nil {
+	queued := mk()
+	claim(t, s, running.ID)
+	lease := claim(t, s, done.ID)
+	if err := s.CompleteLease(done.ID, lease.Token, &Result{Status: "ok", Report: json.RawMessage(`{"r":2}`)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Start(done.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Complete(done.ID, &Result{Status: "ok", Report: json.RawMessage(`{"r":2}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Start(failed.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Quarantine(failed.ID, &JobError{Message: "poison", Terminal: true, Attempt: 1}); err != nil {
+	lease = claim(t, s, failed.ID)
+	if err := s.FailLease(failed.ID, lease.Token, &JobError{Message: "poison", Terminal: true, Attempt: 1}, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: simulate a crash by just reopening the directory.
@@ -142,10 +153,8 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Start(j.ID); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Complete(j.ID, &Result{Status: "ok", WallNS: int64(i)}); err != nil {
+		lease := claim(t, s, j.ID)
+		if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok", WallNS: int64(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
@@ -313,22 +322,18 @@ func TestStoreGaugesAndCounters(t *testing.T) {
 	if got := reg.Gauge("jobs.queued").Value(); got != 1 {
 		t.Fatalf("jobs.queued = %d, want 1", got)
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	lease := claim(t, s, j.ID)
 	if got := reg.Gauge("jobs.running").Value(); got != 1 {
 		t.Fatalf("jobs.running = %d, want 1", got)
 	}
-	if err := s.Retry(j.ID, &JobError{Message: "transient"}, time.Now()); err != nil {
+	if err := s.FailLease(j.ID, lease.Token, &JobError{Message: "transient"}, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("jobs.retries").Value(); got != 1 {
 		t.Fatalf("jobs.retries = %d, want 1", got)
 	}
-	if _, err := s.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Complete(j.ID, &Result{Status: "ok"}); err != nil {
+	lease = claim(t, s, j.ID)
+	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Gauge("jobs.succeeded").Value(); got != 1 {
@@ -339,5 +344,41 @@ func TestStoreGaugesAndCounters(t *testing.T) {
 	}
 	if h := reg.Histogram("jobstore.wal.fsync_ns"); h == nil || h.Count() == 0 {
 		t.Fatal("jobstore.wal.fsync_ns histogram empty")
+	}
+}
+
+// TestReplayFencelessRunningRecord: data directories written before
+// every attempt was leased hold `running` records without a fencing
+// token.  They replay like any crash-interrupted attempt: the job is
+// re-queued with its attempt counted, and runs again.
+func TestReplayFencelessRunningRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := testOpen(t, dir)
+	j := &Job{Kind: KindWorkload, Workload: "example1"}
+	if err := s.Submit(j); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	err := s.appendLocked(record{T: "state", ID: j.ID, State: StateRunning, Attempts: 1, At: time.Now().UTC()})
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash: no Close.
+	s2, recovered := testOpen(t, dir)
+	defer s2.Close()
+	if len(recovered) != 1 || recovered[0].State != StateQueued || recovered[0].Attempts != 1 {
+		t.Fatalf("recovered = %+v", recovered)
+	}
+	if s2.FenceToken() != 0 {
+		t.Fatalf("fence = %d after replaying only fence-less records", s2.FenceToken())
+	}
+	pool := fastPool(s2, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
+		return &Result{Status: "ok"}, nil
+	}, 1, 3)
+	pool.Start()
+	defer pool.Stop()
+	if got := waitTerminal(t, s2, j.ID); got.State != StateSucceeded || got.Attempts != 2 {
+		t.Fatalf("job after replay = state %s attempts %d", got.State, got.Attempts)
 	}
 }

@@ -24,12 +24,10 @@ func TestLifecycleTracePersistsAcrossReopen(t *testing.T) {
 	if err := st.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	lease := claim(t, st, j.ID)
 	st.NoteStage(j.ID, "pass1-structure")
 	st.NoteStage(j.ID, "pass2-ddg")
-	if err := st.Complete(j.ID, &Result{Status: "ok", WallNS: 123}); err != nil {
+	if err := st.CompleteLease(j.ID, lease.Token, &Result{Status: "ok", WallNS: 123}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -82,9 +80,7 @@ func TestCrashRecoveryAppendsTraceMarker(t *testing.T) {
 	if err := st.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	claim(t, st, j.ID)
 	st.NoteStage(j.ID, "pass2-ddg")
 	// No Close: simulate the process dying mid-attempt.  The WAL file
 	// holds the unsynced stage record via the OS page cache.
@@ -142,16 +138,13 @@ func TestRetryAndQuarantineTraceEvents(t *testing.T) {
 	if err := st.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Start(j.ID); err != nil {
+	lease := claim(t, st, j.ID)
+	if err := st.FailLease(j.ID, lease.Token, &JobError{Message: "transient"}, nil, time.Now().Add(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Retry(j.ID, &JobError{Message: "transient"}, time.Now().Add(time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Quarantine(j.ID, &JobError{Message: "poison", Terminal: true}); err != nil {
+	time.Sleep(2 * time.Millisecond) // wait out the backoff
+	lease = claim(t, st, j.ID)
+	if err := st.FailLease(j.ID, lease.Token, &JobError{Message: "poison", Terminal: true}, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Get(j.ID)
@@ -187,9 +180,7 @@ func TestTraceTruncatesAtCap(t *testing.T) {
 	if err := st.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Start(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	claim(t, st, j.ID)
 	for i := 0; i < MaxTraceEvents+50; i++ {
 		st.NoteStage(j.ID, "looping-stage")
 	}

@@ -2,6 +2,7 @@ package jobstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,9 +12,14 @@ import (
 	"polyprof/internal/obs/flight"
 )
 
-// Runner executes one attempt of one job.  It returns the persisted
-// result, or an error the pool classifies with Retryable.
-type Runner func(ctx context.Context, job *Job, attempt int) (*Result, error)
+// Runner executes one attempt of one job under its lease.  It returns
+// the persisted result, or an error the pool classifies with
+// Retryable.  A streaming attempt commits its checkpoints under the
+// lease's token.
+type Runner func(ctx context.Context, job *Job, lease *Lease) (*Result, error)
+
+// LocalWorker names the pool's own slots on their leases.
+const LocalWorker = "local"
 
 // PoolOptions tunes the worker pool.
 type PoolOptions struct {
@@ -23,9 +29,9 @@ type PoolOptions struct {
 	// workers (the reclaimer and TTL sweeper still run).
 	Workers int
 	// MaxAttempts quarantines a job after this many started attempts
-	// (default 3).  Crash-interrupted attempts count: the attempt
-	// counter is persisted at Start, so a job that reliably kills the
-	// daemon cannot crash-loop it forever.
+	// (default 3), local and remote alike.  Crash-interrupted attempts
+	// count: the attempt counter is persisted at the lease grant, so a
+	// job that reliably kills the daemon cannot crash-loop it forever.
 	MaxAttempts int
 	// BackoffBase is the first retry delay (default 250ms); each
 	// further attempt doubles it, capped at BackoffMax (default 30s),
@@ -53,8 +59,10 @@ type PoolOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Pool executes queued jobs from a Store with bounded concurrency,
-// per-job retry with exponential backoff, and poison quarantine.
+// Pool executes queued jobs from a Store with bounded concurrency and
+// owns the job lifecycle's policy: its slots and remote workers claim
+// through Acquire and resolve through Complete and Fail, and Fail alone
+// decides between retry (with exponential backoff) and quarantine.
 type Pool struct {
 	store  *Store
 	run    Runner
@@ -63,11 +71,15 @@ type Pool struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// mu guards the slots' wake signal: wakes counts the Wake calls
+	// that found work claimable now, so a slot that found no ready job
+	// sleeps until it changes.  timer fires one such wake at timerAt,
+	// the earliest pending retry time it was told of (zero: unarmed).
 	mu      sync.Mutex
 	cond    *sync.Cond
-	ready   []string // job ids whose NextRunAt has passed, FIFO
-	inReady map[string]bool
-	timers  map[string]*jobTimer
+	wakes   uint64
+	timer   *time.Timer
+	timerAt time.Time
 	stopped bool
 
 	wg sync.WaitGroup
@@ -107,20 +119,18 @@ func NewPool(store *Store, run Runner, opts PoolOptions) *Pool {
 	p := &Pool{
 		store: store, run: run, opts: opts, reg: opts.Registry,
 		ctx: ctx, cancel: cancel,
-		inReady: map[string]bool{},
-		timers:  map[string]*jobTimer{},
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// Start launches the workers (plus the TTL sweeper when configured)
-// and enqueues the recovered jobs (the queued + formerly-running jobs
-// Open returned).
-func (p *Pool) Start(recovered []*Job) {
+// Start launches the local slots (plus the TTL sweeper when
+// configured) and the lease reclaimer.  Slots claim from the store, so
+// the jobs Open recovered are picked up like any other queued job.
+func (p *Pool) Start() {
 	for i := 0; i < p.opts.Workers; i++ {
 		p.wg.Add(1)
-		go p.worker()
+		go p.slot()
 	}
 	if p.opts.TTL > 0 {
 		p.wg.Add(1)
@@ -128,16 +138,10 @@ func (p *Pool) Start(recovered []*Job) {
 	}
 	p.wg.Add(1)
 	go p.reclaimer()
-	for _, j := range recovered {
-		p.Enqueue(j.ID, j.NextRunAt)
-	}
 }
 
-// reclaimer periodically takes back expired leases: their workers were
-// killed, partitioned away, or wedged, so the jobs go back to the
-// queue (or quarantine when their attempt budget is spent).  Each
-// reclaim freezes the flight recorder — a silent worker is an incident
-// worth a black box.
+// reclaimer periodically resolves expired leases: their workers were
+// killed, partitioned away, or wedged.
 func (p *Pool) reclaimer() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.opts.LeaseReclaimEvery)
@@ -148,34 +152,50 @@ func (p *Pool) reclaimer() {
 			return
 		case <-t.C:
 		}
-		for _, rc := range p.store.ReclaimExpired(time.Now().UTC(), p.opts.MaxAttempts) {
-			p.logf("jobstore: lease on %s reclaimed from worker %s (attempt %d, token %d); %s",
-				rc.JobID, rc.Worker, rc.Attempt, rc.Token,
-				map[bool]string{true: "quarantined", false: "re-queued"}[rc.Quarantined])
-			flight.Trigger("lease-reclaim", flight.TriggerInfo{
-				Trace: rc.TraceID, Job: rc.JobID,
-				Detail: fmt.Sprintf("lease on %s reclaimed from silent worker %s (attempt %d, token %d)",
-					rc.JobID, rc.Worker, rc.Attempt, rc.Token),
-				Extra: p.store.Get(rc.JobID),
-			})
-			if !rc.Quarantined {
-				p.Enqueue(rc.JobID, time.Time{})
-			}
-		}
+		p.reclaim(time.Now().UTC())
 	}
+}
+
+// reclaim fails every lease expired by now through Fail (back to the
+// queue, or quarantine when the attempt budget is spent) and returns
+// how many it took back.  The silent worker's token dies here: any
+// later heartbeat or result post under it is fenced.  Each reclaim
+// freezes the flight recorder — a silent worker is an incident worth a
+// black box.
+func (p *Pool) reclaim(now time.Time) int {
+	n := 0
+	for _, ls := range p.store.ExpiredLeases(now) {
+		state, err := p.Fail(ls.JobID, ls.Token, &JobError{
+			Message: fmt.Sprintf("lease expired: worker %s silent past %s (attempt %d)", ls.Worker, ls.TTL, ls.Attempt),
+		}, []TraceEvent{{
+			At: now, Event: TraceReclaim, Attempt: ls.Attempt,
+			Detail: fmt.Sprintf("worker %s token %d", ls.Worker, ls.Token),
+		}})
+		if err != nil {
+			continue // resolved by its holder in the meantime
+		}
+		n++
+		p.reg.Add("jobs.leases.reclaimed", 1)
+		p.logf("jobstore: lease on %s reclaimed from worker %s (attempt %d, token %d); job %s",
+			ls.JobID, ls.Worker, ls.Attempt, ls.Token, state)
+		job := p.store.Get(ls.JobID)
+		var trace string
+		if job != nil {
+			trace = job.TraceID
+		}
+		flight.Trigger("lease-reclaim", flight.TriggerInfo{
+			Trace: trace, Job: ls.JobID,
+			Detail: fmt.Sprintf("lease on %s reclaimed from silent worker %s (attempt %d, token %d)",
+				ls.JobID, ls.Worker, ls.Attempt, ls.Token),
+			Extra: job,
+		})
+	}
+	return n
 }
 
 // DefaultLeaseTTL is the lease duration granted when a worker does not
 // request one.
 func (p *Pool) DefaultLeaseTTL() time.Duration { return p.opts.DefaultLeaseTTL }
-
-// MaxAttempts is the pool's quarantine threshold, shared with the
-// lease-granting path so remote attempts spend the same budget.
-func (p *Pool) MaxAttempts() int { return p.opts.MaxAttempts }
-
-// Backoff exposes the retry backoff for the given attempt so remote
-// failures re-queue on the same schedule as local ones.
-func (p *Pool) Backoff(attempt int) time.Duration { return p.backoff(attempt) }
 
 // sweeper periodically expires terminal jobs older than the TTL.  The
 // first sweep runs immediately so jobs that aged out while the daemon
@@ -210,214 +230,216 @@ func (p *Pool) sweeper() {
 	}
 }
 
-// jobTimer is a pending delayed enqueue, keeping its run time so a
-// later Enqueue with an earlier deadline can pull it forward.
-type jobTimer struct {
-	t  *time.Timer
-	at time.Time
-}
-
-// Enqueue schedules a job id for execution, not before notBefore
-// (zero for immediately).  Enqueue is idempotent: an id already queued
-// (ready or timer-pending) is not queued twice, and of two pending run
-// times the earlier wins.
-func (p *Pool) Enqueue(id string, notBefore time.Time) {
-	delay := time.Until(notBefore)
-	if delay <= 0 {
-		p.push(id)
-		return
-	}
+// Wake tells the local slots that a job becomes claimable at `at` (zero
+// or past: now) — a submission, a retry's backoff.  One timer holds the
+// earliest pending time; a slot that finds nothing ready re-arms it
+// from the store, so later retry times are never lost.
+func (p *Pool) Wake(at time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.stopped || p.inReady[id] {
-		return
-	}
-	if jt, ok := p.timers[id]; ok {
-		if notBefore.Before(jt.at) && jt.t.Stop() {
-			jt.at = notBefore
-			jt.t.Reset(delay)
+	d := time.Until(at)
+	switch {
+	case p.stopped:
+	case d <= 0:
+		p.wakes++
+		p.cond.Broadcast()
+	case p.timerAt.IsZero() || at.Before(p.timerAt):
+		p.timerAt = at
+		if p.timer == nil {
+			p.timer = time.AfterFunc(d, p.fire)
+		} else {
+			p.timer.Reset(d)
 		}
-		return
 	}
-	jt := &jobTimer{at: notBefore}
-	jt.t = time.AfterFunc(delay, func() {
-		p.mu.Lock()
-		delete(p.timers, id)
-		p.mu.Unlock()
-		p.push(id)
-	})
-	p.timers[id] = jt
 }
 
-func (p *Pool) push(id string) {
+// fire is the timer's wake: the earliest pending retry is due.
+func (p *Pool) fire() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped || p.inReady[id] {
-		return
-	}
-	if jt, ok := p.timers[id]; ok && jt.t.Stop() {
-		delete(p.timers, id)
-	}
-	p.inReady[id] = true
-	p.ready = append(p.ready, id)
-	p.cond.Signal()
+	p.timerAt = time.Time{}
+	p.mu.Unlock()
+	p.Wake(time.Time{})
 }
 
 // Stop halts intake, cancels in-flight attempts, and waits for the
-// workers to drain.
+// slots to drain.
 func (p *Pool) Stop() {
 	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
+	if !p.stopped {
+		p.stopped = true
+		if p.timer != nil {
+			p.timer.Stop()
+		}
+		p.cond.Broadcast()
 	}
-	p.stopped = true
-	for id, jt := range p.timers {
-		jt.t.Stop()
-		delete(p.timers, id)
-	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.cancel()
 	p.wg.Wait()
 }
 
-func (p *Pool) worker() {
+// slot is one local execution slot: claim, run, resolve, repeat; with
+// nothing ready, sleep until a Wake.
+func (p *Pool) slot() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.ready) == 0 && !p.stopped {
-			p.cond.Wait()
-		}
-		if p.stopped {
-			p.mu.Unlock()
+		seen, stopped := p.wakes, p.stopped
+		p.mu.Unlock()
+		if stopped {
 			return
 		}
-		id := p.ready[0]
-		p.ready = p.ready[1:]
-		delete(p.inReady, id)
+		if p.claimAndRun() {
+			continue
+		}
+		// Arm the wake for the earliest queued job (a retry that came due
+		// after the claim's scan wakes at once).  A Wake that raced the
+		// claim is not lost either: seen predates it.
+		if at := p.store.NextRunAt(); !at.IsZero() {
+			p.Wake(at)
+		}
+		p.mu.Lock()
+		for p.wakes == seen && !p.stopped {
+			p.cond.Wait()
+		}
 		p.mu.Unlock()
-		p.execute(id)
 	}
 }
 
-// execute runs one attempt of one job and persists the outcome.  The
-// outer recover contains panics from the *persistence* calls (e.g. an
-// injected jobstore.wal.* fault in panic mode): the worker survives and
-// the job — still `running` on disk — is re-enqueued by the next
-// restart, exactly like a crash at that boundary.
-func (p *Pool) execute(id string) {
+// claimAndRun runs one attempt under a lease that never expires and
+// resolves it, reporting whether a job was claimed.  The recover
+// contains panics from the persistence calls (e.g. an injected
+// jobstore.wal.* fault in panic mode): the slot survives and the job —
+// still running on disk — is re-queued by the next restart, exactly
+// like a crash at that boundary.
+func (p *Pool) claimAndRun() (claimed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.reg.Add("jobstore.pool.panics", 1)
-			p.logf("jobstore: pool: contained panic executing %s: %v", id, r)
+			p.logf("jobstore: pool: contained panic: %v", r)
 		}
 	}()
-	job := p.store.Get(id)
-	if job == nil || job.State != StateQueued {
-		return
-	}
-	// Attempts are persisted at Start, so a job whose attempt hard-kills
-	// the process (OOM, SIGKILL mid-run) comes back queued with its
-	// budget already spent.  Quarantine it before claiming it again —
-	// otherwise Start would increment past the cap on every restart and
-	// the job would crash-loop the daemon forever.
-	if job.Attempts >= p.opts.MaxAttempts {
-		p.quarantine(id, &JobError{
-			Message:  fmt.Sprintf("quarantined after %d crash-interrupted attempts", job.Attempts),
-			Terminal: true,
-			Attempt:  job.Attempts,
-		}, "attempts exhausted at recovery")
-		return
-	}
-	attempt, err := p.store.Start(id)
+	lease, job, err := p.Acquire(LocalWorker, 0)
 	if err != nil {
-		p.logf("jobstore: pool: %v", err)
-		return
+		if !errors.Is(err, ErrNoReadyJob) {
+			p.logf("jobstore: pool: %v", err)
+		}
+		return false
 	}
-	job.Attempts = attempt
-
-	res, runErr := p.runAttempt(job, attempt)
+	claimed = true
+	res, runErr := p.runAttempt(job, lease)
 	if runErr == nil {
-		if cerr := p.store.Complete(id, res); cerr != nil {
-			// The result is computed but not durable; the store already
-			// re-queued the job in memory, so a re-run (deterministic)
-			// will produce it again.
-			p.logf("jobstore: job %s: completion not persisted (%v); re-queued", id, cerr)
-			p.Enqueue(id, time.Now().Add(p.backoff(attempt)))
+		if runErr = p.Complete(lease.JobID, lease.Token, res, nil); runErr == nil {
+			return true
 		}
-		return
+		// The result is computed but not durable; a re-run
+		// (deterministic) will produce it again.
+		runErr = fmt.Errorf("completion not persisted: %v: %w", runErr, ErrRetryable)
 	}
-
-	jerr := NewJobError(runErr, attempt, spanIDOf(res))
-	if jerr.Terminal {
-		p.quarantine(id, jerr, "terminal error")
-		return
+	if _, err := p.Fail(lease.JobID, lease.Token, NewJobError(runErr, lease.Attempt, spanIDOf(res)), nil); err != nil {
+		p.logf("jobstore: job %s: %v", lease.JobID, err)
 	}
-	if attempt >= p.opts.MaxAttempts {
-		jerr.Terminal = true
-		jerr.Message = fmt.Sprintf("quarantined after %d attempts: %s", attempt, jerr.Message)
-		p.quarantine(id, jerr, "attempts exhausted")
-		return
-	}
-	// Shutdown cancellation is not a real failure: leave the job queued
-	// for the next process to pick up, without burning backoff time.
-	if p.ctx.Err() != nil {
-		if rerr := p.store.Retry(id, jerr, time.Time{}); rerr != nil {
-			p.logf("jobstore: job %s: %v", id, rerr)
-		}
-		return
-	}
-	delay := p.backoff(attempt)
-	next := time.Now().UTC().Add(delay)
-	if rerr := p.store.Retry(id, jerr, next); rerr != nil {
-		p.logf("jobstore: job %s: %v", id, rerr)
-		return
-	}
-	p.logf("jobstore: job %s attempt %d failed (%v); retrying in %s", id, attempt, runErr, delay.Round(time.Millisecond))
-	flight.LogEvent(flight.Event{Kind: "job", Name: "retry", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s attempt %d: %s", id, attempt, jerr.Message)})
-	if attempt+1 == p.opts.MaxAttempts {
-		// The next attempt is the job's last: capture the process state
-		// now, while the failure pattern is fresh in the ring.
-		flight.Trigger("retry-escalation", flight.TriggerInfo{
-			Trace: job.TraceID, Job: id,
-			Detail: fmt.Sprintf("job %s entering final attempt %d/%d after: %s",
-				id, attempt+1, p.opts.MaxAttempts, jerr.Message),
-			Extra: p.store.Get(id),
-		})
-	}
-	p.Enqueue(id, next)
+	return true
 }
 
 // runAttempt invokes the Runner with panic containment: a panicking
-// attempt becomes a retryable error, not a dead worker.
-func (p *Pool) runAttempt(job *Job, attempt int) (res *Result, err error) {
+// attempt becomes a retryable error, not a dead slot.
+func (p *Pool) runAttempt(job *Job, lease *Lease) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("attempt panicked: %v: %w", r, ErrRetryable)
 		}
 	}()
-	return p.run(p.ctx, job, attempt)
+	return p.run(p.ctx, job, lease)
 }
 
-func (p *Pool) quarantine(id string, jerr *JobError, why string) {
-	if qerr := p.store.Quarantine(id, jerr); qerr != nil {
-		p.logf("jobstore: job %s: %v", id, qerr)
-		return
+// Acquire claims the oldest ready job for worker under a lease of ttl
+// (0: never expires — the pool's own slots).  A job whose attempts were
+// all cut short by process deaths arrives with its budget spent; Fail
+// quarantines it instead of handing it out, or it would crash-loop the
+// daemon forever.
+func (p *Pool) Acquire(worker string, ttl time.Duration) (*Lease, *Job, error) {
+	for {
+		lease, job, err := p.store.AcquireLease(worker, ttl, p.opts.MaxAttempts)
+		if !errors.Is(err, ErrAttemptsSpent) {
+			return lease, job, err
+		}
+		if _, err := p.Fail(lease.JobID, lease.Token, &JobError{Message: "the process died during the last attempt"}, nil); err != nil {
+			p.logf("jobstore: job %s: %v", lease.JobID, err)
+		}
 	}
-	p.logf("jobstore: job %s failed (%s): %s", id, why, jerr.Message)
-	job := p.store.Get(id)
-	trace := ""
-	if job != nil {
-		trace = job.TraceID
+}
+
+// Complete marks a leased job succeeded under its token (see
+// Store.CompleteLease).
+func (p *Pool) Complete(jobID string, token uint64, res *Result, evs []TraceEvent) error {
+	return p.store.CompleteLease(jobID, token, res, evs)
+}
+
+// Fail resolves a failed attempt under its lease: a local slot's
+// runner error, a remote worker's posted failure, an expired lease, or
+// a job whose budget crashes spent.  It is the one place that decides
+// retry versus quarantine, for every kind of worker, counting attempts
+// by the store's attempt counter (never a worker's claim):
+//
+//   - a terminal error quarantines;
+//   - so does a failure of the last attempt the budget allows;
+//   - an expired lease, or a pool shutting down, re-queues without
+//     backoff — the job did not fail, its worker went away;
+//   - anything else re-queues after an exponential backoff.
+//
+// Only the worker's shipped trace events and its error's message,
+// terminal flag, budget and span id are taken from jerr.  Fail returns
+// the state the job moved to.
+func (p *Pool) Fail(jobID string, token uint64, jerr *JobError, evs []TraceEvent) (State, error) {
+	job := p.store.Get(jobID)
+	if job == nil {
+		return "", fmt.Errorf("jobstore: %w: %s", ErrLeaseGone, jobID)
 	}
-	flight.Trigger("job-quarantine", flight.TriggerInfo{
-		Trace: trace, Job: id,
-		Detail: fmt.Sprintf("job %s quarantined (%s): %s", id, why, jerr.Message),
-		Extra:  job,
-	})
+	now := time.Now().UTC()
+	e := *jerr
+	e.Attempt = job.Attempts
+	why := "terminal error"
+	var next time.Time
+	switch {
+	case e.Terminal:
+	case e.Attempt >= p.opts.MaxAttempts:
+		why = "attempts exhausted"
+		e.Terminal = true
+		e.Message = fmt.Sprintf("quarantined after %d attempts: %s", e.Attempt, e.Message)
+	case p.ctx.Err() != nil, job.Lease != nil && !job.Lease.ExpiresAt.IsZero() && !job.Lease.ExpiresAt.After(now):
+	default:
+		next = now.Add(p.backoff(e.Attempt))
+	}
+	if err := p.store.FailLease(jobID, token, &e, evs, next); err != nil {
+		return "", err
+	}
+	if e.Terminal {
+		p.logf("jobstore: job %s failed (%s): %s", jobID, why, e.Message)
+		flight.Trigger("job-quarantine", flight.TriggerInfo{
+			Trace: job.TraceID, Job: jobID,
+			Detail: fmt.Sprintf("job %s quarantined (%s): %s", jobID, why, e.Message),
+			Extra:  p.store.Get(jobID),
+		})
+		return StateFailed, nil
+	}
+	p.Wake(next)
+	if next.IsZero() {
+		return StateQueued, nil
+	}
+	p.logf("jobstore: job %s attempt %d failed (%s); retrying in %s", jobID, e.Attempt, e.Message, next.Sub(now).Round(time.Millisecond))
+	flight.LogEvent(flight.Event{Kind: "job", Name: "retry", Trace: job.TraceID,
+		Detail: fmt.Sprintf("%s attempt %d: %s", jobID, e.Attempt, e.Message)})
+	if e.Attempt+1 == p.opts.MaxAttempts {
+		// The next attempt is the job's last: capture the process state
+		// now, while the failure pattern is fresh in the ring.
+		flight.Trigger("retry-escalation", flight.TriggerInfo{
+			Trace: job.TraceID, Job: jobID,
+			Detail: fmt.Sprintf("job %s entering final attempt %d/%d after: %s",
+				jobID, e.Attempt+1, p.opts.MaxAttempts, e.Message),
+			Extra: p.store.Get(jobID),
+		})
+	}
+	return StateQueued, nil
 }
 
 // backoff computes the delay before retrying after the given attempt:

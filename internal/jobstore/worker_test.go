@@ -41,7 +41,7 @@ func submit(t *testing.T, s *Store, p *Pool) *Job {
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	p.Enqueue(j.ID, time.Time{})
+	p.Wake(time.Time{})
 	return j
 }
 
@@ -50,10 +50,10 @@ func submit(t *testing.T, s *Store, p *Pool) *Job {
 func TestPoolRunsJobs(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		return &Result{Status: "ok", Ops: 42}, nil
 	}, 2, 3)
-	pool.Start(nil)
+	pool.Start()
 	defer pool.Stop()
 
 	var jobs []*Job
@@ -77,13 +77,13 @@ func TestPoolRetriesTransientFailures(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	var calls atomic.Int64
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		if calls.Add(1) < 3 {
 			return nil, fmt.Errorf("flaky storage: %w", ErrRetryable)
 		}
 		return &Result{Status: "ok"}, nil
 	}, 1, 5)
-	pool.Start(nil)
+	pool.Start()
 	defer pool.Stop()
 
 	j := submit(t, s, pool)
@@ -99,11 +99,11 @@ func TestPoolTerminalErrorNotRetried(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	var calls atomic.Int64
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("program rejected: unknown opcode")
 	}, 1, 5)
-	pool.Start(nil)
+	pool.Start()
 	defer pool.Stop()
 
 	j := submit(t, s, pool)
@@ -124,10 +124,10 @@ func TestPoolTerminalErrorNotRetried(t *testing.T) {
 func TestPoolQuarantinesPoison(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		return nil, fmt.Errorf("always down: %w", ErrRetryable)
 	}, 1, 3)
-	pool.Start(nil)
+	pool.Start()
 	defer pool.Stop()
 
 	j := submit(t, s, pool)
@@ -155,10 +155,8 @@ func TestPoolQuarantinesCrashLoopedJobAtRecovery(t *testing.T) {
 	}
 	var recovered []*Job
 	for i := 1; i <= maxAttempts; i++ {
-		if _, err := s.Start(j.ID); err != nil {
-			t.Fatal(err)
-		}
-		// Crash mid-attempt: no Complete/Retry/Quarantine transition;
+		claim(t, s, j.ID)
+		// Crash mid-attempt: no CompleteLease/FailLease transition;
 		// reopening replays the running job back to queued.
 		s.Close()
 		s, recovered = testOpen(t, dir)
@@ -169,11 +167,11 @@ func TestPoolQuarantinesCrashLoopedJobAtRecovery(t *testing.T) {
 	defer s.Close()
 
 	var calls atomic.Int64
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		calls.Add(1)
 		return &Result{Status: "ok"}, nil
 	}, 1, maxAttempts)
-	pool.Start(recovered)
+	pool.Start()
 	defer pool.Stop()
 
 	got := waitTerminal(t, s, j.ID)
@@ -188,43 +186,61 @@ func TestPoolQuarantinesCrashLoopedJobAtRecovery(t *testing.T) {
 	}
 }
 
-// TestPoolEnqueueDedupes: enqueueing an id already in the ready queue
-// or timer-pending does not queue it twice, and of two pending run
-// times the earlier wins.
-func TestPoolEnqueueDedupes(t *testing.T) {
+// TestPoolWakeKeepsEarliest: the slots' wake timer holds the earliest
+// pending retry time — a later one is ignored, an earlier one pulls it
+// forward — and an immediate wake leaves it armed.
+func TestPoolWakeKeepsEarliest(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	p := fastPool(s, nil, 1, 3)
-	// No workers started: pushes accumulate in ready for inspection.
-	p.push("job-1")
-	p.push("job-1")
-	p.Enqueue("job-1", time.Now().Add(time.Hour))
-	if len(p.ready) != 1 || len(p.timers) != 0 {
-		t.Fatalf("ready = %v timers = %d, want 1 ready and no timer", p.ready, len(p.timers))
-	}
-
-	// Two timers for one id collapse; the earlier run time wins.
+	// No slots started: wakes accumulate for inspection.
 	far := time.Now().Add(time.Hour)
 	near := time.Now().Add(time.Minute)
-	p.Enqueue("job-2", far)
-	p.Enqueue("job-2", far.Add(time.Hour)) // later: ignored
-	if jt := p.timers["job-2"]; jt == nil || !jt.at.Equal(far) {
-		t.Fatalf("timer at %v, want %v", p.timers["job-2"], far)
+	p.Wake(far)
+	p.Wake(far.Add(time.Hour)) // later: ignored
+	if !p.timerAt.Equal(far) || p.wakes != 0 {
+		t.Fatalf("timer at %v (wakes %d), want %v", p.timerAt, p.wakes, far)
 	}
-	p.Enqueue("job-2", near) // earlier: pulled forward
-	if jt := p.timers["job-2"]; jt == nil || !jt.at.Equal(near) {
-		t.Fatalf("timer not pulled forward: %+v", p.timers["job-2"])
+	p.Wake(near) // earlier: pulled forward
+	if !p.timerAt.Equal(near) {
+		t.Fatalf("timer not pulled forward: %v", p.timerAt)
 	}
-	if len(p.timers) != 1 {
-		t.Fatalf("timers = %d, want 1", len(p.timers))
-	}
-	// An immediate enqueue cancels the pending timer rather than leaving
-	// a duplicate behind.
-	p.push("job-2")
-	if len(p.timers) != 0 || len(p.ready) != 2 {
-		t.Fatalf("after immediate push: timers = %d ready = %v", len(p.timers), p.ready)
+	p.Wake(time.Time{})
+	if p.wakes != 1 || !p.timerAt.Equal(near) {
+		t.Fatalf("after immediate wake: wakes = %d, timer at %v", p.wakes, p.timerAt)
 	}
 	p.Stop()
+	if p.timer.Stop() {
+		t.Fatal("Stop left the wake timer armed")
+	}
+}
+
+// TestPoolWakesForLaterRetry: the timer holds only the earliest retry
+// time, yet a later one still runs — the slot that finds nothing ready
+// re-arms the timer from the store.
+func TestPoolWakesForLaterRetry(t *testing.T) {
+	s, _ := testOpen(t, t.TempDir())
+	defer s.Close()
+	var ids []string
+	for i := 0; i < 2; i++ {
+		j := submitJob(t, s)
+		ids = append(ids, j.ID)
+		lease := claim(t, s, j.ID)
+		next := time.Now().Add(time.Duration(20*(i+1)) * time.Millisecond)
+		if err := s.FailLease(j.ID, lease.Token, &JobError{Message: "transient"}, nil, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
+		return &Result{Status: "ok"}, nil
+	}, 1, 3)
+	pool.Start()
+	defer pool.Stop()
+	for _, id := range ids {
+		if got := waitTerminal(t, s, id); got.State != StateSucceeded {
+			t.Fatalf("job %s = %+v", id, got)
+		}
+	}
 }
 
 // TestPoolPanicContained: a panicking runner neither kills the worker
@@ -233,13 +249,13 @@ func TestPoolPanicContained(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	var calm atomic.Bool
-	pool := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		if calm.Load() {
 			return &Result{Status: "ok"}, nil
 		}
 		panic("hostile program escaped")
 	}, 1, 2)
-	pool.Start(nil)
+	pool.Start()
 	defer pool.Stop()
 
 	j := submit(t, s, pool)
@@ -262,12 +278,12 @@ func TestPoolShutdownLeavesJobQueued(t *testing.T) {
 	s, _ := testOpen(t, t.TempDir())
 	defer s.Close()
 	started := make(chan struct{})
-	pool := fastPool(s, func(ctx context.Context, job *Job, attempt int) (*Result, error) {
+	pool := fastPool(s, func(ctx context.Context, job *Job, _ *Lease) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}, 1, 3)
-	pool.Start(nil)
+	pool.Start()
 
 	j := submit(t, s, pool)
 	<-started
@@ -278,10 +294,10 @@ func TestPoolShutdownLeavesJobQueued(t *testing.T) {
 	}
 	// A new pool on the same store picks it up (what Open+Start do on
 	// restart).
-	pool2 := fastPool(s, func(_ context.Context, job *Job, attempt int) (*Result, error) {
+	pool2 := fastPool(s, func(_ context.Context, job *Job, _ *Lease) (*Result, error) {
 		return &Result{Status: "ok"}, nil
 	}, 1, 3)
-	pool2.Start([]*Job{got})
+	pool2.Start()
 	defer pool2.Stop()
 	if got := waitTerminal(t, s, j.ID); got.State != StateSucceeded {
 		t.Fatalf("job after restart = %+v", got)

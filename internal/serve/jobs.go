@@ -174,7 +174,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("job not persisted: %v", err), http.StatusInternalServerError)
 		return
 	}
-	s.pool.Enqueue(job.ID, time.Time{})
+	s.pool.Wake(time.Time{})
 	flight.LogEvent(flight.Event{
 		Kind: "job", Name: "submit", Trace: job.TraceID,
 		Detail: fmt.Sprintf("%s (%s)", job.ID, job.Name()),
@@ -346,15 +346,16 @@ func (s *Server) handleJobGet(rw http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// runJob is the pool's Runner: one attempt of one job, executed by the
-// shared attempt runner (internal/jobexec) under the daemon's budget
-// limits with its own span tree and registry, like a synchronous
-// /v1/profile request.  The returned Result is persisted on success; on
-// error the pool classifies it (program materialization and
-// deterministic budget exhaustion are terminal; wall-clock timeouts and
-// shutdown cancellation retry).
-func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*jobstore.Result, error) {
+// runJob is the pool's Runner: one attempt of one job under a local
+// slot's lease, executed by the shared attempt runner
+// (internal/jobexec) under the daemon's budget limits with its own
+// span tree and registry, like a synchronous /v1/profile request.  The
+// returned Result is persisted on success; on error the pool classifies
+// it (program materialization and deterministic budget exhaustion are
+// terminal; wall-clock timeouts and shutdown cancellation retry).
+func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.Lease) (*jobstore.Result, error) {
 	start := time.Now()
+	attempt := lease.Attempt
 
 	// Live progress: the attempt's span registry is attached to the
 	// store for the duration of the attempt, so GET /v1/jobs/{id}
@@ -415,11 +416,11 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, attempt int) (*j
 	}
 	if job.EpochEvents > 0 {
 		// Streaming attempt: checkpoints commit through the job store's
-		// WAL (so a SIGKILL'd attempt resumes from the last committed
-		// epoch), provisionals fan out to ?stream=1 subscribers, and a
+		// WAL under the slot's lease (so a SIGKILL'd attempt resumes from
+		// the last committed epoch), provisionals fan out to ?stream=1 subscribers, and a
 		// resume is recorded in the job's lifecycle trace.
 		exOpts.EpochEvents = job.EpochEvents
-		exOpts.Checkpoints = storeCheckpoints{store: s.store, jobID: job.ID, attempt: attempt}
+		exOpts.Checkpoints = storeCheckpoints{store: s.store, lease: lease}
 		exOpts.OnProvisional = func(p jobexec.Provisional) {
 			s.reg.Add("serve.jobs.provisionals", 1)
 			s.streams.publish(job.ID, p)

@@ -83,7 +83,7 @@ func (s *Server) handleLeases(rw http.ResponseWriter, req *http.Request) {
 		worker = worker[:128]
 	}
 	ttl := jobstore.ClampLeaseTTL(time.Duration(ar.TTLNS), s.pool.DefaultLeaseTTL())
-	lease, job, err := s.store.AcquireLease(worker, ttl, s.pool.MaxAttempts())
+	lease, job, err := s.pool.Acquire(worker, ttl)
 	if err != nil {
 		if errors.Is(err, jobstore.ErrNoReadyJob) {
 			w.WriteHeader(http.StatusNoContent)
@@ -188,20 +188,10 @@ func (s *Server) handleLeaseResult(w http.ResponseWriter, req *http.Request, id 
 		err   error
 	)
 	if rr.Result != nil {
-		err = s.store.CompleteLease(id, rr.Token, rr.Result, rr.TraceEvents)
+		err = s.pool.Complete(id, rr.Token, rr.Result, rr.TraceEvents)
 		state = jobstore.StateSucceeded
 	} else {
-		nextRun := time.Now().UTC().Add(s.pool.Backoff(rr.Error.Attempt))
-		var requeued bool
-		requeued, err = s.store.FailLease(id, rr.Token, rr.Error, rr.TraceEvents, s.pool.MaxAttempts(), nextRun)
-		if requeued {
-			// Wake the local pool too: with local workers enabled the
-			// retry may run in-process before any remote claim.
-			s.pool.Enqueue(id, nextRun)
-			state = jobstore.StateQueued
-		} else {
-			state = jobstore.StateFailed
-		}
+		state, err = s.pool.Fail(id, rr.Token, rr.Error, rr.TraceEvents)
 	}
 	if err != nil {
 		if errors.Is(err, jobstore.ErrFenced) {

@@ -164,6 +164,30 @@ func TestLeaseHTTPLifecycle(t *testing.T) {
 	if !foundLease || !foundRemoteStage {
 		t.Fatalf("trace missing lease/remote-stage events: %+v", traced.Trace)
 	}
+
+	// ?trace=chrome puts the leased job's queue wait on the job/queue
+	// track, like a locally run job's.
+	resp, body = get(t, ts, "/v1/jobs/"+id+"?trace=chrome")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("?trace=chrome = %d: %s", resp.StatusCode, body)
+	}
+	var doc obs.TraceDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("chrome trace does not parse: %v", err)
+	}
+	tracks := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			tracks[ev.Tid], _ = ev.Args["name"].(string)
+		}
+	}
+	sawQueue := false
+	for _, ev := range doc.TraceEvents {
+		sawQueue = sawQueue || ev.Ph == "X" && ev.Name == "queue-wait" && tracks[ev.Tid] == "job/queue"
+	}
+	if !sawQueue {
+		t.Fatalf("leased job's chrome trace has no queue-wait span on job/queue: %s", body)
+	}
 }
 
 // TestLeaseHTTPZombieFenced: a worker that stops heartbeating loses
@@ -290,6 +314,87 @@ func TestLeaseHTTPFailureRequeues(t *testing.T) {
 	}
 	if j := s.store.Get(id); j.State != jobstore.StateFailed || !j.Error.Terminal {
 		t.Fatalf("job after terminal failure = %+v", j)
+	}
+}
+
+// TestLeaseHTTPBackoffIgnoresPostedAttempt: a remote failure's backoff
+// comes from the store's attempt count, not the attempt number the
+// worker posts — a hostile or confused post can neither skip the
+// backoff nor park the job for the maximum delay.
+func TestLeaseHTTPBackoffIgnoresPostedAttempt(t *testing.T) {
+	for _, posted := range []int{0, 1 << 30} {
+		s, ts := coordinatorServer(t, Options{})
+		if resp, _ := postJob(t, ts, "workload=example1", nil); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d", resp.StatusCode)
+		}
+		_, grant := acquireLease(t, ts, "w1", time.Second)
+		if grant == nil {
+			t.Fatal("no grant")
+		}
+		id := grant.Lease.JobID
+		before := time.Now()
+		resp, body := leaseJSON(t, ts, http.MethodPost, "/v1/leases/"+id+"/result", jobapi.ResultRequest{
+			Token: grant.Lease.Token,
+			Error: &jobstore.JobError{Message: "transient blip", Attempt: posted},
+		})
+		after := time.Now()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("posted attempt %d: failure post = %d: %s", posted, resp.StatusCode, body)
+		}
+		// Store attempt 1 backs off the default base of 250ms, jittered
+		// into [125ms, 250ms].
+		j := s.store.Get(id)
+		lo, hi := before.Add(125*time.Millisecond), after.Add(250*time.Millisecond)
+		if j.State != jobstore.StateQueued || j.NextRunAt.Before(lo) || j.NextRunAt.After(hi) {
+			t.Fatalf("posted attempt %d: job %s next run %s, want within [%s, %s]",
+				posted, j.State, j.NextRunAt.Format(time.StampMicro), lo.Format(time.StampMicro), hi.Format(time.StampMicro))
+		}
+		if j.Error == nil || j.Error.Attempt != 1 {
+			t.Fatalf("posted attempt %d: persisted error = %+v, want attempt 1", posted, j.Error)
+		}
+	}
+}
+
+// TestLeaseHTTPQuarantineWritesBundles: a remote worker that fails
+// retryably until the attempt budget runs out leaves the same flight
+// bundles a local slot does — retry-escalation when the job enters its
+// final attempt, job-quarantine when that one fails too.
+func TestLeaseHTTPQuarantineWritesBundles(t *testing.T) {
+	s, ts, dir := newFlightServer(t, Options{Workers: -1, MaxAttempts: 2})
+	if resp, _ := postJob(t, ts, "workload=example1", nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	var id string
+	for attempt := 1; attempt <= 2; attempt++ {
+		var grant *jobapi.Grant
+		for deadline := time.Now().Add(10 * time.Second); grant == nil && time.Now().Before(deadline); {
+			if _, grant = acquireLease(t, ts, "w1", time.Second); grant == nil {
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+		if grant == nil {
+			t.Fatalf("attempt %d never became claimable", attempt)
+		}
+		id = grant.Lease.JobID
+		resp, body := leaseJSON(t, ts, http.MethodPost, "/v1/leases/"+id+"/result", jobapi.ResultRequest{
+			Token: grant.Lease.Token,
+			Error: &jobstore.JobError{Message: "storage down"},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("attempt %d: failure post = %d: %s", attempt, resp.StatusCode, body)
+		}
+	}
+	if j := s.store.Get(id); j.State != jobstore.StateFailed || !j.Error.Terminal {
+		t.Fatalf("job after exhausted remote attempts = %+v", j)
+	}
+	reasons := map[string]bool{}
+	for _, b := range waitBundles(t, dir, 2) {
+		if b.Job == id {
+			reasons[b.Reason] = true
+		}
+	}
+	if !reasons["retry-escalation"] || !reasons["job-quarantine"] {
+		t.Fatalf("bundles for %s = %v, want retry-escalation and job-quarantine", id, reasons)
 	}
 }
 

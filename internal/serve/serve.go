@@ -270,7 +270,7 @@ func (s *Server) Open() error {
 			Registry:        s.opts.Registry,
 			Logf:            s.opts.Logf,
 		})
-		s.pool.Start(recovered)
+		s.pool.Start()
 		if n := len(recovered); n > 0 {
 			s.logf("polyprof: job store recovered %d pending job(s) from %s", n, s.opts.DataDir)
 		}

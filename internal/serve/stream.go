@@ -12,24 +12,23 @@ import (
 )
 
 // storeCheckpoints backs jobexec's CheckpointStore with the daemon's
-// job store: Save is a WAL-committed (fsynced) checkpoint record, Load
-// the latest committed one.  This is the local-pool durability path;
-// remote workers persist through the coordinator's lease-fenced
-// checkpoint endpoint instead.
+// job store for a local slot's attempt: Save is a WAL-committed
+// (fsynced) checkpoint record under the slot's lease, Load the latest
+// committed one.  Remote workers commit through the coordinator's
+// checkpoint endpoint, under their own leases.
 type storeCheckpoints struct {
-	store   *jobstore.Store
-	jobID   string
-	attempt int
+	store *jobstore.Store
+	lease *jobstore.Lease
 }
 
 func (c storeCheckpoints) Save(epoch, events uint64, data []byte) error {
-	return c.store.SaveCheckpoint(&jobstore.JobCheckpoint{
-		JobID: c.jobID, Epoch: epoch, Events: events, Attempt: c.attempt, Data: data,
+	return c.store.SaveLeasedCheckpoint(c.lease.JobID, c.lease.Token, &jobstore.JobCheckpoint{
+		Epoch: epoch, Events: events, Attempt: c.lease.Attempt, Data: data,
 	})
 }
 
 func (c storeCheckpoints) Load() ([]byte, bool) {
-	ck := c.store.LoadCheckpoint(c.jobID)
+	ck := c.store.LoadCheckpoint(c.lease.JobID)
 	if ck == nil {
 		return nil, false
 	}

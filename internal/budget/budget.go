@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"polyprof/internal/obs/flight"
 )
 
 // Resource names carried by Error.Resource and ddg degradation
@@ -130,9 +128,7 @@ func (b *Budget) Check(stage string) error {
 		}
 	}
 	if b.hasDeadline && time.Now().After(b.deadline) {
-		err := &Error{Resource: ResourceWall, Stage: stage, Limit: uint64(b.limits.Wall)}
-		flight.Log("budget", err.Resource, err.Error())
-		return err
+		return &Error{Resource: ResourceWall, Stage: stage, Limit: uint64(b.limits.Wall)}
 	}
 	return nil
 }
@@ -153,12 +149,10 @@ func (b *Budget) CountEvents(n uint64, stage string) error {
 	}
 	total := b.events.Add(n)
 	if total > b.limits.MaxTraceEvents {
-		err := &Error{
+		return &Error{
 			Resource: ResourceTraceEvents, Stage: stage,
 			Limit: b.limits.MaxTraceEvents, Used: total,
 		}
-		flight.Log("budget", err.Resource, err.Error())
-		return err
 	}
 	return nil
 }
@@ -172,13 +166,7 @@ func (b *Budget) GrantShadow(n uint64) bool {
 		return true
 	}
 	if b.shadow.Add(n) > b.limits.MaxShadowBytes {
-		// Swap (not Store) so only the first trip emits the flight
-		// event: Grant* sites run per address range, the ring should
-		// record the decision once.
-		if !b.shadowTripped.Swap(true) {
-			flight.Log("degrade", ResourceShadowBytes,
-				fmt.Sprintf("shadow-memory budget exhausted (limit %d bytes); coarsening", b.limits.MaxShadowBytes))
-		}
+		b.shadowTripped.Store(true)
 		return false
 	}
 	return true
@@ -191,10 +179,7 @@ func (b *Budget) GrantEdges(n uint64) bool {
 		return true
 	}
 	if b.edges.Add(n) > b.limits.MaxDDGEdges {
-		if !b.edgesTripped.Swap(true) {
-			flight.Log("degrade", ResourceDDGEdges,
-				fmt.Sprintf("ddg-edge budget exhausted (limit %d edges); keeping bounding boxes", b.limits.MaxDDGEdges))
-		}
+		b.edgesTripped.Store(true)
 		return false
 	}
 	return true

@@ -18,38 +18,44 @@ import (
 	"polyprof/internal/isa"
 	"polyprof/internal/loopevents"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/trace"
 	"polyprof/internal/vm"
 )
 
-// RecoverStage converts a panic inside a pipeline stage into an error
-// and a failed span, so one hostile program or injected fault degrades
-// a single run instead of killing the process.  Use as
+// StagePanic is the error RecoverStage returns for a panic contained
+// inside a pipeline stage: "panic in <stage>: <value>".  An
+// error-valued panic (injected fault, budget abort) unwraps to that
+// error, so errors.As still classifies it.
+type StagePanic struct {
+	Stage string
+	Value any // the recovered panic value
+}
+
+func (p *StagePanic) Error() string {
+	return fmt.Sprintf("panic in %s: %v", p.Stage, p.Value)
+}
+
+func (p *StagePanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// RecoverStage converts a panic inside a pipeline stage into a
+// *StagePanic and a failed span, so one hostile program or injected
+// fault degrades a single run instead of killing the process.  Use as
 //
 //	defer sp.End()
 //	defer core.RecoverStage(stage, sp, &err)
 //
 // (deferred after sp.End so it runs first and can fail the span).
-// Error-valued panics — injected faults, budget aborts — are wrapped
-// with %w so errors.As still classifies them.
 func RecoverStage(stage string, sp *obs.Span, errp *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	var err error
-	if e, ok := r.(error); ok {
-		err = fmt.Errorf("panic in %s: %w", stage, e)
-	} else {
-		err = fmt.Errorf("panic in %s: %v", stage, r)
-	}
+	err := &StagePanic{Stage: stage, Value: r}
 	sp.Fail(err)
 	*errp = err
-	// A stage panic is an anomaly by definition: freeze the flight ring
-	// (no-op while the recorder is disabled).  The panic is contained
-	// here, so this is the only layer that still knows the stage.
-	flight.Trigger("stage-panic", flight.TriggerInfo{Stage: stage, Detail: err.Error()})
 }
 
 // Structure is the result of pass 1 ("Instrumentation I"): the

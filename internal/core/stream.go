@@ -36,7 +36,6 @@ import (
 	"polyprof/internal/iiv"
 	"polyprof/internal/isa"
 	"polyprof/internal/loopevents"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/vm"
 )
 
@@ -130,7 +129,6 @@ func (ec *epochConfig) arm(p *Pass2, m *vm.Machine, prog *isa.Program, st *Struc
 	p.ctxKey = v.Key()
 	m.Restore(ck.VM)
 	ec.epochN = ck.Epoch
-	flight.Log("stream", "resume", fmt.Sprintf("resuming pass 2 from epoch %d (%d events)", ck.Epoch, ck.Events))
 	return nil
 }
 

@@ -169,8 +169,8 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 						// Resuming is an optimization; a fresh start is
 						// always sound.  Record the corruption and run
 						// from event zero.
-						flight.Log("stream", "resume-rejected",
-							fmt.Sprintf("job %s: %v; starting from event zero", job.ID, derr))
+						flight.LogEvent(flight.Event{Kind: "stream", Name: "resume-rejected", Trace: job.TraceID,
+							Detail: fmt.Sprintf("job %s: %v; starting from event zero", job.ID, derr)})
 					} else {
 						ro.Resume = ck
 						if opts.OnResume != nil {
@@ -221,7 +221,7 @@ func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jo
 // runOptimize is the optional transform stage: apply the suggested
 // schedules, re-measure, verify, and marshal the engine's report for
 // embedding.  A panic inside the engine is contained here exactly like
-// a pipeline-stage panic (stage-panic flight bundle, attempt fails,
+// a pipeline-stage panic (a *core.StagePanic: the attempt fails, the
 // daemon survives).
 func runOptimize(sc obs.Scope, p *core.Profile, rep *feedback.Report, bud *budget.Budget, opts Options) (data json.RawMessage, err error) {
 	sp := sc.StartSpan("transform")

@@ -1,27 +1,28 @@
 // Package flight is the always-on flight recorder: a bounded in-memory
-// ring of recent observability events (finished stage spans, job
-// lifecycle transitions, budget/degradation decisions, parallel-engine
-// events and diagnoses, per-request metric deltas) that costs one
-// atomic load per recording site while disabled, and on an anomaly
-// trigger freezes the ring into a self-contained JSON bundle on disk —
-// the last N seconds of process history, a goroutine and heap profile,
-// the metrics snapshot, the latest parallel diagnosis (parddg.Diagnose
-// over a parallel run's spans), and build metadata —
-// so a panic, budget blowout, quarantine, or slow job explains itself
-// after the fact instead of leaving behind a terminal error string.
+// ring of recent observability events (finished stage spans, request,
+// job and lease lifecycle transitions, budget/degradation outcomes,
+// parallel diagnoses, per-request metric deltas) that costs one atomic
+// load per recording site while disabled, and on an anomaly trigger
+// freezes the ring into a self-contained JSON bundle on disk — the
+// last N seconds of process history, a goroutine and heap profile, the
+// metrics snapshot, the latest parallel diagnosis (parddg.Diagnose
+// over a parallel run's spans), and build metadata — so a panic,
+// budget blowout, quarantine, or slow job explains itself after the
+// fact instead of leaving behind a terminal error string.
+//
+// Only the service layers (serve, jobstore, jobexec) record.  Pipeline
+// packages return typed failures instead, and the daemon turns each
+// request's or job attempt's outcome into at most one trigger that
+// carries its trace and job IDs.
 //
 // The overhead discipline matches internal/obs and internal/faultinject:
-// every Log/LogEvent site performs exactly one atomic load and returns
-// when the recorder is disabled (the default; `polyprof serve` enables
-// it when -data-dir is set).  When enabled, a recording site takes one
-// short mutex hold to write a fixed-size slot in a preallocated ring —
-// no allocation beyond the event's strings, no I/O.  Disk I/O happens
-// only inside Trigger, which is off every hot path by definition (it
-// fires on anomalies).
-//
-// Recording sites are stage/transition granularity — never per dynamic
-// instruction — so the enabled cost is invisible next to the work the
-// events describe.
+// every LogEvent/Trigger site performs exactly one atomic load and
+// returns when the recorder is disabled (the default; `polyprof serve`
+// enables it when -data-dir is set).  When enabled, a recording site
+// takes one short mutex hold to write a fixed-size slot in a
+// preallocated ring — no allocation beyond the event's strings, no
+// I/O.  Disk I/O happens only inside Trigger, which is off every hot
+// path by definition (it fires on anomalies).
 package flight
 
 import (
@@ -36,9 +37,10 @@ import (
 )
 
 // Event is one ring-buffer entry.  Kind groups events for rendering
-// ("span", "stage", "request", "job", "budget", "degrade", "parddg",
-// "diagnosis" — a parallel run's diagnosis headline —, "trigger");
-// Trace carries the request/job trace ID when the site knows it.
+// ("span", "stage", "request", "job", "lease", "stream", "metrics",
+// "budget", "degrade", "diagnosis" — a parallel run's diagnosis
+// headline —, "trigger"); Trace carries the request/job trace ID when
+// the site knows it.
 type Event struct {
 	At     time.Time `json:"at"`
 	Kind   string    `json:"kind"`
@@ -83,8 +85,8 @@ type Options struct {
 }
 
 // dedupeWindow suppresses repeat triggers for the same (reason, trace,
-// job): one anomaly should produce one bundle even when several layers
-// observe it.
+// job): one anomaly should produce one bundle even when it is seen
+// twice (a job's retried attempts, a watchdog racing an attempt's end).
 const dedupeWindow = 15 * time.Second
 
 // Recorder is one flight recorder.  The zero value is disabled and
@@ -104,9 +106,9 @@ type Recorder struct {
 	diagnosis   json.RawMessage // latest parallel diagnosis
 }
 
-// Default is the process-wide recorder every instrumentation site in
-// the pipeline logs to.  It stays disabled (one atomic load per site)
-// until something — normally `polyprof serve -data-dir` — calls Enable.
+// Default is the process-wide recorder every recording site logs to.
+// It stays disabled (one atomic load per site) until something —
+// normally `polyprof serve -data-dir` — calls Enable.
 var Default = NewRecorder()
 
 // NewRecorder returns a disabled recorder.
@@ -198,16 +200,8 @@ func (r *Recorder) Dir() string {
 	return r.dir
 }
 
-// Log records one event; a single atomic load and return while
-// disabled.
-func (r *Recorder) Log(kind, name, detail string) {
-	if r == nil || !r.enabled.Load() {
-		return
-	}
-	r.LogEvent(Event{Kind: kind, Name: name, Detail: detail})
-}
-
-// LogEvent records a fully-specified event (zero At is stamped now).
+// LogEvent records one event (zero At is stamped now); a single atomic
+// load and return while disabled.
 func (r *Recorder) LogEvent(ev Event) {
 	if r == nil || !r.enabled.Load() {
 		return
@@ -317,14 +311,7 @@ func (r *Recorder) Read(id string) (*Bundle, error) { return ReadBundle(r.Dir(),
 // Remove deletes one of the recorder's bundles by ID.
 func (r *Recorder) Remove(id string) error { return Remove(r.Dir(), id) }
 
-// Package-level shorthands over Default, for deep-layer sites (budget,
-// core, parddg) that should not carry a recorder handle.
-
-// Log records an event on the Default recorder (one atomic load while
-// disabled).
-func Log(kind, name, detail string) { Default.Log(kind, name, detail) }
-
-// LogEvent records a fully-specified event on the Default recorder.
+// LogEvent records an event on the Default recorder.
 func LogEvent(ev Event) { Default.LogEvent(ev) }
 
 // Trigger writes an incident bundle via the Default recorder.

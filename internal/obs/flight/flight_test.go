@@ -24,7 +24,7 @@ func newTestRecorder(t *testing.T, opts Options) (*Recorder, string) {
 
 func TestDisabledRecorderIsInert(t *testing.T) {
 	r := NewRecorder()
-	r.Log("span", "x", "y")
+	r.LogEvent(Event{Kind: "span", Name: "x", Detail: "y"})
 	r.LogEvent(Event{Kind: "job"})
 	id, err := r.Trigger("anything", TriggerInfo{Detail: "ignored"})
 	if err != nil || id != "" {
@@ -34,7 +34,7 @@ func TestDisabledRecorderIsInert(t *testing.T) {
 		t.Fatal("zero recorder reports enabled")
 	}
 	var nilRec *Recorder
-	nilRec.Log("a", "b", "c") // must not panic
+	nilRec.LogEvent(Event{Kind: "a", Name: "b", Detail: "c"}) // must not panic
 	if nilRec.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}

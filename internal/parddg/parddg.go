@@ -32,7 +32,6 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/trace"
 )
 
@@ -121,7 +120,6 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 	e.root = opt.DDG.Obs.StartSpan("ddg-shards")
 	e.sc = opt.DDG.Obs.WithSpan(e.root)
 	e.timed = e.sc.Enabled()
-	flight.Log("parddg", "engine-start", fmt.Sprintf("%d shards, %d mem words", n, prog.MemWords))
 	e.cur = e.newBatch()
 	e.allocated = 1
 	for i := 0; i < n; i++ {
@@ -170,27 +168,29 @@ func (e *Engine) newBatch() *batch {
 	return &batch{mem: make([]ddg.Points, e.n)}
 }
 
+// Failure is the error of a failed engine: the first fault its fail
+// latch caught (a contained shard panic, a dispatch or merge fault, a
+// merge error), with the engine's shard count.  Its message is the
+// fault's own.
+type Failure struct {
+	Shards int
+	Err    error
+}
+
+func (f *Failure) Error() string { return f.Err.Error() }
+func (f *Failure) Unwrap() error { return f.Err }
+
+// fail latches err as the engine's Failure; the first one wins.
 func (e *Engine) fail(err error) {
 	if err == nil {
 		return
 	}
 	e.failMu.Lock()
-	first := e.failErr == nil
-	if first {
-		e.failErr = err
+	if e.failErr == nil {
+		e.failErr = &Failure{Shards: e.n, Err: err}
 	}
 	e.failMu.Unlock()
 	e.failed.Store(true)
-	if first {
-		// The fail latch fires once per engine; a parallel-engine failure
-		// (contained shard panic, injected fault, dispatch error) is an
-		// anomaly worth a bundle — the merged error string the caller sees
-		// no longer says which shard or protocol step died, the ring does.
-		flight.Trigger("parddg-failure", flight.TriggerInfo{
-			Stage:  "pass2-ddg",
-			Detail: fmt.Sprintf("parallel engine failed (%d shards): %v", e.n, err),
-		})
-	}
 }
 
 func (e *Engine) failure() error {
@@ -323,6 +323,7 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 	g, err := e.merge()
 	if err != nil {
 		e.fail(err)
+		err = e.failure()
 	} else {
 		e.root.AddEvents(g.TotalOps)
 	}

@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
+	"polyprof/internal/budget"
+	"polyprof/internal/core"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
+	"polyprof/internal/parddg"
+	"polyprof/internal/transform"
 )
 
 // handleFlightList serves GET /v1/flight: the on-disk incident bundles,
@@ -63,28 +69,95 @@ func (s *Server) handleFlightGet(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, b)
 }
 
-// logMetricsDelta records a request/attempt registry's summary into the
-// flight ring just before it merges into the process registry — the
-// per-request registry is exactly that request's metric delta.  One
-// atomic load and a return while the recorder is disabled.
-func logMetricsDelta(name, trace string, reg *obs.Registry) {
+// outcome is one finished pipeline attempt: a synchronous /v1/profile
+// request or one job attempt.
+type outcome struct {
+	kind, name string // ring event kind ("request", "job") and attempt name
+	trace, job string // correlation IDs; job is "" for a request
+	status     string
+	err        error
+	wallNS     int64
+	budgets    []string // degrading budgets a degraded report tripped
+	reg        *obs.Registry
+}
+
+// finish ends one attempt: its registry merges into the process one
+// and, while the recorder is on, its parallel diagnosis, metric delta
+// (the attempt's registry is exactly that), anomaly decision and
+// status enter the ring.  It is the one place a pipeline outcome
+// becomes a trigger, so every such bundle carries the attempt's IDs.
+func (s *Server) finish(o outcome) {
+	s.reg.Merge(o.reg)
 	if !flight.Enabled() {
 		return
 	}
-	snap := reg.Snapshot()
-	var top string
-	var topVal uint64
-	for _, c := range snap.Counters {
-		if c.Value >= topVal {
-			top, topVal = c.Name, c.Value
+	if rep := parddg.Diagnose(o.reg.Spans()); rep != nil {
+		// A parallel run's diagnosis rides along in any later bundle.
+		if data, err := json.Marshal(rep); err == nil {
+			flight.Default.SetDiagnosis(data)
 		}
+		flight.LogEvent(flight.Event{
+			Kind: "diagnosis", Name: "parddg", Trace: o.trace,
+			Detail: fmt.Sprintf("serial_frac=%.2f dominant=%s", rep.SerialFrac, rep.Dominant),
+			WallNS: rep.CriticalPathNS,
+		})
 	}
+	snap := o.reg.Snapshot()
 	detail := fmt.Sprintf("%d counters, %d gauges, %d histograms",
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
-	if top != "" {
-		detail += fmt.Sprintf("; top %s=%d", top, topVal)
+	var top obs.NamedUint
+	for _, c := range snap.Counters {
+		if c.Value >= top.Value {
+			top = c
+		}
 	}
-	flight.LogEvent(flight.Event{Kind: "metrics", Name: name, Trace: trace, Detail: detail})
+	if top.Name != "" {
+		detail += fmt.Sprintf("; top %s=%d", top.Name, top.Value)
+	}
+	flight.LogEvent(flight.Event{Kind: "metrics", Name: o.name, Trace: o.trace, Detail: detail})
+	evs, reason, info := anomaly(o)
+	for _, ev := range evs {
+		flight.LogEvent(ev)
+	}
+	if reason != "" {
+		flight.Trigger(reason, info)
+	}
+	flight.LogEvent(flight.Event{Kind: o.kind, Name: o.name, Trace: o.trace,
+		Detail: "status=" + o.status, WallNS: o.wallNS})
+}
+
+// anomaly decides what a finished attempt adds to the ring — degrade
+// events, a budget event — and which trigger, if any, it fires (reason
+// "" for none).  A contained stage panic outranks a parallel-engine
+// failure, an oracle mismatch and a hard budget abort, in that order;
+// cancellation and plain errors fire nothing.
+func anomaly(o outcome) (evs []flight.Event, reason string, info flight.TriggerInfo) {
+	for _, res := range o.budgets {
+		evs = append(evs, flight.Event{Kind: "degrade", Name: res, Trace: o.trace,
+			Detail: res + " budget exhausted; report degraded"})
+	}
+	info = flight.TriggerInfo{Trace: o.trace, Job: o.job}
+	var sp *core.StagePanic
+	var pf *parddg.Failure
+	var oe *transform.OracleError
+	switch {
+	case o.err == nil:
+	case errors.As(o.err, &sp):
+		reason, info.Stage, info.Detail = "stage-panic", sp.Stage, sp.Error()
+	case errors.As(o.err, &pf):
+		reason, info.Stage = "parddg-failure", "pass2-ddg"
+		info.Detail = fmt.Sprintf("parallel engine failed (%d shards): %v", pf.Shards, pf.Err)
+	case errors.As(o.err, &oe):
+		reason, info.Stage, info.Detail = "optimize-verify-failed", "transform", oe.Error()
+		info.Extra = map[string]string{"program": oe.Program, "nest": oe.Nest, "variant": oe.Variant}
+	default:
+		if be, ok := budget.AsError(o.err); ok && !be.Canceled() {
+			evs = append(evs, flight.Event{Kind: "budget", Name: be.Resource, Trace: o.trace, Detail: be.Error()})
+			reason, info.Detail = "budget-exhausted", o.name+": "+o.err.Error()
+			info.Extra = map[string]any{"status": o.status, "wall_ns": o.wallNS}
+		}
+	}
+	return evs, reason, info
 }
 
 // lifecycleSpans converts a job's persisted lifecycle trace into span

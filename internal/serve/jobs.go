@@ -443,25 +443,14 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		defer s.streams.clear(job.ID)
 	}
 
-	logMetricsDelta(fmt.Sprintf("job:%s#%d", job.Name(), attempt), job.TraceID, reg)
-	s.reg.Merge(reg)
 	s.reg.Add("serve.jobs.runs", 1)
 	if err != nil {
 		s.reg.Add("serve.jobs.errors", 1)
 	}
 	s.reg.Observe("serve.job.wall_ns", uint64(res.WallNS))
-	if res.Status == "budget" || res.Status == "timeout" {
-		flight.Trigger("budget-exhausted", flight.TriggerInfo{
-			Trace: job.TraceID, Job: job.ID,
-			Detail: fmt.Sprintf("job %s attempt %d: %s", job.ID, attempt, err),
-			Extra:  map[string]any{"status": res.Status, "wall_ns": res.WallNS},
-		})
-	}
-	flight.LogEvent(flight.Event{
-		Kind: "job", Name: "finish", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s attempt %d status=%s", job.ID, attempt, res.Status),
-		WallNS: res.WallNS,
-	})
+	s.finish(outcome{kind: "job", name: fmt.Sprintf("job:%s#%d", job.Name(), attempt),
+		trace: job.TraceID, job: job.ID, status: res.Status, err: err, wallNS: res.WallNS,
+		budgets: res.Budget, reg: reg})
 	s.logf("polyprof: job %s attempt=%d name=%s status=%s wall=%s ops=%d",
 		job.ID, attempt, job.Name(), res.Status, time.Duration(res.WallNS), res.Ops)
 	return res, err

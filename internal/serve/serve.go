@@ -74,7 +74,6 @@ import (
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/parddg"
 	"polyprof/internal/workloads"
 )
 
@@ -545,8 +544,8 @@ func httpStatus(status string) int {
 }
 
 // runProfile executes the pipeline for one request under its own
-// registry and budget and returns the response; the summary lands in
-// the ring and the request metrics merge into the process registry.
+// registry and budget and returns the response; the shared finish
+// merges the request metrics and makes its anomaly decision.
 func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec, wantMetrics bool) *ProfileResponse {
 	reqReg := obs.NewRegistry()
 	reqReg.SetEnabled(true)
@@ -558,29 +557,17 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 
 	flight.LogEvent(flight.Event{Kind: "request", Name: "profile:" + spec.Name, Trace: id, Detail: "start"})
 	bud := budget.New(ctx, s.opts.Limits)
-	if err := s.runPipeline(bud, sc, root, spec, resp); err != nil {
+	err := s.runPipeline(bud, sc, root, spec, resp)
+	if err != nil {
 		resp.Error = err.Error()
 		root.Fail(err)
 		if resp.Status == "ok" { // not already "panic"
-			resp.Status = classifyError(err)
+			resp.Status = jobexec.Classify(err)
 		}
 	}
 	root.End()
 	resp.WallNS = int64(time.Since(start))
 	resp.Spans = reqReg.Spans()
-	if rep := parddg.Diagnose(resp.Spans); rep != nil {
-		// A parallel run's diagnosis rides along in any later flight
-		// bundle, and its headline lands in the ring.  The engine has
-		// already published its gauges into the request registry.
-		if data, err := json.Marshal(rep); err == nil {
-			flight.Default.SetDiagnosis(data)
-		}
-		flight.LogEvent(flight.Event{
-			Kind: "diagnosis", Name: "parddg", Trace: id,
-			Detail: fmt.Sprintf("serial_frac=%.2f dominant=%s", rep.SerialFrac, rep.Dominant),
-			WallNS: rep.CriticalPathNS,
-		})
-	}
 	if wantMetrics {
 		snap := reqReg.Snapshot()
 		resp.Metrics = &MetricsBody{
@@ -588,13 +575,8 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 		}
 	}
 
-	// Fold the request registry into the process one (spans stay with
-	// the request) and record the daemon's own serving metrics.  The
-	// request registry is exactly this request's metric delta, so its
-	// summary enters the flight ring before it dissolves into the
-	// process totals.
-	logMetricsDelta("profile:"+spec.Name, id, reqReg)
-	s.reg.Merge(reqReg)
+	// Record the daemon's own serving metrics, then fold the request
+	// registry into the process one (spans stay with the request).
 	s.reg.Add("serve.requests", 1)
 	if resp.Status != "ok" {
 		s.reg.Add("serve.requests.errors", 1)
@@ -609,19 +591,8 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 		s.reg.Add("serve.requests.degraded", 1)
 	}
 	s.reg.Observe("serve.request.wall_ns", uint64(resp.WallNS))
-	if resp.Status == "budget" || resp.Status == "timeout" {
-		// A hard budget abort is an anomaly worth a black box: the ring
-		// holds the stages and budget decisions leading up to it.
-		flight.Trigger("budget-exhausted", flight.TriggerInfo{
-			Trace:  id,
-			Detail: fmt.Sprintf("workload %s: %s", spec.Name, resp.Error),
-			Extra:  map[string]any{"status": resp.Status, "budget": resp.Budget, "wall_ns": resp.WallNS},
-		})
-	}
-	flight.LogEvent(flight.Event{
-		Kind: "request", Name: "profile:" + spec.Name, Trace: id,
-		Detail: "status=" + resp.Status, WallNS: resp.WallNS,
-	})
+	s.finish(outcome{kind: "request", name: "profile:" + spec.Name, trace: id,
+		status: resp.Status, err: err, wallNS: resp.WallNS, budgets: resp.Budget, reg: reqReg})
 
 	summary := RequestSummary{
 		ID: id, Workload: spec.Name, Status: resp.Status, Error: resp.Error,
@@ -700,12 +671,6 @@ func (s *Server) runPipeline(bud *budget.Budget, sc obs.Scope, root *obs.Span, s
 	root.AddEvents(p.DDG.TotalOps)
 	return nil
 }
-
-// classifyError maps a pipeline error to a response status: budget
-// aborts split into timeout/canceled/budget, anything else is a plain
-// error.  The mapping is jobexec's, so sync requests and job attempts
-// classify identically.
-func classifyError(err error) string { return jobexec.Classify(err) }
 
 func (s *Server) handleRequests(w http.ResponseWriter, req *http.Request) {
 	limit := 0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"polyprof/internal/isa"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/vm"
 )
 
@@ -29,15 +28,29 @@ func measure(prog *isa.Program, opts Options) (*Measurement, error) {
 	return out, nil
 }
 
+// OracleError is the output-equality oracle's verdict against one
+// variant: its final memory image differs from the baseline's.  That
+// is a correctness bug in the legality check or the rewriter, so it
+// fails the run and the transformation is never reported as
+// applied-and-verified.
+type OracleError struct {
+	Program, Nest, Variant string
+	Detail                 string // how the memory images differ
+}
+
+func (e *OracleError) Error() string {
+	return fmt.Sprintf("transform: output-equality oracle failed for %s %s on %s: %s",
+		e.Variant, e.Nest, e.Program, e.Detail)
+}
+
 // verifyOutputs is the output-equality oracle: the transformed program
-// must leave a bit-identical final memory image.  A mismatch is a
-// correctness bug in the legality check or the rewriter — it freezes a
-// flight bundle and fails the run so the transformation is never
-// reported as applied-and-verified.
+// must leave a bit-identical final memory image.
 func verifyOutputs(program, nest, kind string, base, got *Measurement) error {
+	fail := func(detail string) error {
+		return &OracleError{Program: program, Nest: nest, Variant: kind, Detail: detail}
+	}
 	if len(base.mem) != len(got.mem) {
-		return oracleFail(program, nest, kind,
-			fmt.Sprintf("memory size changed: %d words vs %d", len(base.mem), len(got.mem)))
+		return fail(fmt.Sprintf("memory size changed: %d words vs %d", len(base.mem), len(got.mem)))
 	}
 	diff := 0
 	first := -1
@@ -52,22 +65,6 @@ func verifyOutputs(program, nest, kind string, base, got *Measurement) error {
 	if diff == 0 {
 		return nil
 	}
-	return oracleFail(program, nest, kind,
-		fmt.Sprintf("%d memory words differ (first at word %d: %#x vs %#x)",
-			diff, first, base.mem[first], got.mem[first]))
-}
-
-func oracleFail(program, nest, kind, detail string) error {
-	err := fmt.Errorf("transform: output-equality oracle failed for %s %s on %s: %s",
-		kind, nest, program, detail)
-	flight.Trigger("optimize-verify-failed", flight.TriggerInfo{
-		Stage:  "transform",
-		Detail: err.Error(),
-		Extra: map[string]string{
-			"program": program,
-			"nest":    nest,
-			"variant": kind,
-		},
-	})
-	return err
+	return fail(fmt.Sprintf("%d memory words differ (first at word %d: %#x vs %#x)",
+		diff, first, base.mem[first], got.mem[first]))
 }

@@ -17,7 +17,7 @@
 //     dependences and degraded runs refuse conservatively.
 //  3. Verification: the transformed program is executed and its entire
 //     final memory image must be bit-identical to the original's — a
-//     mismatch freezes a flight bundle and fails the run, it is never
+//     mismatch fails the run with an *OracleError, it is never
 //     reported as a result.
 package transform
 
@@ -38,8 +38,7 @@ import (
 // Fault points: transform.apply injects at schedule application (after
 // legality, before codegen), transform.verify at the output-equality
 // oracle.  Error injections fail the optimize stage; panic injections
-// are contained by the stage recovery in jobexec and freeze a
-// stage-panic flight bundle.
+// are contained by the stage recovery in jobexec as a *core.StagePanic.
 var (
 	applyFault  = faultinject.Point("transform.apply")
 	verifyFault = faultinject.Point("transform.verify")
@@ -237,8 +236,7 @@ type Variant struct {
 // Optimize applies the suggested schedules to the profiled program and
 // measures them.  It returns a report even when every candidate is
 // refused; it returns an error only for hard failures (budget abort,
-// injected fault, VM error, or an oracle mismatch — which also freezes
-// a flight bundle).
+// injected fault, VM error, or an oracle mismatch — an *OracleError).
 func Optimize(p *core.Profile, m *sched.Model, suggestions []*sched.NestTransform, opts Options) (*Report, error) {
 	if opts.TileSize <= 0 {
 		opts.TileSize = DefaultTileSize

@@ -408,8 +408,7 @@ func TestCheckLegalDirect(t *testing.T) {
 }
 
 // TestOracleCatchesMismatch feeds the oracle two differing memory
-// images and expects a hard error (and a flight trigger, exercised as
-// a no-op while the recorder is disabled).
+// images and expects a hard error.
 func TestOracleCatchesMismatch(t *testing.T) {
 	base := &Measurement{mem: []uint64{1, 2, 3}}
 	same := &Measurement{mem: []uint64{1, 2, 3}}

@@ -13,7 +13,6 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/trace"
 )
 
@@ -314,12 +313,10 @@ func (m *Machine) checkpoint(limit uint64, budgetSteps bool, counted *uint64) er
 	}
 	if m.stats.Ops >= limit {
 		if budgetSteps {
-			err := &budget.Error{
+			return &budget.Error{
 				Resource: budget.ResourceSteps, Stage: "vm",
 				Limit: limit, Used: m.stats.Ops,
 			}
-			flight.Log("budget", err.Resource, err.Error())
-			return err
 		}
 		return fmt.Errorf("vm: step limit %d exceeded in %q", limit, m.prog.Name)
 	}

@@ -192,7 +192,7 @@ serve flags:
 
 POLYPROF_FAULT=point=mode[:arg][:count],... arms fault injection
 (points: vm.step, ddg.shadow.insert, fold.finish, fold.epoch.merge,
-sched.build, serve.handler, jobstore.wal.append, jobstore.wal.sync,
+sched.build, jobstore.wal.append, jobstore.wal.sync,
 jobstore.snapshot, jobstore.replay, parddg.batch.dispatch,
 parddg.shard.insert, parddg.merge, jobexec.attempt,
 jobexec.checkpoint, jobapi.partition, jobapi.acquire,

@@ -4,13 +4,15 @@
 //
 //  1. releases stale shadow records back to the budget (with a shadow
 //     ceiling: bounded-memory mode, see ddg.Options.Stream),
-//  2. folds a deep clone of the live state into a provisional Profile
-//     (epoch summaries only ever ADD dependences relative to earlier
-//     epochs — folding is monotone and releases only substitute
-//     conservative supersets),
-//  3. serializes a Checkpoint of the complete pass-2 state, which the
+//  2. serializes a Checkpoint of the complete pass-2 state, which the
 //     job layer persists through the WAL so a killed attempt resumes
-//     from the last committed epoch instead of event zero.
+//     from the last committed epoch instead of event zero,
+//  3. hands both to OnEpoch, which may fold a deep clone of the live
+//     state into a provisional Profile (Epoch.Provisional; epoch
+//     summaries only ever ADD dependences relative to earlier epochs —
+//     folding is monotone and releases only substitute conservative
+//     supersets).  The fold costs a clone and a finish of the whole
+//     builder, so it runs only when the callback asks for it.
 //
 // Epoch boundaries are deterministic (exact multiples of EpochEvents in
 // the VM's op counter), so they land identically on fresh and resumed
@@ -22,10 +24,10 @@
 // first flushes its pipeline so its partitions are quiescent, and a
 // failed engine (whose workers skip every later batch) aborts the
 // boundary before anything is released, folded or saved.  Every step
-// above is then the builder's, so either engine streams, releases and
-// checkpoints alike.  Checkpoints pause while a budget is degraded
-// (coarse state is monotone and address-granular; re-charging it under
-// a fresh budget would double-degrade).
+// above is then the builder's, so either engine streams, releases,
+// folds and checkpoints alike.  Checkpoints pause while a budget is
+// degraded (coarse state is monotone and address-granular; re-charging
+// it under a fresh budget would double-degrade).
 package core
 
 import (
@@ -79,12 +81,34 @@ type Epoch struct {
 	// ReleasedBytes is the shadow budget returned at this boundary
 	// (bounded-memory streaming only).
 	ReleasedBytes uint64
-	// Provisional is the folded profile of everything seen so far; its
-	// dependence set can only grow in later epochs.
-	Provisional *Profile
 	// Checkpoint is the serialized Checkpoint, nil when the run is not
 	// checkpointable (degraded budget or latched fault).
 	Checkpoint []byte
+
+	ec *epochConfig
+}
+
+// Provisional folds a deep clone of the live state into the profile of
+// everything seen so far; its dependence set can only grow in later
+// epochs.  It is valid only during the OnEpoch callback, while the
+// machine is paused at the boundary.  The clone carries no budget and a
+// detached disabled registry, so the live run's accounting and metrics
+// are untouched.
+func (ep *Epoch) Provisional() (*Profile, error) {
+	ec := ep.ec
+	g, err := ec.eng.Builder.Clone().FinishChecked()
+	if err != nil {
+		return nil, fmt.Errorf("core: provisional fold at epoch %d: %w", ep.N, err)
+	}
+	tree := ec.p.Tree.Clone()
+	tree.Finalize()
+	return &Profile{
+		Prog:      ec.prog,
+		Structure: ec.st,
+		Tree:      tree,
+		DDG:       g,
+		Stats:     ec.m.Stats(),
+	}, nil
 }
 
 // epochConfig is the driver state threaded from Run into runPass2.
@@ -147,12 +171,7 @@ func (ec *epochConfig) fire(events uint64) error {
 	if ec.cb == nil {
 		return nil
 	}
-	ep := &Epoch{N: ec.epochN, Events: events, ReleasedBytes: released}
-	prov, err := ec.provisional()
-	if err != nil {
-		return fmt.Errorf("core: provisional fold at epoch %d: %w", ec.epochN, err)
-	}
-	ep.Provisional = prov
+	ep := &Epoch{N: ec.epochN, Events: events, ReleasedBytes: released, ec: ec}
 	if ec.eng.Builder.Checkpointable() {
 		data, err := ec.checkpoint(events)
 		if err != nil {
@@ -161,25 +180,6 @@ func (ec *epochConfig) fire(events uint64) error {
 		ep.Checkpoint = data
 	}
 	return ec.cb(ep)
-}
-
-// provisional folds a deep clone of the live state into a Profile.
-// The clone carries no budget and a detached disabled registry, so the
-// live run's accounting and metrics are untouched.
-func (ec *epochConfig) provisional() (*Profile, error) {
-	g, err := ec.eng.Builder.Clone().FinishChecked()
-	if err != nil {
-		return nil, err
-	}
-	tree := ec.p.Tree.Clone()
-	tree.Finalize()
-	return &Profile{
-		Prog:      ec.prog,
-		Structure: ec.st,
-		Tree:      tree,
-		DDG:       g,
-		Stats:     ec.m.Stats(),
-	}, nil
 }
 
 // checkpoint serializes the full pass-2 cut at this boundary.

@@ -13,7 +13,7 @@
 // Tests and operators arm points with Arm / ArmString, or via the
 // POLYPROF_FAULT environment variable consumed by cmd/polyprof:
 //
-//	POLYPROF_FAULT="vm.step=error,serve.handler=panic:boom:3"
+//	POLYPROF_FAULT="vm.step=error,jobexec.attempt=panic:boom:3"
 //
 // Spec syntax per point: mode[:arg][:count] where mode is one of
 // panic, error, budget, delay; arg is the message (panic/error), the

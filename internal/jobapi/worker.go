@@ -157,15 +157,11 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 	exec := w.opts.Exec
 	exec.Registry = reg
 	// Streaming wiring is the worker's own (caller-supplied hooks are
-	// ignored like Exec.Registry): the epoch grid comes from the job
-	// spec, checkpoints commit through the coordinator's lease-fenced
-	// endpoint, and a resume is shipped home as a trace event.  No
-	// provisional hook — remote attempts skip the per-epoch render;
-	// live subscribers are served by the coordinator.
-	exec.EpochEvents = job.EpochEvents
-	// The optimize stage is part of the job spec, so a leased attempt
-	// runs it exactly like a local one.
-	exec.Optimize = job.Optimize
+	// ignored like Exec.Registry): checkpoints commit through the
+	// coordinator's lease-fenced endpoint, and a resume is shipped home
+	// as a trace event.  No provisional hook — remote attempts skip the
+	// per-epoch fold and render; live subscribers are served by the
+	// coordinator.
 	exec.Checkpoints = nil
 	exec.OnProvisional = nil
 	exec.OnResume = nil
@@ -185,7 +181,7 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 			evMu.Unlock()
 		}
 	}
-	res, runErr := jobexec.Run(attemptCtx, job, lease.Attempt, exec)
+	res, runErr := jobexec.Run(attemptCtx, job, fmt.Sprintf("job:%s#%d", job.Name(), lease.Attempt), exec)
 	cancel() // stop heartbeating before the result post races a renewal
 	hbWG.Wait()
 

@@ -138,6 +138,52 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWorkerContainsAttemptPanic: a panic inside a leased attempt is
+// contained by the attempt runner — the worker posts a failed attempt
+// instead of dying with all its slots, keeps claiming, and the
+// coordinator's retry succeeds.
+func TestWorkerContainsAttemptPanic(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	if err := faultinject.ArmString("jobexec.attempt=panic:boom:1"); err != nil {
+		t.Fatal(err)
+	}
+	ts := startCoordinator(t, serve.Options{})
+	id := submitWorkload(t, ts, "workload=example1")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := jobapi.NewWorker(jobapi.WorkerOptions{
+		Coordinator: ts.URL,
+		Name:        "panicky",
+		Slots:       1,
+		Poll:        25 * time.Millisecond,
+		Exec:        jobexec.Options{Timeout: 30 * time.Second},
+		Logf:        t.Logf,
+	})
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+
+	j := waitState(t, ts, id, jobstore.StateSucceeded, 30*time.Second)
+	cancel()
+	<-done
+
+	if j.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (a failed panicking attempt, then the retry)", j.Attempts)
+	}
+	retried := false
+	for _, ev := range j.Trace {
+		if ev.Event == jobstore.TraceRetry && strings.Contains(ev.Detail, "panicked") {
+			retried = true
+		}
+	}
+	if !retried {
+		t.Fatalf("no retry naming the contained panic in the trace: %+v", j.Trace)
+	}
+	if len(j.Result.Report) == 0 {
+		t.Fatal("no report after the retry")
+	}
+}
+
 // TestLocalAndRemoteTraceKindsMatch: one job lifecycle for every kind
 // of worker — a job run by a coordinator's local slot and the same job
 // run by a remote worker leave the same sequence of lifecycle trace

@@ -1,11 +1,11 @@
-// Package jobexec executes one attempt of one durable job: materialize
-// the program, run the pipeline under a budget with its own span tree
-// and registry, and fold the outcome into a jobstore.Result.  It is the
-// shared attempt runner behind both the in-process worker pool (the
-// serve daemon's default) and remote lease-holding workers
-// (`polyprof work`), so an attempt behaves identically — budgets,
-// degradation, error classification, span naming — no matter which
-// process runs it.
+// Package jobexec executes one attempt of one job: materialize the
+// program, run the pipeline under a budget with its own span tree and
+// registry, and fold the outcome into a jobstore.Result.  It is the
+// daemon's only attempt runner — behind synchronous /v1/profile
+// requests (an unpersisted workload job), the in-process worker pool
+// and remote lease-holding workers (`polyprof work`) — so an attempt
+// behaves identically — budgets, degradation, error classification,
+// panic containment — no matter which path or process runs it.
 package jobexec
 
 import (
@@ -27,12 +27,12 @@ import (
 	"polyprof/internal/workloads"
 )
 
-// attemptFault injects at the top of each attempt, before the program
-// is materialized — the chaos hook for a worker that wedges (delay) or
-// fails (error/budget/panic) mid-attempt.  checkpointFault injects at
-// the checkpoint-persist boundary of a streaming attempt: the attempt
-// dies mid-epoch and the retry must resume from the last epoch whose
-// checkpoint committed.
+// attemptFault injects at the top of each attempt, synchronous ones
+// included, before the program is materialized — the chaos hook for a
+// worker that wedges (delay) or fails (error/budget/panic) mid-attempt.
+// checkpointFault injects at the checkpoint-persist boundary of a
+// streaming attempt: the attempt dies mid-epoch and the retry must
+// resume from the last epoch whose checkpoint committed.
 var (
 	attemptFault    = faultinject.Point("jobexec.attempt")
 	checkpointFault = faultinject.Point("jobexec.checkpoint")
@@ -58,7 +58,10 @@ type Provisional struct {
 	Report json.RawMessage `json:"report"`
 }
 
-// Options tunes one attempt.
+// Options tunes how this process runs one attempt.  What the attempt
+// computes — the program, its epoch grid (Job.EpochEvents) and whether
+// it optimizes (Job.Optimize) — is the job's own spec, so every path
+// runs a job the same way.
 type Options struct {
 	// Limits are the attempt's resource budgets (zero fields
 	// unlimited).
@@ -74,25 +77,11 @@ type Options struct {
 	// persistence or trace shipping, and merges or ships it afterwards.
 	Registry *obs.Registry
 
-	// Optimize runs the schedule-application engine after analysis:
-	// suggested schedules are applied, re-measured under the VM
-	// cycle/cache model, and the verified results land in the report's
-	// "optimization" section.  Measurement re-executions charge the same
-	// budget as the profiled run.
-	Optimize bool
-	// TileSize is the rectangular tile edge for Optimize
-	// (transform.DefaultTileSize when 0).
-	TileSize int
-
-	// EpochEvents, when positive, runs the attempt in streaming mode:
-	// pass 2 pauses every EpochEvents dynamic instructions, renders a
-	// provisional report, and commits a resume checkpoint.
-	EpochEvents uint64
 	// Checkpoints persists epoch checkpoints and supplies the one a
 	// resumed attempt restores from (nil: stream without durability).
 	Checkpoints CheckpointStore
 	// OnProvisional receives the rendered report after each epoch (nil
-	// skips the per-epoch render entirely).
+	// skips the per-epoch fold and render entirely).
 	OnProvisional func(Provisional)
 	// OnResume is told when the attempt restored from a committed
 	// checkpoint instead of starting at event zero (for lifecycle
@@ -100,11 +89,11 @@ type Options struct {
 	OnResume func(epoch, events uint64)
 }
 
-// Program materializes the program a job profiles.  Errors here are
+// program materializes the program a job profiles.  Errors here are
 // terminal by construction (never ErrRetryable, never budget timeouts):
 // an unknown workload, an undecodable body, or a structurally invalid
 // program fails identically on every attempt.
-func Program(job *jobstore.Job) (*isa.Program, error) {
+func program(job *jobstore.Job) (*isa.Program, error) {
 	switch job.Kind {
 	case jobstore.KindWorkload:
 		spec := workloads.ByName(job.Workload)
@@ -128,127 +117,141 @@ func Program(job *jobstore.Job) (*isa.Program, error) {
 	}
 }
 
-// Run executes one attempt, recording its span tree
-// ("job:<name>#<attempt>" root, one child span per pipeline stage) and
-// metric deltas into opts.Registry.  The Result is always non-nil with
-// Status already classified.  The error is the pipeline error (nil on
-// success) for the caller's retry/quarantine decision.
-func Run(ctx context.Context, job *jobstore.Job, attempt int, opts Options) (*jobstore.Result, error) {
+// Run executes one attempt, recording its span tree (a root span named
+// root — "request:<workload>" or "job:<name>#<attempt>" — with one
+// child span per pipeline stage) and metric deltas into opts.Registry.
+// The Result is always non-nil with Status already classified.  The
+// error is the pipeline error (nil on success) for the caller's
+// retry/quarantine decision.
+//
+// A panic anywhere in the attempt — the fault point, program build, an
+// epoch hook, report rendering, the pipeline outside a stage's own
+// recovery — is contained here: the attempt ends with Status "panic"
+// and a retryable error, and the caller's process keeps serving.
+func Run(ctx context.Context, job *jobstore.Job, root string, opts Options) (*jobstore.Result, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-
-	reg := opts.Registry
-	root := reg.Scope().StartSpan(fmt.Sprintf("job:%s#%d", job.Name(), attempt))
-	sc := reg.Scope().WithSpan(root)
-	res := &jobstore.Result{Status: "ok", SpanID: root.ID()}
+	sp := opts.Registry.Scope().StartSpan(root)
+	res := &jobstore.Result{Status: "ok", SpanID: sp.ID()}
 	start := time.Now()
-
-	bud := budget.New(ctx, opts.Limits)
-	err := func() error {
-		if err := attemptFault.Hit(); err != nil {
-			return err
-		}
-		prog, err := Program(job)
-		if err != nil {
-			return err
-		}
-		ro := core.DefaultRunOptions()
-		ro.Obs = sc
-		ro.Budget = bud
-		ro.ParallelDDG = opts.ParallelDDG
-		if opts.EpochEvents > 0 {
-			ro.EpochEvents = opts.EpochEvents
-			ro.OnEpoch = epochHook(opts)
-			if opts.Checkpoints != nil {
-				if data, ok := opts.Checkpoints.Load(); ok {
-					ck, derr := core.DecodeCheckpoint(data)
-					if derr != nil {
-						// Resuming is an optimization; a fresh start is
-						// always sound.  Record the corruption and run
-						// from event zero.
-						flight.LogEvent(flight.Event{Kind: "stream", Name: "resume-rejected", Trace: job.TraceID,
-							Detail: fmt.Sprintf("job %s: %v; starting from event zero", job.ID, derr)})
-					} else {
-						ro.Resume = ck
-						if opts.OnResume != nil {
-							opts.OnResume(ck.Epoch, ck.Events)
-						}
-					}
-				}
+	panicked := false
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = true
+				err = fmt.Errorf("attempt panicked: %v: %w", r, jobstore.ErrRetryable)
 			}
-		}
-		p, err := core.Run(prog, ro)
-		if err != nil {
-			return err
-		}
-		rep, err := feedback.AnalyzeChecked(p)
-		if err != nil {
-			return err
-		}
-		var optJSON json.RawMessage
-		if opts.Optimize {
-			optJSON, err = runOptimize(sc, p, rep, bud, opts)
-			if err != nil {
-				return err
-			}
-		}
-		cm := feedback.DefaultCostModel()
-		data, err := rep.JSONWith(&cm, optJSON)
-		if err != nil {
-			return err
-		}
-		res.Report = data
-		res.Ops = p.DDG.TotalOps
-		if d := p.DDG.Degraded; d != nil {
-			res.Degraded = true
-			res.Budget = d.Budgets
-		}
-		root.AddEvents(p.DDG.TotalOps)
-		return nil
+		}()
+		return attempt(ctx, job, opts.Registry.Scope().WithSpan(sp), res, opts)
 	}()
 	if err != nil {
-		root.Fail(err)
-		res.Status = Classify(err)
+		sp.Fail(err)
+		res.Status = classify(err)
+		if panicked {
+			res.Status = "panic"
+		}
 	}
-	root.End()
+	sp.End()
 	res.WallNS = int64(time.Since(start))
 	return res, err
 }
 
-// runOptimize is the optional transform stage: apply the suggested
-// schedules, re-measure, verify, and marshal the engine's report for
-// embedding.  A panic inside the engine is contained here exactly like
-// a pipeline-stage panic (a *core.StagePanic: the attempt fails, the
-// daemon survives).
-func runOptimize(sc obs.Scope, p *core.Profile, rep *feedback.Report, bud *budget.Budget, opts Options) (data json.RawMessage, err error) {
-	sp := sc.StartSpan("transform")
-	defer sp.End()
-	defer core.RecoverStage("transform", sp, &err)
-	opt, err := transform.Optimize(p, rep.Model, rep.AllTransforms(), transform.Options{
-		TileSize: opts.TileSize,
-		Obs:      sc.WithSpan(sp),
-		Budget:   bud,
-	})
-	if err != nil {
-		sp.Fail(err)
-		return nil, err
+// attempt is the body of Run: build the program, run the pipeline and
+// the optional transform stage, and render the report into res.
+func attempt(ctx context.Context, job *jobstore.Job, sc obs.Scope, res *jobstore.Result, opts Options) error {
+	if err := attemptFault.Hit(); err != nil {
+		return err
 	}
-	return json.Marshal(opt)
+	prog, err := program(job)
+	if err != nil {
+		return err
+	}
+	ro := core.DefaultRunOptions()
+	ro.Obs = sc
+	ro.Budget = budget.New(ctx, opts.Limits)
+	ro.ParallelDDG = opts.ParallelDDG
+	if job.EpochEvents > 0 {
+		ro.EpochEvents = job.EpochEvents
+		ro.OnEpoch = epochHook(opts)
+		ro.Resume = resumePoint(job, opts)
+	}
+	p, err := core.Run(prog, ro)
+	if err != nil {
+		return err
+	}
+	rep, err := feedback.AnalyzeChecked(p)
+	if err != nil {
+		return err
+	}
+	var optJSON json.RawMessage
+	if job.Optimize {
+		// Suggested schedules are applied, re-measured under the VM
+		// cycle/cache model, and the verified results land in the
+		// report's "optimization" section; measurement re-executions
+		// charge the attempt's budget.
+		opt, err := transform.Optimize(p, rep.Model, rep.AllTransforms(), transform.Options{Obs: sc, Budget: ro.Budget})
+		if err != nil {
+			return err
+		}
+		if optJSON, err = json.Marshal(opt); err != nil {
+			return err
+		}
+	}
+	cm := feedback.DefaultCostModel()
+	data, err := rep.JSONWith(&cm, optJSON)
+	if err != nil {
+		return err
+	}
+	res.Report = data
+	res.Ops = p.DDG.TotalOps
+	if d := p.DDG.Degraded; d != nil {
+		res.Degraded = true
+		res.Budget = d.Budgets
+	}
+	sc.Span().AddEvents(p.DDG.TotalOps)
+	return nil
+}
+
+// resumePoint decodes the job's latest committed checkpoint, or
+// returns nil for a start from event zero.
+func resumePoint(job *jobstore.Job, opts Options) *core.Checkpoint {
+	if opts.Checkpoints == nil {
+		return nil
+	}
+	data, ok := opts.Checkpoints.Load()
+	if !ok {
+		return nil
+	}
+	ck, err := core.DecodeCheckpoint(data)
+	if err != nil {
+		// Resuming is an optimization; a fresh start is always sound.
+		// Record the corruption and run from event zero.
+		flight.LogEvent(flight.Event{Kind: "stream", Name: "resume-rejected", Trace: job.TraceID,
+			Detail: fmt.Sprintf("job %s: %v; starting from event zero", job.ID, err)})
+		return nil
+	}
+	if opts.OnResume != nil {
+		opts.OnResume(ck.Epoch, ck.Events)
+	}
+	return ck
 }
 
 // epochHook builds the per-boundary callback of a streaming attempt:
-// render the provisional report (only when someone is listening), then
-// commit the checkpoint.  In that order — a checkpoint must never
-// outrun what has been reported — and any failure aborts the attempt
-// as retryable: the retry resumes from the last epoch whose checkpoint
-// actually committed.
+// fold and render the provisional report (only when someone is
+// listening), then commit the checkpoint.  In that order — a checkpoint
+// must never outrun what has been reported — and any failure aborts
+// the attempt as retryable: the retry resumes from the last epoch
+// whose checkpoint actually committed.
 func epochHook(opts Options) func(*core.Epoch) error {
 	return func(ep *core.Epoch) error {
-		if opts.OnProvisional != nil && ep.Provisional != nil {
-			prov := ep.Provisional
+		if opts.OnProvisional != nil {
+			prov, err := ep.Provisional()
+			if err != nil {
+				return err
+			}
 			// Detached disabled registry: per-epoch analysis must not
 			// pollute the attempt's span tree or the global metrics.
 			prov.Obs = obs.NewRegistry().Scope()
@@ -275,9 +278,9 @@ func epochHook(opts Options) func(*core.Epoch) error {
 	}
 }
 
-// Classify maps a pipeline error to a result status: budget aborts
+// classify maps a pipeline error to a result status: budget aborts
 // split into timeout/canceled/budget, anything else is a plain error.
-func Classify(err error) string {
+func classify(err error) string {
 	be, ok := budget.AsError(err)
 	switch {
 	case !ok:

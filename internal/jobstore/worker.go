@@ -39,20 +39,16 @@ type PoolOptions struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// TTL garbage-collects terminal jobs: the pool sweeps the store
-	// periodically and deletes (WAL-logged) succeeded/failed jobs that
-	// finished more than TTL ago.  Zero disables the sweeper.
+	// every TTL/4 (clamped to [1s, 1m]) and deletes (WAL-logged)
+	// succeeded/failed jobs that finished more than TTL ago.  Zero
+	// disables the sweeper.
 	TTL time.Duration
-	// SweepEvery is the sweeper's tick (default TTL/4, clamped to
-	// [1s, 1m]).
-	SweepEvery time.Duration
 	// DefaultLeaseTTL is the lease duration granted to remote workers
 	// that do not request one (default 30s, clamped to
-	// [MinLeaseTTL, MaxLeaseTTL]).
+	// [MinLeaseTTL, MaxLeaseTTL]).  Expired leases are taken back and
+	// their jobs re-queued every DefaultLeaseTTL/4 (clamped to
+	// [100ms, 2s]).
 	DefaultLeaseTTL time.Duration
-	// LeaseReclaimEvery is the reclaimer's tick — how often expired
-	// leases are taken back and their jobs re-queued (default
-	// DefaultLeaseTTL/4, clamped to [100ms, 2s]).
-	LeaseReclaimEvery time.Duration
 	// Registry receives pool counters (default obs.Default).
 	Registry *obs.Registry
 	// Logf receives lifecycle lines (nil to disable).
@@ -94,15 +90,6 @@ func NewPool(store *Store, run Runner, opts PoolOptions) *Pool {
 		opts.Workers = 0 // coordinator-only: no local execution
 	}
 	opts.DefaultLeaseTTL = ClampLeaseTTL(opts.DefaultLeaseTTL, 30*time.Second)
-	if opts.LeaseReclaimEvery <= 0 {
-		opts.LeaseReclaimEvery = opts.DefaultLeaseTTL / 4
-	}
-	if opts.LeaseReclaimEvery < 100*time.Millisecond {
-		opts.LeaseReclaimEvery = 100 * time.Millisecond
-	}
-	if opts.LeaseReclaimEvery > 2*time.Second {
-		opts.LeaseReclaimEvery = 2 * time.Second
-	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
 	}
@@ -140,11 +127,12 @@ func (p *Pool) Start() {
 	go p.reclaimer()
 }
 
-// reclaimer periodically resolves expired leases: their workers were
-// killed, partitioned away, or wedged.
+// reclaimer resolves expired leases every DefaultLeaseTTL/4, clamped
+// to [100ms, 2s]: their workers were killed, partitioned away, or
+// wedged.
 func (p *Pool) reclaimer() {
 	defer p.wg.Done()
-	t := time.NewTicker(p.opts.LeaseReclaimEvery)
+	t := time.NewTicker(min(max(p.opts.DefaultLeaseTTL/4, 100*time.Millisecond), 2*time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -197,22 +185,13 @@ func (p *Pool) reclaim(now time.Time) int {
 // request one.
 func (p *Pool) DefaultLeaseTTL() time.Duration { return p.opts.DefaultLeaseTTL }
 
-// sweeper periodically expires terminal jobs older than the TTL.  The
-// first sweep runs immediately so jobs that aged out while the daemon
-// was down are collected at startup, not one tick later.
+// sweeper expires terminal jobs older than the TTL every TTL/4,
+// clamped to [1s, 1m].  The first sweep runs immediately so jobs that
+// aged out while the daemon was down are collected at startup, not one
+// tick later.
 func (p *Pool) sweeper() {
 	defer p.wg.Done()
-	every := p.opts.SweepEvery
-	if every <= 0 {
-		every = p.opts.TTL / 4
-	}
-	if every < time.Second {
-		every = time.Second
-	}
-	if every > time.Minute {
-		every = time.Minute
-	}
-	t := time.NewTicker(every)
+	t := time.NewTicker(min(max(p.opts.TTL/4, time.Second), time.Minute))
 	defer t.Stop()
 	for {
 		n, err := p.store.ExpireBefore(time.Now().UTC().Add(-p.opts.TTL))

@@ -54,11 +54,11 @@ func TestChaosEveryFaultPoint(t *testing.T) {
 			// reopen, no-loss invariants) lives in internal/jobstore.
 			continue
 		}
-		if strings.HasPrefix(point, "jobexec.") || strings.HasPrefix(point, "jobapi.") {
-			// The attempt-runner and lease-protocol points fire on the
-			// async job path, not on synchronous /v1/profile; their chaos
-			// suites live with the lease tests and the multi-process
-			// cluster suite (cmd/polyprof).
+		if point == "jobexec.checkpoint" || strings.HasPrefix(point, "jobapi.") {
+			// The streaming-checkpoint and lease-protocol points fire on
+			// the async job path, not on synchronous /v1/profile; their
+			// chaos suites live with the lease tests, the streaming test
+			// below and the multi-process cluster suite (cmd/polyprof).
 			continue
 		}
 		if strings.HasPrefix(point, "transform.") {
@@ -203,13 +203,13 @@ func TestChaosStreamingEpochFaults(t *testing.T) {
 	})
 }
 
-// TestChaosHandlerPanic500: a panic in the handler body becomes a 500
-// with an error and a span id in the body, bumps serve.panics, and the
-// daemon survives.
+// TestChaosHandlerPanic500: a panic in the request's attempt becomes a
+// 500 with an error and a span id in the body, bumps serve.panics, and
+// the daemon survives.
 func TestChaosHandlerPanic500(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	s, ts := newTestServer(t, Options{})
-	if err := faultinject.ArmString("serve.handler=panic:boom:1"); err != nil {
+	if err := faultinject.ArmString("jobexec.attempt=panic:boom:1"); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postProfile(t, ts, "workload=example1")

@@ -169,12 +169,57 @@ func TestFlightEndpointsDisabledWithoutDataDir(t *testing.T) {
 	}
 }
 
-// TestServe5xxWritesBundleAndFlightAPI: a handler panic (500) freezes
+// TestRequestsLogNoRingEvents: the middleware writes nothing to the
+// flight ring, so liveness probes cannot crowd it, and a synchronous
+// profile leaves exactly one status event — its outcome's.
+func TestRequestsLogNoRingEvents(t *testing.T) {
+	_, ts, dir := newFlightServer(t, Options{})
+	// ring freezes the ring into a bundle and returns its events; the
+	// trigger itself then enters the ring as one event.
+	ring := func(reason string) []flight.Event {
+		t.Helper()
+		id, err := flight.Trigger(reason, flight.TriggerInfo{})
+		if err != nil || id == "" {
+			t.Fatalf("trigger %s = %q, %v", reason, id, err)
+		}
+		b, err := flight.ReadBundle(dir, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Events
+	}
+	before := ring("probe-before")
+	for i := 0; i < 100; i++ {
+		if resp, body := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz = %d: %s", resp.StatusCode, body)
+		}
+	}
+	if after := ring("probe-after"); len(after) != len(before)+1 {
+		t.Fatalf("100 /healthz polls: ring grew %d -> %d events, want only the trigger's", len(before), len(after))
+	}
+
+	resp, body := postProfile(t, ts, "workload=example1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile = %d: %s", resp.StatusCode, body)
+	}
+	trace := resp.Header.Get("X-Request-ID")
+	var status []flight.Event
+	for _, ev := range ring("probe-profile") {
+		if ev.Trace == trace && strings.HasPrefix(ev.Detail, "status=") {
+			status = append(status, ev)
+		}
+	}
+	if len(status) != 1 || status[0].Detail != "status=ok" {
+		t.Fatalf("status events for %s = %+v, want one status=ok", trace, status)
+	}
+}
+
+// TestServe5xxWritesBundleAndFlightAPI: an attempt panic (500) freezes
 // the recorder; the bundle is listable and readable over the API.
 func TestServe5xxWritesBundleAndFlightAPI(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	_, ts, dir := newFlightServer(t, Options{})
-	if err := faultinject.ArmString("serve.handler=panic:boom:1"); err != nil {
+	if err := faultinject.ArmString("jobexec.attempt=panic:boom:1"); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postProfile(t, ts, "workload=example1")
@@ -270,7 +315,7 @@ func TestChaosFaultPointsOneBundleEach(t *testing.T) {
 		{point: "ddg.shadow.insert", reason: "stage-panic"},
 		{point: "fold.finish", reason: "stage-panic"},
 		{point: "sched.build", reason: "stage-panic"},
-		{point: "serve.handler", reason: "serve-5xx"},
+		{point: "jobexec.attempt", reason: "serve-5xx"},
 		{point: "jobstore.wal.append", reason: "serve-5xx", viaJob: true},
 		// A shard-goroutine panic is caught by the engine's fail latch
 		// (parddg-failure); a merge panic unwinds the calling goroutine
@@ -382,7 +427,7 @@ func TestParallelDiagnosisInBundleAndMetrics(t *testing.T) {
 	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("profile = %d: %s", resp.StatusCode, body)
 	}
-	if err := faultinject.ArmString("serve.handler=panic:diag:1"); err != nil {
+	if err := faultinject.ArmString("jobexec.attempt=panic:diag:1"); err != nil {
 		t.Fatal(err)
 	}
 	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusInternalServerError {

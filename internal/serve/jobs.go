@@ -356,6 +356,7 @@ func (s *Server) handleJobGet(rw http.ResponseWriter, req *http.Request) {
 func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.Lease) (*jobstore.Result, error) {
 	start := time.Now()
 	attempt := lease.Attempt
+	name := fmt.Sprintf("job:%s#%d", job.Name(), attempt)
 
 	// Live progress: the attempt's span registry is attached to the
 	// store for the duration of the attempt, so GET /v1/jobs/{id}
@@ -412,14 +413,12 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		Timeout:     s.opts.RequestTimeout,
 		ParallelDDG: s.opts.ParallelDDG,
 		Registry:    reg,
-		Optimize:    job.Optimize,
 	}
 	if job.EpochEvents > 0 {
 		// Streaming attempt: checkpoints commit through the job store's
 		// WAL under the slot's lease (so a SIGKILL'd attempt resumes from
 		// the last committed epoch), provisionals fan out to ?stream=1 subscribers, and a
 		// resume is recorded in the job's lifecycle trace.
-		exOpts.EpochEvents = job.EpochEvents
 		exOpts.Checkpoints = storeCheckpoints{store: s.store, lease: lease}
 		exOpts.OnProvisional = func(p jobexec.Provisional) {
 			s.reg.Add("serve.jobs.provisionals", 1)
@@ -435,7 +434,7 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 			})
 		}
 	}
-	res, err := jobexec.Run(ctx, job, attempt, exOpts)
+	res, err := jobexec.Run(ctx, job, name, exOpts)
 	if err == nil && job.EpochEvents > 0 {
 		// The job is about to complete; drop its cached provisional (the
 		// final report supersedes it, and terminal jobs answer ?stream=1
@@ -448,7 +447,7 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		s.reg.Add("serve.jobs.errors", 1)
 	}
 	s.reg.Observe("serve.job.wall_ns", uint64(res.WallNS))
-	s.finish(outcome{kind: "job", name: fmt.Sprintf("job:%s#%d", job.Name(), attempt),
+	s.finish(outcome{kind: "job", name: name,
 		trace: job.TraceID, job: job.ID, status: res.Status, err: err, wallNS: res.WallNS,
 		budgets: res.Budget, reg: reg})
 	s.logf("polyprof: job %s attempt=%d name=%s status=%s wall=%s ops=%d",

@@ -44,12 +44,13 @@
 // completed results and request history are served from disk after a
 // restart.
 //
-// Every profile request runs against its own enabled obs.Registry with
-// a "request:<workload>" root span; the pipeline stages nest under the
-// root via the obs.Scope threaded through core.Run.  On completion the
-// request registry's counters, gauges, and histograms merge into the
-// process registry, while the span tree stays with the request summary
-// — concurrent requests never bleed into each other.
+// Every profile request is one unpersisted workload job run by the
+// shared attempt runner (internal/jobexec) against its own enabled
+// obs.Registry with a "request:<workload>" root span; the pipeline
+// stages nest under the root.  On completion the request registry's
+// counters, gauges, and histograms merge into the process registry,
+// while the span tree stays with the request summary — concurrent
+// requests never bleed into each other.
 package serve
 
 import (
@@ -67,19 +68,12 @@ import (
 	"time"
 
 	"polyprof/internal/budget"
-	"polyprof/internal/core"
-	"polyprof/internal/faultinject"
-	"polyprof/internal/feedback"
 	"polyprof/internal/jobexec"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
 	"polyprof/internal/workloads"
 )
-
-// handlerFault injects at the top of each profile request, inside the
-// handler's recovery scope; its panics exercise the 500-JSON path.
-var handlerFault = faultinject.Point("serve.handler")
 
 // DefaultRequestTimeout bounds a profile request's wall clock when
 // Options.RequestTimeout is zero.
@@ -343,10 +337,9 @@ type RequestSummary struct {
 	Spans    []obs.SpanRecord `json:"spans"`
 }
 
-// Handler returns the daemon's HTTP mux, wrapped in the request-ID /
-// flight middleware: every response (including 4xx/5xx error paths)
-// carries an X-Request-ID header, and 5xx responses freeze the flight
-// recorder.
+// Handler returns the daemon's HTTP mux, wrapped in the request-ID
+// middleware: every response (including 4xx/5xx error paths) carries an
+// X-Request-ID header, and 5xx responses freeze the flight recorder.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/profile", s.handleProfile)
@@ -412,7 +405,9 @@ const maxInboundRequestID = 128
 // X-Request-ID when the client sent a plausible one, a fresh "req-N"
 // otherwise — echoes it on the response (error paths included, since
 // the header is set before the handler runs), and turns any 5xx into a
-// flight-recorder trigger carrying that ID.
+// flight-recorder trigger carrying that ID.  It writes no ring event of
+// its own: submits, cache hits, lease grants, attempts and their
+// outcomes log themselves, so liveness probes never crowd the ring.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.Header.Get("X-Request-ID")
@@ -436,18 +431,10 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		}
 		sw := &statusWriter{ResponseWriter: w}
 		req = req.WithContext(context.WithValue(req.Context(), requestIDKey, id))
-		start := time.Now()
 		// The deferred tail still observes the status when a handler
 		// panic unwinds through here (recoverJSON may have aborted the
 		// connection; sw.status is 0 then and no trigger fires).
 		defer func() {
-			if flight.Enabled() {
-				flight.LogEvent(flight.Event{
-					Kind: "request", Name: req.Method + " " + req.URL.Path,
-					Trace: id, Detail: fmt.Sprintf("status=%d", sw.status),
-					WallNS: int64(time.Since(start)),
-				})
-			}
 			if sw.status >= 500 {
 				flight.Trigger("serve-5xx", flight.TriggerInfo{
 					Trace:  id,
@@ -492,14 +479,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// The request context cancels the pipeline when the client
-	// disconnects; the timeout turns a runaway workload into a 408
-	// instead of a stuck slot.
+	// disconnects; the attempt's timeout turns a runaway workload into a
+	// 408 instead of a stuck slot.
 	ctx := req.Context()
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
 
 	// The middleware assigned the trace ID; fall back to a fresh one
 	// when the handler is exercised directly (unit tests).
@@ -543,31 +525,30 @@ func httpStatus(status string) int {
 	}
 }
 
-// runProfile executes the pipeline for one request under its own
-// registry and budget and returns the response; the shared finish
-// merges the request metrics and makes its anomaly decision.
+// runProfile runs one request as an unpersisted workload job through
+// the shared attempt runner under its own registry, and returns the
+// response; the shared finish merges the request metrics and makes its
+// anomaly decision.
 func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec, wantMetrics bool) *ProfileResponse {
 	reqReg := obs.NewRegistry()
 	reqReg.SetEnabled(true)
-	root := reqReg.Scope().StartSpan("request:" + spec.Name)
-	sc := reqReg.Scope().WithSpan(root)
-
-	resp := &ProfileResponse{RequestID: id, Workload: spec.Name, Status: "ok", SpanID: root.ID()}
 	start := time.Now()
-
 	flight.LogEvent(flight.Event{Kind: "request", Name: "profile:" + spec.Name, Trace: id, Detail: "start"})
-	bud := budget.New(ctx, s.opts.Limits)
-	err := s.runPipeline(bud, sc, root, spec, resp)
+	job := &jobstore.Job{Kind: jobstore.KindWorkload, Workload: spec.Name, TraceID: id}
+	res, err := jobexec.Run(ctx, job, "request:"+spec.Name, jobexec.Options{
+		Limits:      s.opts.Limits,
+		Timeout:     s.opts.RequestTimeout,
+		ParallelDDG: s.opts.ParallelDDG,
+		Registry:    reqReg,
+	})
+	resp := &ProfileResponse{
+		RequestID: id, Workload: spec.Name, Status: res.Status, SpanID: res.SpanID,
+		Degraded: res.Degraded, Budget: res.Budget, WallNS: res.WallNS, Ops: res.Ops,
+		Report: res.Report, Spans: reqReg.Spans(),
+	}
 	if err != nil {
 		resp.Error = err.Error()
-		root.Fail(err)
-		if resp.Status == "ok" { // not already "panic"
-			resp.Status = jobexec.Classify(err)
-		}
 	}
-	root.End()
-	resp.WallNS = int64(time.Since(start))
-	resp.Spans = reqReg.Spans()
 	if wantMetrics {
 		snap := reqReg.Snapshot()
 		resp.Metrics = &MetricsBody{
@@ -586,6 +567,8 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 		s.reg.Add("serve.requests.timeouts", 1)
 	case "canceled":
 		s.reg.Add("serve.requests.canceled", 1)
+	case "panic":
+		s.reg.Add("serve.panics", 1)
 	}
 	if resp.Degraded {
 		s.reg.Add("serve.requests.degraded", 1)
@@ -621,55 +604,6 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 	s.logf("polyprof: %s workload=%s status=%s wall=%s ops=%d",
 		id, spec.Name, resp.Status, time.Duration(resp.WallNS), resp.Ops)
 	return resp
-}
-
-// runPipeline is the recovered body of one profile request: any panic
-// here — the injected serve.handler fault, a hostile workload slipping
-// past a stage's own recovery — becomes a "panic" response instead of
-// killing the daemon.
-func (s *Server) runPipeline(bud *budget.Budget, sc obs.Scope, root *obs.Span, spec workloads.Spec, resp *ProfileResponse) (err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		s.reg.Add("serve.panics", 1)
-		resp.Status = "panic"
-		if e, ok := r.(error); ok {
-			err = fmt.Errorf("handler panic: %w", e)
-		} else {
-			err = fmt.Errorf("handler panic: %v", r)
-		}
-	}()
-	if err := handlerFault.Hit(); err != nil {
-		return err
-	}
-	prog := spec.Build()
-	opts := core.DefaultRunOptions()
-	opts.Obs = sc
-	opts.Budget = bud
-	opts.ParallelDDG = s.opts.ParallelDDG
-	p, err := core.Run(prog, opts)
-	if err != nil {
-		return err
-	}
-	rep, err := feedback.AnalyzeChecked(p)
-	if err != nil {
-		return err
-	}
-	cm := feedback.DefaultCostModel()
-	data, err := rep.JSON(&cm)
-	if err != nil {
-		return err
-	}
-	resp.Report = data
-	resp.Ops = p.DDG.TotalOps
-	if d := p.DDG.Degraded; d != nil {
-		resp.Degraded = true
-		resp.Budget = d.Budgets
-	}
-	root.AddEvents(p.DDG.TotalOps)
-	return nil
 }
 
 func (s *Server) handleRequests(w http.ResponseWriter, req *http.Request) {

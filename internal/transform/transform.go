@@ -38,7 +38,7 @@ import (
 // Fault points: transform.apply injects at schedule application (after
 // legality, before codegen), transform.verify at the output-equality
 // oracle.  Error injections fail the optimize stage; panic injections
-// are contained by the stage recovery in jobexec as a *core.StagePanic.
+// are contained by Optimize's stage recovery as a *core.StagePanic.
 var (
 	applyFault  = faultinject.Point("transform.apply")
 	verifyFault = faultinject.Point("transform.verify")
@@ -233,11 +233,24 @@ type Variant struct {
 	MeasuredSpeedup float64      `json:"measured_speedup,omitempty"`
 }
 
-// Optimize applies the suggested schedules to the profiled program and
-// measures them.  It returns a report even when every candidate is
-// refused; it returns an error only for hard failures (budget abort,
-// injected fault, VM error, or an oracle mismatch — an *OracleError).
-func Optimize(p *core.Profile, m *sched.Model, suggestions []*sched.NestTransform, opts Options) (*Report, error) {
+// Optimize is the transform stage: it applies the suggested schedules
+// to the profiled program and measures them, under a "transform" span
+// in opts.Obs with the stage's panic recovery (a panic fails the stage
+// as a *core.StagePanic).  It returns a report even when every
+// candidate is refused; it returns an error only for hard failures
+// (budget abort, injected fault, VM error, a contained panic, or an
+// oracle mismatch — an *OracleError).
+func Optimize(p *core.Profile, m *sched.Model, suggestions []*sched.NestTransform, opts Options) (rep *Report, err error) {
+	sp := opts.Obs.StartSpan("transform")
+	defer sp.End()
+	defer core.RecoverStage("transform", sp, &err)
+	opts.Obs = opts.Obs.WithSpan(sp)
+	rep, err = optimize(p, m, suggestions, opts)
+	sp.Fail(err)
+	return rep, err
+}
+
+func optimize(p *core.Profile, m *sched.Model, suggestions []*sched.NestTransform, opts Options) (*Report, error) {
 	if opts.TileSize <= 0 {
 		opts.TileSize = DefaultTileSize
 	}

@@ -95,9 +95,9 @@ type (
 	// stage; extract it from a pipeline error with errors.As.
 	BudgetError = budget.Error
 
-	// Epoch is one streaming epoch boundary: ordinal, event count,
-	// provisional report state, and (sequential, non-degraded runs) a
-	// serialized checkpoint.
+	// Epoch is one streaming epoch boundary: ordinal, event count, a
+	// serialized checkpoint (non-degraded runs), and the provisional
+	// profile folded on demand by its Provisional method.
 	Epoch = core.Epoch
 	// Checkpoint is the decoded pass-2 state of one epoch boundary; a
 	// resumed run restores from it instead of replaying pass 2 from
@@ -143,9 +143,10 @@ type ProfileOptions struct {
 	// sequential one on non-degraded runs.
 	ParallelDDG int
 	// EpochEvents, when positive, runs the pipeline in streaming mode:
-	// pass 2 pauses every EpochEvents dynamic instructions, folds the
-	// state seen so far, and (with OnEpoch set) emits a provisional
-	// report plus a resume checkpoint.  The final report is
+	// pass 2 pauses every EpochEvents dynamic instructions and (with
+	// OnEpoch set) emits a resume checkpoint, folding the state seen so
+	// far into a provisional profile when the callback asks for one
+	// (Epoch.Provisional).  The final report is
 	// byte-identical to a buffered run.  With a shadow-memory limit set,
 	// streaming also bounds memory: stale shadow records are folded and
 	// released at every boundary.

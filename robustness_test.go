@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"polyprof"
+	"polyprof/internal/core"
+	"polyprof/internal/faultinject"
 )
 
 // TestProfileCtxCanceled: a canceled context aborts the pipeline with
@@ -24,6 +26,30 @@ func TestProfileCtxCanceled(t *testing.T) {
 	var be *polyprof.BudgetError
 	if !errors.As(err, &be) || !be.Canceled() {
 		t.Fatalf("want canceled budget error, got %v", err)
+	}
+}
+
+// TestOptimizeWithContainsTransformPanic: a panic inside the transform
+// stage is contained by the stage itself — OptimizeWith returns a
+// *core.StagePanic naming the stage instead of unwinding the caller.
+func TestOptimizeWithContainsTransformPanic(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	prog, err := polyprof.Workload("backprop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.ArmString("transform.apply=panic:boom:1"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("OptimizeWith panicked: %v", r)
+		}
+	}()
+	_, _, err = polyprof.OptimizeWith(context.Background(), prog, polyprof.ProfileOptions{}, 0)
+	var sp *core.StagePanic
+	if !errors.As(err, &sp) || sp.Stage != "transform" {
+		t.Fatalf("OptimizeWith under an apply panic = %v, want a transform *core.StagePanic", err)
 	}
 }
 

@@ -28,8 +28,8 @@ func streamReportJSON(t *testing.T, name string, shards int, epochEvents uint64)
 		EpochEvents: epochEvents,
 		OnEpoch: func(ep *polyprof.Epoch) error {
 			epochs++
-			if ep.Provisional == nil {
-				t.Errorf("%s: epoch %d has no provisional profile", name, ep.N)
+			if prov, err := ep.Provisional(); err != nil || prov == nil {
+				t.Errorf("%s: epoch %d has no provisional profile: %v", name, ep.N, err)
 			}
 			return nil
 		},

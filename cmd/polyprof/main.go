@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -74,8 +73,6 @@ func main() {
 		err = cmdTable5(os.Args[2:])
 	case "overhead":
 		err = cmdOverhead(os.Args[2:])
-	case "diag":
-		err = cmdDiag(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "work":
@@ -113,12 +110,6 @@ commands:
   disasm <workload>       print the pseudo-assembler listing
   table5                  run the whole Rodinia suite (Experiment I+II)
   overhead [workload|all] per-stage profiling cost table (Experiment I)
-  diag [workload|all]     parallel-engine diagnosis read from the engine's
-                          spans: per-actor busy fractions, sequencer
-                          occupancy, backpressure, critical path and an
-                          Amdahl projected-speedup table (-parallel-ddg n
-                          shards, default all cores; -json; -trace writes
-                          the span tree, shard spans carry blocked time)
   casestudy <name>        backprop (Table 3) or gemsfdtd (Table 4)
   ddg <workload>          dump the folded polyhedral DDG of the region
   report <workload> [-json]  full feedback document (or JSON)
@@ -131,7 +122,7 @@ commands:
   work -coordinator URL   stateless remote worker: claim jobs from a
                           coordinator over the lease protocol, run them,
                           report under the fencing token (-workers n slots,
-                          -lease-ttl d, -name id; budget/parallel flags apply)
+                          -lease-ttl d, -name id; budget flags apply)
   flight <list|show|export|gc> [id] -data-dir d
                           inspect or prune flight-recorder incident bundles
                           written by the daemon (under <data-dir>/flightrec;
@@ -144,16 +135,10 @@ overhead regression flags:
                    output); exits nonzero on regression
   -tolerance x     allowed slowdown before -compare fails (default 0.10 = +10%)
 
-flags (profile, report, table5, overhead, diag):
+flags (profile, report, table5, overhead):
   -metrics      append the metrics-registry section to the output
   -http :addr   serve /metrics (Prometheus or ?format=json) + pprof
   -trace f.json write the pipeline span tree as Chrome trace-event JSON
-
-parallel engine (profile, report, overhead, serve):
-  -parallel-ddg n  track dependences on the sharded parallel engine with
-                   n shard workers (0 = one per core; default sequential);
-                   reports are bit-for-bit identical to sequential runs,
-                   and streaming, checkpoints and resume work alike
 
 budget flags (profile, report, serve):
   -timeout d         abort after this wall-clock duration (0 = unlimited)
@@ -270,28 +255,6 @@ type budgetFlags struct {
 	maxEdges    uint64
 }
 
-// addParallelFlag registers -parallel-ddg: the shard-worker count of
-// the parallel dependence engine.  The default (negative) keeps the
-// sequential builder; 0 uses one shard per core.
-func addParallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel-ddg", -1,
-		"shard workers for the parallel dependence engine (0 = all cores, negative = sequential)")
-}
-
-// resolveShards maps the -parallel-ddg flag value to an engine shard
-// count: negative selects the sequential builder (0), zero one shard
-// per core.
-func resolveShards(n int) int {
-	switch {
-	case n < 0:
-		return 0
-	case n == 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return n
-	}
-}
-
 func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
 	f := &budgetFlags{}
 	fs.DurationVar(&f.timeout, "timeout", 0, "abort the run after this wall-clock duration (0 = unlimited)")
@@ -377,7 +340,6 @@ func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	of := addObsFlags(fs)
 	bf := addBudgetFlags(fs)
-	par := addParallelFlag(fs)
 	epochEvents := fs.Uint64("epoch-events", 0,
 		"streaming mode: fold state and release shadow memory every n dynamic events (0 = buffered)")
 	name, err := parseWorkload(fs, args)
@@ -396,7 +358,6 @@ func cmdProfile(args []string) error {
 	}
 	popts := polyprof.ProfileOptions{
 		Limits:      bf.limits(),
-		ParallelDDG: resolveShards(*par),
 		EpochEvents: *epochEvents,
 	}
 	if *epochEvents > 0 {
@@ -521,7 +482,6 @@ func cmdReport(args []string) error {
 	asJSON := fs.Bool("json", false, "emit the machine-readable report")
 	of := addObsFlags(fs)
 	bf := addBudgetFlags(fs)
-	par := addParallelFlag(fs)
 	name, err := parseWorkload(fs, args)
 	if err != nil {
 		return err
@@ -537,10 +497,7 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := polyprof.ProfileWith(context.Background(), prog, polyprof.ProfileOptions{
-		Limits:      bf.limits(),
-		ParallelDDG: resolveShards(*par),
-	})
+	rep, err := polyprof.ProfileWith(context.Background(), prog, polyprof.ProfileOptions{Limits: bf.limits()})
 	if err != nil {
 		return err
 	}
@@ -564,7 +521,6 @@ func cmdOptimize(args []string) error {
 	tile := fs.Int("tile", 0, "rectangular tile edge (0 = engine default)")
 	of := addObsFlags(fs)
 	bf := addBudgetFlags(fs)
-	par := addParallelFlag(fs)
 	name, err := parseWorkload(fs, args)
 	if err != nil {
 		return err
@@ -580,10 +536,7 @@ func cmdOptimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, opt, err := polyprof.OptimizeWith(context.Background(), prog, polyprof.ProfileOptions{
-		Limits:      bf.limits(),
-		ParallelDDG: resolveShards(*par),
-	}, *tile)
+	rep, opt, err := polyprof.OptimizeWith(context.Background(), prog, polyprof.ProfileOptions{Limits: bf.limits()}, *tile)
 	if err != nil {
 		return err
 	}
@@ -679,7 +632,6 @@ func cmdOverhead(args []string) error {
 	compare := fs.String("compare", "", "baseline to diff against (bench emission or overhead -json output); exits nonzero on regression")
 	tolerance := fs.Float64("tolerance", 0.10, "allowed slowdown before -compare fails (0.10 = +10%)")
 	of := addObsFlags(fs)
-	par := addParallelFlag(fs)
 	name, err := parseWorkload(fs, args)
 	if err != nil {
 		return err
@@ -691,12 +643,11 @@ func cmdOverhead(args []string) error {
 	if err := of.start(); err != nil {
 		return err
 	}
-	shards := resolveShards(*par)
 	var rs []*evaluation.OverheadReport
 	var render func() string
 	if name == "all" {
 		fmt.Fprintln(os.Stderr, "measuring per-stage profiling cost across the Rodinia suite...")
-		rs, err = evaluation.OverheadSuite(shards)
+		rs, err = evaluation.OverheadSuite()
 		if err != nil {
 			return err
 		}
@@ -706,7 +657,7 @@ func cmdOverhead(args []string) error {
 		if spec == nil {
 			return fmt.Errorf("unknown workload %q", name)
 		}
-		r, err := evaluation.Overhead(*spec, shards)
+		r, err := evaluation.Overhead(*spec)
 		if err != nil {
 			return err
 		}
@@ -750,67 +701,6 @@ func cmdOverhead(args []string) error {
 	return cmpErr
 }
 
-// cmdDiag profiles one workload (or the suite) on the sharded parallel
-// dependence engine and prints the parallel diagnosis read from the
-// engine's spans: who is busy, who is blocked, what Amdahl says about
-// adding shards.
-func cmdDiag(args []string) error {
-	fs := flag.NewFlagSet("diag", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "emit machine-readable diagnosis reports")
-	of := addObsFlags(fs)
-	par := addParallelFlag(fs)
-	name, err := parseWorkload(fs, args)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		name = "all"
-	}
-	of.jsonOut = *asJSON
-	if err := of.start(); err != nil {
-		return err
-	}
-	// The diagnosis is read from the run's spans, so diag always records.
-	obs.Enable()
-	// diag is about the parallel engine, so an absent -parallel-ddg
-	// means all cores rather than the sequential builder.
-	shards := resolveShards(*par)
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	var rs []*evaluation.DiagReport
-	if name == "all" {
-		fmt.Fprintf(os.Stderr, "diagnosing the Rodinia suite on the %d-shard parallel engine...\n", shards)
-		rs, err = evaluation.DiagnoseSuite(shards, obs.Scope{})
-	} else {
-		spec := workloads.ByName(name)
-		if spec == nil {
-			return fmt.Errorf("unknown workload %q", name)
-		}
-		var r *evaluation.DiagReport
-		r, err = evaluation.Diagnose(*spec, shards, obs.Scope{})
-		rs = []*evaluation.DiagReport{r}
-	}
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		data, err := evaluation.DiagJSON(rs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		return of.finish()
-	}
-	for i, r := range rs {
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Print(evaluation.RenderDiag(r))
-	}
-	return of.finish()
-}
-
 // cmdServe runs the profiling-as-a-service daemon: POST
 // /v1/profile?workload=<name> runs the full pipeline per request with
 // a per-request span tree; /metrics exposes the merged process
@@ -831,7 +721,6 @@ func cmdServe(args []string) error {
 	epochEvents := fs.Uint64("epoch-events", 0,
 		"default epoch grid for submitted jobs: stream, checkpoint, and emit provisional reports every n events (0 = buffered; per-job ?epoch-events overrides)")
 	bf := addBudgetFlags(fs)
-	par := addParallelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -852,7 +741,6 @@ func cmdServe(args []string) error {
 		Workers:          localWorkers,
 		MaxAttempts:      *maxAttempts,
 		JobTTL:           *jobTTL,
-		ParallelDDG:      resolveShards(*par),
 		SlowJobThreshold: *slowJob,
 		LeaseTTL:         *leaseTTL,
 		EpochEvents:      *epochEvents,

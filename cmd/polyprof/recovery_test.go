@@ -21,9 +21,9 @@ import (
 // startServe launches the built binary's serve command on an ephemeral
 // port with the given job-store dir and returns the process plus the
 // base URL parsed from its startup line.
-func startServe(t *testing.T, bin, dataDir string, flags ...string) (*exec.Cmd, string) {
+func startServe(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{"serve", "-http", "127.0.0.1:0", "-data-dir", dataDir}, flags...)...)
+	cmd := exec.Command(bin, "serve", "-http", "127.0.0.1:0", "-data-dir", dataDir)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -90,13 +90,11 @@ func captureStream(base, id, dataDir string) {
 // restarted on the same -data-dir, and the recovered attempt must
 // resume past event zero (from the last committed epoch, per the
 // checkpoint-resume trace event) and finish with a report
-// byte-identical to a buffered run of the same program.  It runs on
-// the sequential engine and on the parallel one (-parallel-ddg 2),
-// whose checkpoints have the same format.
+// byte-identical to a buffered run of the same program.
 //
 // Set POLYPROF_STREAM_DATA_DIR to pin the data directory (CI uploads
 // it — WAL, checkpoints, and captured provisional reports — when the
-// test fails); each engine gets a subdirectory.
+// test fails); the run uses its "sequential" subdirectory.
 func TestStreamingKillMinusNineResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and SIGKILLs a real daemon; skipped in -short")
@@ -110,23 +108,15 @@ func TestStreamingKillMinusNineResumes(t *testing.T) {
 	if root == "" {
 		root = t.TempDir()
 	}
-	for _, tc := range []struct {
-		name  string
-		flags []string
-	}{
-		{name: "sequential"},
-		{name: "parallel2", flags: []string{"-parallel-ddg", "2"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			killAndResumeStream(t, bin, filepath.Join(root, tc.name), tc.flags)
-		})
-	}
+	t.Run("sequential", func(t *testing.T) {
+		killAndResumeStream(t, bin, filepath.Join(root, "sequential"))
+	})
 }
 
 // killAndResumeStream runs one kill -9 and resume cycle against a
-// daemon started with flags.
-func killAndResumeStream(t *testing.T, bin, dataDir string, flags []string) {
-	proc, base := startServe(t, bin, dataDir, flags...)
+// daemon on dataDir.
+func killAndResumeStream(t *testing.T, bin, dataDir string) {
+	proc, base := startServe(t, bin, dataDir)
 
 	// ~40M VM steps on a 2M-event epoch grid: enough epochs that at
 	// least one checkpoint commits quickly, enough trace left after it
@@ -165,7 +155,7 @@ func killAndResumeStream(t *testing.T, bin, dataDir string, flags []string) {
 	}
 	proc.Wait()
 
-	proc2, base2 := startServe(t, bin, dataDir, flags...)
+	proc2, base2 := startServe(t, bin, dataDir)
 	defer func() {
 		proc2.Process.Signal(syscall.SIGKILL)
 		proc2.Wait()

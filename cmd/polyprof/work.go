@@ -30,7 +30,6 @@ func cmdWork(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", serve.DefaultRequestTimeout,
 		"per-attempt wall-clock limit (negative disables)")
 	bf := addBudgetFlags(fs)
-	par := addParallelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -48,11 +47,7 @@ func cmdWork(args []string) error {
 		Slots:       *slots,
 		LeaseTTL:    *leaseTTL,
 		Poll:        *poll,
-		Exec: jobexec.Options{
-			Limits:      bf.limits(),
-			Timeout:     timeout,
-			ParallelDDG: resolveShards(*par),
-		},
+		Exec:        jobexec.Options{Limits: bf.limits(), Timeout: timeout},
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},

@@ -17,8 +17,8 @@
 // Epoch boundaries are deterministic (exact multiples of EpochEvents in
 // the VM's op counter), so they land identically on fresh and resumed
 // attempts — the invariant behind resume-exactness: the final report of
-// a resumed run is byte-identical to an uninterrupted one, with or
-// without -parallel-ddg.
+// a resumed run is byte-identical to an uninterrupted one, on either
+// engine.
 //
 // Both engines expose the same ddg.Builder state; the parallel engine
 // first flushes its pipeline so its partitions are quiescent, and a

@@ -9,7 +9,6 @@ import (
 	"polyprof/internal/core"
 	"polyprof/internal/feedback"
 	"polyprof/internal/obs"
-	"polyprof/internal/parddg"
 	"polyprof/internal/sched"
 	"polyprof/internal/workloads"
 )
@@ -35,17 +34,10 @@ func (c StageCost) EventsPerSec() float64 {
 // workload — the shape of the paper's Experiment I, which reports the
 // CPU cost of the profiling pipeline itself per stage.
 type OverheadReport struct {
-	Workload string `json:"workload"`
-	// Shards is the parallel dependence engine's worker count used for
-	// the ddg/fold stages (0 = sequential builder).
-	Shards int           `json:"shards,omitempty"`
-	Ops    uint64        `json:"ops"`
-	Stages []StageCost   `json:"stages"`
-	Total  time.Duration `json:"total_ns"`
-	// Parallel is the utilization diagnosis of the sharded dependence
-	// engine (per-actor busy fractions, sequencer occupancy, Amdahl
-	// projection); nil on sequential runs.
-	Parallel *parddg.Report `json:"parallel,omitempty"`
+	Workload string        `json:"workload"`
+	Ops      uint64        `json:"ops"`
+	Stages   []StageCost   `json:"stages"`
+	Total    time.Duration `json:"total_ns"`
 }
 
 // OverheadStages is the fixed stage order of the report.
@@ -63,33 +55,20 @@ var OverheadStages = []string{"pass1", "pass2-iiv", "ddg", "fold", "sched", "fee
 // suite sweeps report per-stage latency percentiles alongside the
 // tables.
 //
-// shards > 0 runs the ddg/fold stages on the sharded parallel
-// dependence engine with that many workers; 0 keeps the sequential
-// builder.  In parallel mode the "ddg" row includes the folding the
-// shard workers pipeline behind the VM pass, and "fold" times the
-// drain + merge.
-//
 // Attribution caveat: the "fold" row times only the terminal
 // builder.Finish() drain.  Folding work that happens incrementally per
 // event during the DDG pass is charged to the "ddg" row, so "fold" is
 // a lower bound on total folding cost; comparing "ddg" against
 // "pass2-iiv" bounds the combined dependence-builder + incremental
 // folding overhead.
-func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
+func Overhead(spec workloads.Spec) (*OverheadReport, error) {
 	var sc obs.Scope
-	if shards > 0 && !sc.Enabled() {
-		// The parallel diagnosis is read from the engine's spans, so a
-		// sharded run records into a registry of its own.
-		reg := obs.NewRegistry()
-		reg.SetEnabled(true)
-		sc = reg.Scope()
-	}
 	root := sc.StartSpan("overhead:" + spec.Name)
 	defer root.End()
 	env := core.Env{Obs: sc.WithSpan(root)}
 
 	prog := spec.Build()
-	rep := &OverheadReport{Workload: spec.Name, Shards: shards}
+	rep := &OverheadReport{Workload: spec.Name}
 	add := func(stage string, wall time.Duration, events uint64, unit string) {
 		rep.Stages = append(rep.Stages, StageCost{Stage: stage, Wall: wall, Events: events, Unit: unit})
 		rep.Total += wall
@@ -117,7 +96,6 @@ func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 	t0 = time.Now()
 	opts := core.DefaultRunOptions()
 	opts.Env = env
-	opts.ParallelDDG = shards
 	eng := core.NewEngine(prog, opts)
 	defer eng.Close()
 	p2, stats, err := core.RunPass2(prog, st, eng.Sink, env)
@@ -135,9 +113,6 @@ func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 		return nil, fmt.Errorf("%s: fold: %w", spec.Name, err)
 	}
 	add("fold", time.Since(t0), core.FoldedStreams(g), "streams")
-	if shards > 0 {
-		rep.Parallel = parddg.Diagnose(sc.Registry().Spans())
-	}
 
 	profile := &core.Profile{Prog: prog, Structure: st, Tree: p2.Tree, DDG: g, Stats: stats, Obs: env.Obs}
 	t0 = time.Now()
@@ -155,11 +130,11 @@ func Overhead(spec workloads.Spec, shards int) (*OverheadReport, error) {
 }
 
 // OverheadSuite measures the overhead of every Rodinia twin (the full
-// Experiment I sweep), on the sharded dependence engine when shards > 0.
-func OverheadSuite(shards int) ([]*OverheadReport, error) {
+// Experiment I sweep).
+func OverheadSuite() ([]*OverheadReport, error) {
 	var out []*OverheadReport
 	for _, spec := range workloads.Rodinia() {
-		r, err := Overhead(spec, shards)
+		r, err := Overhead(spec)
 		if err != nil {
 			return out, err
 		}
@@ -196,10 +171,6 @@ func RenderOverhead(r *OverheadReport) string {
 		"total", obs.FormatDuration(r.Total), 100.0, r.Ops,
 		obs.FormatRate(rate(r.Ops, r.Total)), "instrs (one full run)")
 	sb.WriteString(foldCaveat)
-	if r.Parallel != nil {
-		sb.WriteString("\n")
-		sb.WriteString(r.Parallel.Render())
-	}
 	return sb.String()
 }
 

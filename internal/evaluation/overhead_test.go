@@ -49,7 +49,7 @@ func TestOverheadGoldenExample1(t *testing.T) {
 	if spec == nil {
 		t.Fatal("example1 workload not found")
 	}
-	r, err := Overhead(*spec, 0)
+	r, err := Overhead(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,35 +59,24 @@ func TestOverheadGoldenExample1(t *testing.T) {
 	}
 }
 
-// TestOverheadReportShape checks the report of the sequential and the
-// sharded path: stage order, totals, and the parallel engine's
-// utilization report exactly when it ran.
+// TestOverheadReportShape checks the report's stage order, totals and
+// JSON round trip.
 func TestOverheadReportShape(t *testing.T) {
 	spec := workloads.ByName("example1")
 	if spec == nil {
 		t.Fatal("example1 workload not found")
 	}
-	for _, shards := range []int{0, 2} {
-		r, err := Overhead(*spec, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOverheadShape(t, r, shards)
-	}
-}
-
-func checkOverheadShape(t *testing.T, r *OverheadReport, shards int) {
-	t.Helper()
-	if r.Shards != shards {
-		t.Errorf("Shards = %d, want %d", r.Shards, shards)
+	r, err := Overhead(*spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(r.Stages) != len(OverheadStages) {
-		t.Fatalf("shards=%d: got %d stages, want %d", shards, len(r.Stages), len(OverheadStages))
+		t.Fatalf("got %d stages, want %d", len(r.Stages), len(OverheadStages))
 	}
 	var total int64
 	for i, s := range r.Stages {
 		if s.Stage != OverheadStages[i] {
-			t.Errorf("shards=%d: stage %d = %q, want %q", shards, i, s.Stage, OverheadStages[i])
+			t.Errorf("stage %d = %q, want %q", i, s.Stage, OverheadStages[i])
 		}
 		if s.Wall < 0 {
 			t.Errorf("stage %q has negative wall time %v", s.Stage, s.Wall)
@@ -106,18 +95,6 @@ func checkOverheadShape(t *testing.T, r *OverheadReport, shards int) {
 	if r.Stage("nonexistent") != (StageCost{}) {
 		t.Error("Stage of unknown name should be the zero value")
 	}
-	shardActors := 0
-	if r.Parallel != nil {
-		for _, a := range r.Parallel.Actors {
-			if a.Role == "shard" {
-				shardActors++
-			}
-		}
-	}
-	if (r.Parallel != nil) != (shards > 0) || shardActors != shards {
-		t.Errorf("shards=%d: parallel report %+v has %d shard actors", shards, r.Parallel, shardActors)
-	}
-
 	data, err := OverheadJSON([]*OverheadReport{r})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +113,7 @@ func TestRenderOverheadSuite(t *testing.T) {
 	if spec == nil {
 		t.Fatal("example1 workload not found")
 	}
-	r, err := Overhead(*spec, 0)
+	r, err := Overhead(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}

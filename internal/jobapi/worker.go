@@ -28,8 +28,8 @@ type WorkerOptions struct {
 	// Poll is the idle sleep between claim attempts when the queue is
 	// empty (default 500ms, jittered).
 	Poll time.Duration
-	// Exec configures each attempt (budgets, timeout, parallel engine);
-	// Exec.Registry is ignored — the worker creates one per attempt.
+	// Exec configures each attempt (budgets, timeout); Exec.Registry
+	// is ignored — the worker creates one per attempt.
 	Exec jobexec.Options
 	// Logf receives one line per lifecycle event (nil to disable).
 	Logf func(format string, args ...any)

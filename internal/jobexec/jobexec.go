@@ -68,9 +68,6 @@ type Options struct {
 	Limits budget.Limits
 	// Timeout bounds the attempt's wall clock (<= 0 disables).
 	Timeout time.Duration
-	// ParallelDDG selects the sharded parallel dependence engine with
-	// that many shard workers; 0 keeps the sequential builder.
-	ParallelDDG int
 	// Registry records the attempt's span tree and metric deltas.  The
 	// caller creates it enabled and owns it: it reads live progress
 	// from it (Registry.Stage), wires Registry.OnStage to its own
@@ -172,7 +169,6 @@ func attempt(ctx context.Context, job *jobstore.Job, sc obs.Scope, res *jobstore
 	ro := core.DefaultRunOptions()
 	ro.Obs = sc
 	ro.Budget = budget.New(ctx, opts.Limits)
-	ro.ParallelDDG = opts.ParallelDDG
 	if job.EpochEvents > 0 {
 		ro.EpochEvents = job.EpochEvents
 		ro.OnEpoch = epochHook(opts)

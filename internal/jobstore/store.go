@@ -242,7 +242,9 @@ func (s *Store) load() error {
 				s.jobs[j.ID] = j
 				s.order = append(s.order, j.ID)
 			}
-			s.history = snap.History
+			for _, h := range snap.History {
+				s.pushHistory(h) // a smaller MaxHistory than the snapshot's trims it
+			}
 			for _, ck := range snap.Checkpoints {
 				// The replay rule: only a live job keeps its checkpoint
 				// (snapshots written before every terminal transition

@@ -49,9 +49,6 @@ type Bundle struct {
 	Events []Event `json:"events"`
 	// Metrics is the process metrics snapshot at trigger time.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// Diagnosis is the latest parallel-engine diagnosis, when one ran.
-	// Its JSON key, "sampler", is kept for existing bundle readers.
-	Diagnosis json.RawMessage `json:"sampler,omitempty"`
 	// Extra is trigger-site payload (e.g. the job record with its
 	// lifecycle trace).
 	Extra json.RawMessage `json:"extra,omitempty"`
@@ -81,7 +78,7 @@ type BundleInfo struct {
 const profileCap = 256 << 10
 
 func buildBundle(reason string, info TriggerInfo, at time.Time, seq uint64,
-	events []Event, diagnosis json.RawMessage, reg *obs.Registry) *Bundle {
+	events []Event, reg *obs.Registry) *Bundle {
 	host, _ := os.Hostname()
 	b := &Bundle{
 		ID:     bundleID(at, seq, reason),
@@ -93,9 +90,6 @@ func buildBundle(reason string, info TriggerInfo, at time.Time, seq uint64,
 		Detail: info.Detail,
 		Meta:   Meta{BuildInfo: obs.CollectBuildInfo(), PID: os.Getpid(), Hostname: host},
 		Events: events,
-	}
-	if len(diagnosis) > 0 {
-		b.Diagnosis = diagnosis
 	}
 	if reg != nil {
 		snap := reg.Snapshot()

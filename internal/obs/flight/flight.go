@@ -1,12 +1,11 @@
 // Package flight is the always-on flight recorder: a bounded in-memory
 // ring of recent observability events (finished stage spans, request,
 // job and lease lifecycle transitions, budget/degradation outcomes,
-// parallel diagnoses, per-request metric deltas) that costs one atomic
-// load per recording site while disabled, and on an anomaly trigger
-// freezes the ring into a self-contained JSON bundle on disk — the
-// last N seconds of process history, a goroutine and heap profile, the
-// metrics snapshot, the latest parallel diagnosis (parddg.Diagnose
-// over a parallel run's spans), and build metadata — so a panic,
+// per-request metric deltas) that costs one atomic load per recording
+// site while disabled, and on an anomaly trigger freezes the ring into
+// a self-contained JSON bundle on disk — the last N seconds of process
+// history, a goroutine and heap profile, the metrics snapshot, and
+// build metadata — so a panic,
 // budget blowout, quarantine, or slow job explains itself after the
 // fact instead of leaving behind a terminal error string.
 //
@@ -26,7 +25,6 @@
 package flight
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -38,8 +36,7 @@ import (
 
 // Event is one ring-buffer entry.  Kind groups events for rendering
 // ("span", "stage", "request", "job", "lease", "stream", "metrics",
-// "budget", "degrade", "diagnosis" — a parallel run's diagnosis
-// headline —, "trigger"); Trace carries the request/job trace ID when
+// "budget", "degrade", "trigger"); Trace carries the request/job trace ID when
 // the site knows it.
 type Event struct {
 	At     time.Time `json:"at"`
@@ -103,7 +100,6 @@ type Recorder struct {
 	opts        Options
 	seq         uint64
 	lastTrigger map[string]time.Time
-	diagnosis   json.RawMessage // latest parallel diagnosis
 }
 
 // Default is the process-wide recorder every recording site logs to.
@@ -222,18 +218,6 @@ func (r *Recorder) LogEvent(ev Event) {
 	r.mu.Unlock()
 }
 
-// SetDiagnosis stores the latest parallel diagnosis (marshaled JSON)
-// for inclusion in subsequent bundles.
-func (r *Recorder) SetDiagnosis(report json.RawMessage) {
-	if r == nil || !r.enabled.Load() {
-		return
-	}
-	cp := append(json.RawMessage(nil), report...)
-	r.mu.Lock()
-	r.diagnosis = cp
-	r.mu.Unlock()
-}
-
 // events returns the ring contents oldest-first.  Caller holds r.mu.
 func (r *Recorder) eventsLocked() []Event {
 	out := make([]Event, 0, len(r.ring))
@@ -275,12 +259,11 @@ func (r *Recorder) Trigger(reason string, info TriggerInfo) (string, error) {
 	r.seq++
 	seq := r.seq
 	events := r.eventsLocked()
-	diagnosis := append(json.RawMessage(nil), r.diagnosis...)
 	dir := r.dir
 	opts := r.opts
 	r.mu.Unlock()
 
-	b := buildBundle(reason, info, now, seq, events, diagnosis, opts.Registry)
+	b := buildBundle(reason, info, now, seq, events, opts.Registry)
 	id, err := writeBundle(dir, b)
 	if err != nil {
 		if opts.Logf != nil {

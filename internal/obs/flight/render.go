@@ -77,9 +77,6 @@ func Render(b *Bundle) string {
 			fmt.Fprintf(&sb, "  %-40s %12d\n", c.Name, c.Value)
 		}
 	}
-	if len(b.Diagnosis) > 0 {
-		sb.WriteString("\nparallel diagnosis: present (see bundle JSON \"sampler\")\n")
-	}
 	if b.Goroutines != "" {
 		if i := strings.IndexByte(b.Goroutines, '\n'); i > 0 {
 			fmt.Fprintf(&sb, "\n%s (full dump in bundle JSON \"goroutines\")\n", b.Goroutines[:i])

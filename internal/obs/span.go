@@ -35,10 +35,8 @@ type Span struct {
 	start  time.Time
 	events atomic.Uint64
 	// total is the expected event count, fixed at start (0: unknown).
-	total   uint64
-	errMsg  atomic.Pointer[string]
-	blocked atomic.Int64
-	blocks  atomic.Uint64
+	total  uint64
+	errMsg atomic.Pointer[string]
 }
 
 // SpanRecord is one finished stage span.  Track optionally names the
@@ -59,10 +57,6 @@ type SpanRecord struct {
 	// Fail when Status is "error".
 	Status string `json:"status,omitempty"`
 	Err    string `json:"error,omitempty"`
-	// Blocked totals the intervals the span's owner spent waiting (see
-	// Span.Block) and Blocks counts them.
-	Blocked time.Duration `json:"blocked_ns,omitempty"`
-	Blocks  uint64        `json:"blocks,omitempty"`
 }
 
 var noopSpan = &Span{}
@@ -173,17 +167,6 @@ func (s *Span) Fail(err error) {
 	s.errMsg.Store(&msg)
 }
 
-// Block charges one interval of d the span's owner spent blocked (on
-// a channel, a barrier, a lock) to the span.  A nil, no-op or ended
-// span is ignored.
-func (s *Span) Block(d time.Duration) {
-	if s == nil || s.reg.Load() == nil {
-		return
-	}
-	s.blocked.Add(int64(d))
-	s.blocks.Add(1)
-}
-
 // ID returns the span's registry-unique identifier (0 for a no-op
 // span).
 func (s *Span) ID() uint64 { return s.id }
@@ -200,7 +183,6 @@ func (s *Span) End() SpanRecord {
 	rec := SpanRecord{
 		Name: s.name, ID: s.id, Parent: s.parent, Depth: s.depth,
 		Start: s.start, Wall: wall, Events: events, Status: "ok",
-		Blocked: time.Duration(s.blocked.Load()), Blocks: s.blocks.Load(),
 	}
 	if wall > 0 && events > 0 {
 		rec.EventsPerSec = float64(events) / wall.Seconds()

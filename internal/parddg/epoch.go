@@ -31,11 +31,9 @@ func (e *Engine) Flush() error {
 		return e.failure()
 	}
 	hold := make([]*batch, 0, n)
-	t0 := e.now()
 	for i := 0; i < n; i++ {
 		hold = append(hold, <-e.free)
 	}
-	block(e.root, t0)
 	for _, b := range hold {
 		e.free <- b
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"polyprof/internal/ddg"
 	"polyprof/internal/faultinject"
@@ -79,9 +78,8 @@ type batch struct {
 // from one goroutine (the pass-2 VM goroutine), like the sequential
 // builder.
 type Engine struct {
-	b   *ddg.Builder
-	n   int
-	obs obs.Scope // the run's scope, where the diagnosis publishes
+	b *ddg.Builder
+	n int
 
 	workers    []*worker
 	chans      []chan *batch
@@ -95,13 +93,9 @@ type Engine struct {
 	failed  atomic.Bool
 
 	// The engine's actors are spans: root is the sequencer, each
-	// worker and the merge open a child.  timed gates the clock reads
-	// that charge blocked intervals to them; recs collects the actor
-	// records for the diagnosis published at finish.
+	// worker and the merge open a child.
 	sc       obs.Scope // scope under the engine root span
 	root     *obs.Span
-	timed    bool
-	recs     []obs.SpanRecord
 	drained  bool
 	finished bool
 	closed   bool
@@ -114,12 +108,10 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 	e := &Engine{
 		b:    ddg.NewPartitioned(prog, opt.DDG, n, insertFault),
 		n:    n,
-		obs:  opt.DDG.Obs,
 		free: make(chan *batch, maxInflight),
 	}
 	e.root = opt.DDG.Obs.StartSpan("ddg-shards")
 	e.sc = opt.DDG.Obs.WithSpan(e.root)
-	e.timed = e.sc.Enabled()
 	e.cur = e.newBatch()
 	e.allocated = 1
 	for i := 0; i < n; i++ {
@@ -129,34 +121,12 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 		e.workerJoin.Add(1)
 		go func(w *worker) {
 			defer e.workerJoin.Done()
-			for {
-				t0 := e.now()
-				b, ok := <-w.ch
-				block(w.sp, t0)
-				if !ok {
-					return
-				}
+			for b := range w.ch {
 				w.process(b)
 			}
 		}(w)
 	}
 	return e
-}
-
-// now reads the clock for a blocked interval, only while the engine's
-// scope records.
-func (e *Engine) now() time.Time {
-	if !e.timed {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// block charges the interval since t0 (from now) to sp.
-func block(sp *obs.Span, t0 time.Time) {
-	if !t0.IsZero() {
-		sp.Block(time.Since(t0))
-	}
 }
 
 // Builder returns the dependence state the engine drives.  Read,
@@ -168,26 +138,15 @@ func (e *Engine) newBatch() *batch {
 	return &batch{mem: make([]ddg.Points, e.n)}
 }
 
-// Failure is the error of a failed engine: the first fault its fail
-// latch caught (a contained shard panic, a dispatch or merge fault, a
-// merge error), with the engine's shard count.  Its message is the
-// fault's own.
-type Failure struct {
-	Shards int
-	Err    error
-}
-
-func (f *Failure) Error() string { return f.Err.Error() }
-func (f *Failure) Unwrap() error { return f.Err }
-
-// fail latches err as the engine's Failure; the first one wins.
+// fail latches err as the engine's failure (a contained shard panic, a
+// dispatch or merge fault, a merge error); the first one wins.
 func (e *Engine) fail(err error) {
 	if err == nil {
 		return
 	}
 	e.failMu.Lock()
 	if e.failErr == nil {
-		e.failErr = &Failure{Shards: e.n, Err: err}
+		e.failErr = err
 	}
 	e.failMu.Unlock()
 	e.failed.Store(true)
@@ -212,10 +171,7 @@ func (e *Engine) ctxCoords(coords []int64) []int64 {
 	return b.coords[off : off+len(coords)]
 }
 
-// OnInstrBatch implements core.BatchSink.  No clock reads here: the
-// sequencer counts as running across sink calls (VM execution between
-// batches is serial-stage work too); only its blocking points in
-// dispatch, Flush and drain are timed, far off the per-event hot loop.
+// OnInstrBatch implements core.BatchSink.
 func (e *Engine) OnInstrBatch(ctxKey string, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr) {
 	cc := e.ctxCoords(coords)
 	for i := range evs {
@@ -277,9 +233,7 @@ func (e *Engine) dispatch() {
 		} else {
 			// Pipeline backpressure: every allocated batch is still in
 			// flight, so the sequencer stalls on the free list.
-			t0 := e.now()
 			e.cur = <-e.free
-			block(e.root, t0)
 		}
 	}
 }
@@ -306,11 +260,9 @@ func (e *Engine) drain() {
 	for _, ch := range e.chans {
 		close(ch)
 	}
-	t0 := e.now()
 	e.workerJoin.Wait()
-	block(e.root, t0)
 	for _, w := range e.workers {
-		e.recs = append(e.recs, w.sp.End())
+		w.sp.End()
 	}
 }
 
@@ -337,7 +289,7 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 // merge runs the builder's merge under the merge actor's span.
 func (e *Engine) merge() (*ddg.Graph, error) {
 	sp := e.sc.StartSpan("ddg-merge")
-	defer func() { e.recs = append(e.recs, sp.End()) }()
+	defer sp.End()
 	if err := mergeFault.Hit(); err != nil {
 		e.fail(fmt.Errorf("parddg: merge: %w", err))
 	}
@@ -351,15 +303,11 @@ func (e *Engine) merge() (*ddg.Graph, error) {
 	return g, err
 }
 
-// end closes the engine root with err's status and, while the scope
-// records, publishes the run's diagnosis.
+// end closes the engine root with err's status.
 func (e *Engine) end(err error) {
 	e.root.Fail(err)
-	e.recs = append(e.recs, e.root.End())
+	e.root.End()
 	e.finished = true
-	if e.timed {
-		Diagnose(e.recs).Publish(e.obs)
-	}
 }
 
 // Close aborts the engine without merging (idempotent; safe after

@@ -12,6 +12,7 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/fold"
 	"polyprof/internal/isa"
+	"polyprof/internal/obs"
 	"polyprof/internal/parddg"
 	"polyprof/internal/workloads"
 )
@@ -225,5 +226,88 @@ func TestDegradationSuperset(t *testing.T) {
 		if r.Lo > r.Hi {
 			t.Fatalf("coarse region [%d, %d] inverted", r.Lo, r.Hi)
 		}
+	}
+}
+
+// runRecorded profiles prog on a 2-shard engine whose ddg scope records
+// into reg.
+func runRecorded(t *testing.T, prog *isa.Program, reg *obs.Registry) *ddg.Graph {
+	t.Helper()
+	st, err := core.AnalyzeStructure(prog, core.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ddg.DefaultOptions()
+	opts.Obs = reg.Scope()
+	eng := parddg.NewEngine(prog, parddg.Options{Shards: 2, DDG: opts})
+	defer eng.Close()
+	if _, _, err := core.RunPass2(prog, st, eng, core.Env{}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := eng.FinishChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestEngineSpans: with the scope on, the engine's actors are spans —
+// a ddg-shards root with one ddg.shard.N child per worker and the
+// ddg-merge child — and recording them does not perturb the graph.
+func TestEngineSpans(t *testing.T) {
+	prog := buildWorkload(t, "example2")
+	want, err := runGraph(t, prog, 0, budget.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	g := runRecorded(t, prog, reg)
+
+	spans := reg.Spans()
+	var root uint64
+	for _, sp := range spans {
+		if sp.Name == "ddg-shards" {
+			root = sp.ID
+		}
+	}
+	if root == 0 {
+		t.Fatalf("no ddg-shards span: %+v", spans)
+	}
+	children := map[string]bool{}
+	for _, sp := range spans {
+		if sp.Parent == root {
+			children[sp.Name] = true
+		}
+	}
+	for _, name := range []string{"ddg.shard.0", "ddg.shard.1", "ddg-merge"} {
+		if !children[name] {
+			t.Errorf("span %s missing under ddg-shards: %+v", name, spans)
+		}
+	}
+	if reg.Histogram("parddg.batch.queue_depth").Count() == 0 {
+		t.Error("no parddg.batch.queue_depth samples recorded")
+	}
+	if len(g.Deps) != len(want.Deps) {
+		t.Fatalf("dep count: sequential %d vs recorded %d", len(want.Deps), len(g.Deps))
+	}
+	got := depSet(g)
+	for k := range depSet(want) {
+		if _, ok := got[k]; !ok {
+			t.Fatalf("dep %s missing from the recorded run", k)
+		}
+	}
+}
+
+// TestDisabledEngineRecordsNothing: with the scope off the engine
+// records no actor spans and no metrics.
+func TestDisabledEngineRecordsNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	runRecorded(t, buildWorkload(t, "example1"), reg)
+	if spans := reg.Spans(); len(spans) != 0 {
+		t.Fatalf("disabled registry recorded spans: %+v", spans)
+	}
+	if snap := reg.Snapshot(); len(snap.Gauges) != 0 || len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Fatalf("disabled registry got metrics: %+v", snap)
 	}
 }

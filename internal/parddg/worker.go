@@ -12,7 +12,7 @@ type worker struct {
 	e  *Engine
 	id int
 	ch chan *batch
-	sp *obs.Span // the shard actor: blocked on its channel or the barrier
+	sp *obs.Span // the shard actor
 }
 
 func newWorker(e *Engine, id int) *worker {
@@ -36,11 +36,9 @@ func (w *worker) process(b *batch) {
 	}
 	w.run("resolve", func() { e.b.Resolve(w.id, b.events, &b.mem[w.id]) })
 	b.wg.Done()
-	// The stage barrier is upstream waiting: this shard cannot fold
-	// until every shard has resolved its memory events.
-	t0 := e.now()
+	// The stage barrier: this shard cannot fold until every shard has
+	// resolved its memory events.
 	b.wg.Wait()
-	block(w.sp, t0)
 	if !e.failed.Load() {
 		w.run("fold", func() { e.b.Fold(w.id, b.events, b.regs.List, b.mem) })
 	}

@@ -13,7 +13,6 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/parddg"
 	"polyprof/internal/transform"
 )
 
@@ -37,9 +36,6 @@ func TestAnomalyDecision(t *testing.T) {
 		// stage-panic, not a second budget-exhausted bundle.
 		{name: "stage panic over budget", err: &core.StagePanic{Stage: "fold-finish", Value: steps},
 			reason: "stage-panic", stage: "fold-finish"},
-		{name: "parddg failure", err: fmt.Errorf("core: dependence engine at epoch 3: %w",
-			&parddg.Failure{Shards: 2, Err: errors.New("panic in parddg shard 1 resolve: x")}),
-			reason: "parddg-failure", stage: "pass2-ddg"},
 		{name: "wrapped oracle error", err: fmt.Errorf("jobexec: %w", oracle),
 			reason: "optimize-verify-failed", stage: "transform"},
 		{name: "hard budget", err: steps, reason: "budget-exhausted", events: []string{"budget/vm-steps"}},

@@ -74,9 +74,9 @@ func TestChaosEveryFaultPoint(t *testing.T) {
 			continue
 		}
 		if strings.HasPrefix(point, "parddg.") {
-			// The parallel-engine points never fire on a sequential
-			// daemon; TestChaosParallelEngineFaults walks them against a
-			// -parallel-ddg server below.
+			// The daemon always runs the sequential engine, so the
+			// parallel engine's points never fire here; its chaos suite
+			// is TestChaosParallelEngineFaults in internal/core.
 			continue
 		}
 		for _, mode := range []string{"panic", "error", "budget"} {
@@ -314,65 +314,6 @@ func TestChaosShadowBudgetDegrades200(t *testing.T) {
 	if got := s.reg.Counter("serve.requests.degraded").Value(); got != 1 {
 		t.Fatalf("serve.requests.degraded = %d, want 1", got)
 	}
-}
-
-// TestChaosParallelEngineFaults walks the parallel-engine fault points
-// against a daemon tracking dependences on the sharded engine: every
-// fatal injection must surface as a structured JSON error while the
-// daemon keeps serving — no worker deadlock, no leaked batch barrier.
-func TestChaosParallelEngineFaults(t *testing.T) {
-	t.Cleanup(faultinject.DisarmAll)
-	_, ts := newTestServer(t, Options{ParallelDDG: 2})
-	for _, point := range []string{"parddg.batch.dispatch", "parddg.shard.insert", "parddg.merge"} {
-		for _, mode := range []string{"panic", "error", "budget"} {
-			t.Run(point+"/"+mode, func(t *testing.T) {
-				if err := faultinject.ArmString(fmt.Sprintf("%s=%s:chaos:1", point, mode)); err != nil {
-					t.Fatal(err)
-				}
-				defer faultinject.DisarmAll()
-				resp, body := postProfile(t, ts, "workload=example1")
-				if resp.StatusCode < 400 {
-					t.Fatalf("injected %s at %s: status %d, want >= 400: %s",
-						mode, point, resp.StatusCode, body)
-				}
-				var pr ProfileResponse
-				if err := json.Unmarshal(body, &pr); err != nil {
-					t.Fatalf("fault response is not JSON: %v: %s", err, body)
-				}
-				if pr.Status == "ok" || pr.Error == "" {
-					t.Fatalf("fault response = status %q error %q", pr.Status, pr.Error)
-				}
-				// chaosCheckAlive profiles sequentially; this daemon is
-				// parallel, so the clean profile also re-exercises the
-				// engine end to end after the contained fault.
-				chaosCheckAlive(t, ts)
-			})
-		}
-	}
-}
-
-// TestChaosInjectedShadowBudgetDegradesParallel: the parallel engine's
-// shard-insert point under injected shadow exhaustion degrades exactly
-// like the sequential engine — a 200 with the degradation section, not
-// an error.
-func TestChaosInjectedShadowBudgetDegradesParallel(t *testing.T) {
-	t.Cleanup(faultinject.DisarmAll)
-	_, ts := newTestServer(t, Options{ParallelDDG: 2})
-	if err := faultinject.ArmString("parddg.shard.insert=budget:shadow-bytes:1"); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postProfile(t, ts, "workload=example1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want degraded 200: %s", resp.StatusCode, body)
-	}
-	var pr ProfileResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Status != "ok" || !pr.Degraded {
-		t.Fatalf("response = status %q degraded %v", pr.Status, pr.Degraded)
-	}
-	chaosCheckAlive(t, ts)
 }
 
 // TestChaosInjectedShadowBudgetDegrades: injecting shadow exhaustion

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/parddg"
 	"polyprof/internal/transform"
 )
 
@@ -82,25 +80,14 @@ type outcome struct {
 }
 
 // finish ends one attempt: its registry merges into the process one
-// and, while the recorder is on, its parallel diagnosis, metric delta
-// (the attempt's registry is exactly that), anomaly decision and
-// status enter the ring.  It is the one place a pipeline outcome
-// becomes a trigger, so every such bundle carries the attempt's IDs.
+// and, while the recorder is on, its metric delta (the attempt's
+// registry is exactly that), anomaly decision and status enter the
+// ring.  It is the one place a pipeline outcome becomes a trigger, so
+// every such bundle carries the attempt's IDs.
 func (s *Server) finish(o outcome) {
 	s.reg.Merge(o.reg)
 	if !flight.Enabled() {
 		return
-	}
-	if rep := parddg.Diagnose(o.reg.Spans()); rep != nil {
-		// A parallel run's diagnosis rides along in any later bundle.
-		if data, err := json.Marshal(rep); err == nil {
-			flight.Default.SetDiagnosis(data)
-		}
-		flight.LogEvent(flight.Event{
-			Kind: "diagnosis", Name: "parddg", Trace: o.trace,
-			Detail: fmt.Sprintf("serial_frac=%.2f dominant=%s", rep.SerialFrac, rep.Dominant),
-			WallNS: rep.CriticalPathNS,
-		})
 	}
 	snap := o.reg.Snapshot()
 	detail := fmt.Sprintf("%d counters, %d gauges, %d histograms",
@@ -128,9 +115,9 @@ func (s *Server) finish(o outcome) {
 
 // anomaly decides what a finished attempt adds to the ring — degrade
 // events, a budget event — and which trigger, if any, it fires (reason
-// "" for none).  A contained stage panic outranks a parallel-engine
-// failure, an oracle mismatch and a hard budget abort, in that order;
-// cancellation and plain errors fire nothing.
+// "" for none).  A contained stage panic outranks an oracle mismatch
+// and a hard budget abort, in that order; cancellation and plain
+// errors fire nothing.
 func anomaly(o outcome) (evs []flight.Event, reason string, info flight.TriggerInfo) {
 	for _, res := range o.budgets {
 		evs = append(evs, flight.Event{Kind: "degrade", Name: res, Trace: o.trace,
@@ -138,15 +125,11 @@ func anomaly(o outcome) (evs []flight.Event, reason string, info flight.TriggerI
 	}
 	info = flight.TriggerInfo{Trace: o.trace, Job: o.job}
 	var sp *core.StagePanic
-	var pf *parddg.Failure
 	var oe *transform.OracleError
 	switch {
 	case o.err == nil:
 	case errors.As(o.err, &sp):
 		reason, info.Stage, info.Detail = "stage-panic", sp.Stage, sp.Error()
-	case errors.As(o.err, &pf):
-		reason, info.Stage = "parddg-failure", "pass2-ddg"
-		info.Detail = fmt.Sprintf("parallel engine failed (%d shards): %v", pf.Shards, pf.Err)
 	case errors.As(o.err, &oe):
 		reason, info.Stage, info.Detail = "optimize-verify-failed", "transform", oe.Error()
 		info.Extra = map[string]string{"program": oe.Program, "nest": oe.Nest, "variant": oe.Variant}

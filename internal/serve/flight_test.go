@@ -302,14 +302,13 @@ func TestServe5xxWritesBundleAndFlightAPI(t *testing.T) {
 // TestChaosFaultPointsOneBundleEach: every reachable armed fault point
 // in panic mode yields exactly one flight bundle — panics contained in
 // a stage trigger via RecoverStage, persistence panics via the 500
-// path, parallel-engine panics via the engine's failure latch.
+// path.
 func TestChaosFaultPointsOneBundleEach(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	cases := []struct {
-		point    string
-		parallel int
-		reason   string
-		viaJob   bool
+		point  string
+		reason string
+		viaJob bool
 	}{
 		{point: "vm.step", reason: "stage-panic"},
 		{point: "ddg.shadow.insert", reason: "stage-panic"},
@@ -317,15 +316,10 @@ func TestChaosFaultPointsOneBundleEach(t *testing.T) {
 		{point: "sched.build", reason: "stage-panic"},
 		{point: "jobexec.attempt", reason: "serve-5xx"},
 		{point: "jobstore.wal.append", reason: "serve-5xx", viaJob: true},
-		// A shard-goroutine panic is caught by the engine's fail latch
-		// (parddg-failure); a merge panic unwinds the calling goroutine
-		// and is caught by the stage recovery wrapper (stage-panic).
-		{point: "parddg.shard.insert", parallel: 2, reason: "parddg-failure"},
-		{point: "parddg.merge", parallel: 2, reason: "stage-panic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.point, func(t *testing.T) {
-			_, ts, dir := newFlightServer(t, Options{ParallelDDG: tc.parallel})
+			_, ts, dir := newFlightServer(t, Options{})
 			before := countBundles(t, dir)
 			if err := faultinject.ArmString(fmt.Sprintf("%s=panic:chaos:1", tc.point)); err != nil {
 				t.Fatal(err)
@@ -415,66 +409,5 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 	}
 	if slow.Job != sum.ID {
 		t.Fatalf("slow-job bundle names job %q, want %q", slow.Job, sum.ID)
-	}
-}
-
-// TestParallelDiagnosisInBundleAndMetrics: a parallel profile request's
-// diagnosis, read from its spans, lands in the next flight bundle, and
-// the engine's gauges reach /metrics with no wiring in the handler.
-func TestParallelDiagnosisInBundleAndMetrics(t *testing.T) {
-	t.Cleanup(faultinject.DisarmAll)
-	_, ts, dir := newFlightServer(t, Options{ParallelDDG: 2})
-	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("profile = %d: %s", resp.StatusCode, body)
-	}
-	if err := faultinject.ArmString("jobexec.attempt=panic:diag:1"); err != nil {
-		t.Fatal(err)
-	}
-	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted profile = %d, want 500: %s", resp.StatusCode, body)
-	}
-	infos := waitBundles(t, dir, 1)
-	resp, body := get(t, ts, "/v1/flight/"+infos[0].ID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/flight/{id} = %d: %s", resp.StatusCode, body)
-	}
-	var b flight.Bundle
-	if err := json.Unmarshal(body, &b); err != nil {
-		t.Fatal(err)
-	}
-	var diag struct {
-		Shards int `json:"shards"`
-	}
-	if err := json.Unmarshal(b.Diagnosis, &diag); err != nil || diag.Shards != 2 {
-		t.Fatalf("bundle sampler section = %s (%v), want the 2-shard diagnosis", b.Diagnosis, err)
-	}
-	assertParallelMetrics(t, ts)
-}
-
-// TestParallelJobMetrics: a parallel job's attempt registry carries the
-// engine's gauges into /metrics.
-func TestParallelJobMetrics(t *testing.T) {
-	_, ts, _ := newFlightServer(t, Options{ParallelDDG: 2})
-	resp, body := postJob(t, ts, "workload=example1", nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
-	var sum jobstore.JobSummary
-	if err := json.Unmarshal(body, &sum); err != nil {
-		t.Fatal(err)
-	}
-	if j := waitJob(t, ts, sum.ID); j.State != jobstore.StateSucceeded {
-		t.Fatalf("job state = %s", j.State)
-	}
-	assertParallelMetrics(t, ts)
-}
-
-func assertParallelMetrics(t *testing.T, ts *httptest.Server) {
-	t.Helper()
-	_, body := get(t, ts, "/metrics")
-	for _, family := range []string{"polyprof_ddg_seq_busy_ratio_pct100", "polyprof_ddg_par_serial_frac_pct100"} {
-		if !strings.Contains(string(body), family) {
-			t.Errorf("/metrics lacks %s:\n%s", family, body)
-		}
 	}
 }

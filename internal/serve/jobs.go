@@ -25,34 +25,16 @@ import (
 // jobstore.MaxWALRecord so the submit record always frames.
 const DefaultMaxProgramBytes = 8 << 20
 
-// responseTracker wraps a ResponseWriter and records whether the
-// handler has started writing, so the panic recovery knows whether a
-// structured error response is still possible.
-type responseTracker struct {
-	http.ResponseWriter
-	started bool
-}
-
-func (t *responseTracker) WriteHeader(code int) {
-	t.started = true
-	t.ResponseWriter.WriteHeader(code)
-}
-
-func (t *responseTracker) Write(b []byte) (int, error) {
-	t.started = true
-	return t.ResponseWriter.Write(b)
-}
-
 // recoverJSON keeps a panic in a store operation (e.g. an injected
 // jobstore.wal.* fault in panic mode) from tearing the daemon down: the
 // client gets a structured 500 and the daemon keeps serving.  If the
 // response was already started, appending JSON would corrupt a 2xx
 // body, so the connection is aborted instead — the client sees a broken
 // transfer, never a bogus success.
-func (s *Server) recoverJSON(w *responseTracker) {
+func (s *Server) recoverJSON(w *statusWriter) {
 	if r := recover(); r != nil {
 		s.reg.Add("serve.panics", 1)
-		if w.started {
+		if w.status != 0 {
 			s.logf("polyprof: panic after response started: %v", r)
 			panic(http.ErrAbortHandler)
 		}
@@ -65,7 +47,7 @@ func (s *Server) recoverJSON(w *responseTracker) {
 
 // handleJobs serves the /v1/jobs collection: POST submits, GET lists.
 func (s *Server) handleJobs(rw http.ResponseWriter, req *http.Request) {
-	w := &responseTracker{ResponseWriter: rw}
+	w := tracked(rw)
 	defer s.recoverJSON(w)
 	if s.store == nil {
 		http.Error(w, "durable jobs are disabled; restart the daemon with -data-dir", http.StatusServiceUnavailable)
@@ -90,7 +72,7 @@ func (s *Server) handleJobs(rw http.ResponseWriter, req *http.Request) {
 // record is the audit trail.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	job := &jobstore.Job{}
-	if name := req.URL.Query().Get("workload"); name != "" {
+	if name := workloadParam(req); name != "" {
 		if workloads.ByName(name) == nil {
 			http.Error(w, fmt.Sprintf("unknown workload %q", name), http.StatusNotFound)
 			return
@@ -286,7 +268,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, req *http.Request) {
 // queued or running job is a 409 — it would race the worker pool's
 // claim; wait for a terminal state (or let the TTL sweeper collect it).
 func (s *Server) handleJobGet(rw http.ResponseWriter, req *http.Request) {
-	w := &responseTracker{ResponseWriter: rw}
+	w := tracked(rw)
 	defer s.recoverJSON(w)
 	if s.store == nil {
 		http.Error(w, "durable jobs are disabled; restart the daemon with -data-dir", http.StatusServiceUnavailable)
@@ -409,10 +391,9 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		Detail: fmt.Sprintf("%s attempt %d", job.ID, attempt),
 	})
 	exOpts := jobexec.Options{
-		Limits:      s.opts.Limits,
-		Timeout:     s.opts.RequestTimeout,
-		ParallelDDG: s.opts.ParallelDDG,
-		Registry:    reg,
+		Limits:   s.opts.Limits,
+		Timeout:  s.opts.RequestTimeout,
+		Registry: reg,
 	}
 	if job.EpochEvents > 0 {
 		// Streaming attempt: checkpoints commit through the job store's

@@ -61,7 +61,7 @@ func (s *Server) leaseStoreReady(w http.ResponseWriter) bool {
 // oldest ready job.  201 with the grant (lease + job), 204 when no job
 // is ready — the worker's signal to poll again later.
 func (s *Server) handleLeases(rw http.ResponseWriter, req *http.Request) {
-	w := &responseTracker{ResponseWriter: rw}
+	w := tracked(rw)
 	defer s.recoverJSON(w)
 	if !s.leaseStoreReady(w) {
 		return
@@ -112,7 +112,7 @@ func (s *Server) handleLeases(rw http.ResponseWriter, req *http.Request) {
 // Fencing failures are 409 (the token no longer owns the job), deleted
 // or unknown jobs 410 — structured verdicts a zombie worker can act on.
 func (s *Server) handleLease(rw http.ResponseWriter, req *http.Request) {
-	w := &responseTracker{ResponseWriter: rw}
+	w := tracked(rw)
 	defer s.recoverJSON(w)
 	if !s.leaseStoreReady(w) {
 		return

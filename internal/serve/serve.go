@@ -60,6 +60,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -90,7 +91,8 @@ type Options struct {
 	// pipeline is CPU-bound, so admission control beats queueing.
 	MaxInFlight int
 	// RingSize is how many finished request summaries /v1/requests
-	// keeps (default 64).
+	// keeps (default 64): in the volatile ring, or in the job store's
+	// persisted history when DataDir is set.
 	RingSize int
 	// Registry is the process-wide registry request metrics merge into
 	// and /metrics serves (default obs.Default, which the daemon
@@ -122,11 +124,6 @@ type Options struct {
 	// JobTTL garbage-collects terminal jobs this long after they
 	// finish (WAL-logged deletions; zero keeps jobs forever).
 	JobTTL time.Duration
-	// ParallelDDG selects the sharded parallel dependence engine with
-	// that many shard workers for every profile request and job; 0
-	// keeps the sequential builder.  Reports are bit-for-bit identical
-	// either way.
-	ParallelDDG int
 	// EpochEvents streams every job by default: attempts pause each
 	// EpochEvents dynamic instructions to render a provisional report
 	// (GET /v1/jobs/{id}?stream=1) and commit a WAL-fsynced resume
@@ -237,8 +234,9 @@ func (s *Server) Open() error {
 			s.logf("polyprof: flight recorder disabled: %v", err)
 		}
 		store, recovered, err := jobstore.Open(s.opts.DataDir, jobstore.Options{
-			Registry: s.opts.Registry,
-			Logf:     s.opts.Logf,
+			MaxHistory: s.opts.RingSize,
+			Registry:   s.opts.Registry,
+			Logf:       s.opts.Logf,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: opening job store: %w", err)
@@ -376,11 +374,23 @@ func requestID(ctx context.Context) string {
 	return id
 }
 
-// statusWriter records the status a handler wrote, so the middleware
-// can observe 5xx outcomes after the fact.
+// statusWriter is the daemon's one response wrapper.  It records the
+// status a handler wrote, so the middleware can observe 5xx outcomes
+// after the fact and recoverJSON knows whether the response started
+// (status != 0), and it forwards Flush, so server-sent events leave
+// the process as they are written.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+}
+
+// tracked returns the middleware's wrapper of w, or wraps w when a
+// handler runs without the middleware (unit tests).
+func tracked(w http.ResponseWriter) *statusWriter {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw
+	}
+	return &statusWriter{ResponseWriter: w}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -395,6 +405,12 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
+}
+
+func (w *statusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // maxInboundRequestID bounds the client-chosen trace ID so a hostile
@@ -453,7 +469,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST /v1/profile?workload=<name>", http.StatusMethodNotAllowed)
 		return
 	}
-	name := req.URL.Query().Get("workload")
+	name := workloadParam(req)
 	if name == "" {
 		http.Error(w, "missing workload parameter", http.StatusBadRequest)
 		return
@@ -509,6 +525,22 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, httpStatus(resp.Status), resp)
 }
 
+// workloadParam returns the ?workload= parameter.  Workload names
+// contain '+' (b+tree), which form decoding turns into a space, so the
+// value is path-unescaped instead: workload=b+tree and workload=b%2Btree
+// both name b+tree.
+func workloadParam(req *http.Request) string {
+	for _, kv := range strings.Split(req.URL.RawQuery, "&") {
+		if k, v, _ := strings.Cut(kv, "="); k == "workload" {
+			if name, err := url.PathUnescape(v); err == nil {
+				return name
+			}
+			return v
+		}
+	}
+	return ""
+}
+
 // httpStatus maps a profile status to its HTTP code.
 func httpStatus(status string) int {
 	switch status {
@@ -536,10 +568,9 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 	flight.LogEvent(flight.Event{Kind: "request", Name: "profile:" + spec.Name, Trace: id, Detail: "start"})
 	job := &jobstore.Job{Kind: jobstore.KindWorkload, Workload: spec.Name, TraceID: id}
 	res, err := jobexec.Run(ctx, job, "request:"+spec.Name, jobexec.Options{
-		Limits:      s.opts.Limits,
-		Timeout:     s.opts.RequestTimeout,
-		ParallelDDG: s.opts.ParallelDDG,
-		Registry:    reqReg,
+		Limits:   s.opts.Limits,
+		Timeout:  s.opts.RequestTimeout,
+		Registry: reqReg,
 	})
 	resp := &ProfileResponse{
 		RequestID: id, Workload: spec.Name, Status: res.Status, SpanID: res.SpanID,
@@ -582,23 +613,23 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 		Degraded: resp.Degraded,
 		Start:    start, WallNS: resp.WallNS, Ops: resp.Ops, Spans: resp.Spans,
 	}
-	s.mu.Lock()
-	s.ring = append(s.ring, summary)
-	if len(s.ring) > s.opts.RingSize {
-		s.ring = s.ring[len(s.ring)-s.opts.RingSize:]
-	}
-	s.mu.Unlock()
 	if s.store != nil {
 		// Persist the summary (minus the span tree, which can be large
 		// and is only useful with the live process) so /v1/requests
 		// survives restarts.
-		compact := summary
-		compact.Spans = nil
-		if data, err := json.Marshal(&compact); err == nil {
+		summary.Spans = nil
+		if data, err := json.Marshal(&summary); err == nil {
 			if err := s.store.AppendHistory(data); err != nil {
 				s.logf("polyprof: request history not persisted: %v", err)
 			}
 		}
+	} else {
+		s.mu.Lock()
+		s.ring = append(s.ring, summary)
+		if len(s.ring) > s.opts.RingSize {
+			s.ring = s.ring[len(s.ring)-s.opts.RingSize:]
+		}
+		s.mu.Unlock()
 	}
 
 	s.logf("polyprof: %s workload=%s status=%s wall=%s ops=%d",
@@ -614,8 +645,8 @@ func (s *Server) handleRequests(w http.ResponseWriter, req *http.Request) {
 	var out []RequestSummary
 	if s.store != nil {
 		// Durable history: summaries persisted through the job store's
-		// WAL, so the listing survives restarts (span trees are only
-		// available for requests served by this process, via the ring).
+		// WAL (without their span trees), so the listing survives
+		// restarts.
 		blobs := s.store.History()
 		out = make([]RequestSummary, 0, len(blobs))
 		for i := len(blobs) - 1; i >= 0; i-- { // newest first

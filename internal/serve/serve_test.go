@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 )
 
@@ -299,6 +300,46 @@ func TestWorkloadsAndHealthz(t *testing.T) {
 	}
 	if hz.Status != "ok" || hz.Capacity != 2 {
 		t.Fatalf("healthz = %+v", hz)
+	}
+}
+
+// TestWorkloadParamKeepsPlus: a workload name with '+' resolves on
+// both routes whether the client sends the '+' raw or percent-encoded.
+func TestWorkloadParamKeepsPlus(t *testing.T) {
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
+	for _, q := range []string{"workload=b+tree", "workload=b%2Btree"} {
+		resp, body := postProfile(t, ts, q)
+		var pr ProfileResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || pr.Workload != "b+tree" {
+			t.Fatalf("POST /v1/profile?%s = %d: %s", q, resp.StatusCode, body)
+		}
+		resp, body = postJob(t, ts, q+"&nocache=1", nil)
+		var sum jobstore.JobSummary
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &sum) != nil || sum.Name != "b+tree" {
+			t.Fatalf("POST /v1/jobs?%s = %d: %s", q, resp.StatusCode, body)
+		}
+		waitJob(t, ts, sum.ID)
+	}
+}
+
+// TestRingBoundsDurableHistory: with a data directory, /v1/requests
+// serves the persisted history, and RingSize bounds it.
+func TestRingBoundsDurableHistory(t *testing.T) {
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir(), RingSize: 2})
+	for i := 0; i < 3; i++ {
+		if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("profile %d = %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	_, body := get(t, ts, "/v1/requests")
+	var out struct {
+		Requests []RequestSummary `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Requests) != 2 {
+		t.Fatalf("/v1/requests lists %d summaries, want RingSize 2: %s", len(out.Requests), body)
 	}
 }
 

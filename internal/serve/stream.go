@@ -105,14 +105,6 @@ func (h *streamHub) clear(id string) {
 	h.mu.Unlock()
 }
 
-// Flush forwards to the underlying writer so SSE chunks leave the
-// process at epoch boundaries instead of pooling in a buffer.
-func (t *responseTracker) Flush() {
-	if f, ok := t.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // streamJob serves GET /v1/jobs/{id}?stream=1: a Server-Sent-Events
 // stream of the job's live progress.  Events, in order:
 //

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"polyprof/internal/faultinject"
 	"polyprof/internal/jobstore"
 )
 
@@ -138,6 +140,50 @@ func TestJobStreamSSE(t *testing.T) {
 	events = readSSE(t, sresp)
 	if len(events) != 2 || events[0].Event != "job" || events[1].Event != "done" {
 		t.Fatalf("terminal-job stream = %+v", events)
+	}
+}
+
+// TestJobStreamFlushesWhileRunning: the stream's job event leaves the
+// process at subscribe time, while the job still runs, not pooled in a
+// buffer until the done event — the daemon's response wrapper must
+// forward Flush.
+func TestJobStreamFlushesWhileRunning(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
+	// Hold the attempt long enough for the subscriber to read.
+	if err := faultinject.ArmString("jobexec.attempt=delay:2s:1"); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJob(t, ts, "workload=example1", nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	var sum jobstore.JobSummary
+	if err := json.Unmarshal(body, &sum); err != nil {
+		t.Fatal(err)
+	}
+
+	sresp, err := http.Get(ts.URL + "/v1/jobs/" + sum.ID + "?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	br := bufio.NewReader(sresp.Body)
+	line, err := br.ReadString('\n')
+	if err != nil || line != "event: job\n" {
+		t.Fatalf("first stream line = %q (%v), want the job event", line, err)
+	}
+	resp, body = get(t, ts, "/v1/jobs/"+sum.ID)
+	var j jobstore.Job
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil {
+		t.Fatalf("GET job = %d: %s", resp.StatusCode, body)
+	}
+	if j.State.Terminal() {
+		t.Fatalf("the job event arrived only after the job ended (%s)", j.State)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil || !strings.Contains(string(rest), "event: done\n") {
+		t.Fatalf("stream tail (%v) lacks the done event:\n%s", err, rest)
 	}
 }
 

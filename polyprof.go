@@ -140,7 +140,8 @@ type ProfileOptions struct {
 	// ParallelDDG selects the sharded parallel dependence engine with
 	// that many shard workers; 0 keeps the sequential builder.  The
 	// parallel engine's report is bit-for-bit identical to the
-	// sequential one on non-degraded runs.
+	// sequential one on non-degraded runs.  It is a library option
+	// only: the CLI and the daemon always run the sequential builder.
 	ParallelDDG int
 	// EpochEvents, when positive, runs the pipeline in streaming mode:
 	// pass 2 pauses every EpochEvents dynamic instructions and (with

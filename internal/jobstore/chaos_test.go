@@ -148,7 +148,8 @@ func TestChaosEveryJobstoreFaultPoint(t *testing.T) {
 	// submit or was an unacknowledged submit that legitimately survived
 	// (written but not fsynced when the fault hit) — either way every
 	// listed job must be internally consistent.
-	for _, sum := range s.List("") {
+	all, _ := s.ListPage("", 0, 0)
+	for _, sum := range all {
 		if sum.State == StateSucceeded && sum.Attempts == 0 {
 			t.Fatalf("job %s succeeded with zero attempts", sum.ID)
 		}

@@ -63,16 +63,10 @@ func (s *Store) SaveLeasedCheckpoint(jobID string, token uint64, ck *JobCheckpoi
 	// Mark the commit in the lifecycle trace (unsynced, like stage
 	// events — the fsynced ckpt record above is the durable truth), so
 	// ?trace=1 shows which epochs a crashed attempt had banked.
-	if evs := traceAppend(j, TraceEvent{
+	s.noteLocked(j, TraceEvent{
 		At: ck.At, Event: TraceCheckpoint, Attempt: ck.Attempt,
 		Detail: fmt.Sprintf("committed epoch %d (%d events, %d bytes)", ck.Epoch, ck.Events, len(ck.Data)),
-	}); len(evs) > 0 && s.wal != nil {
-		if payload, err := json.Marshal(record{T: "trace", ID: ck.JobID, TraceEvents: evs}); err == nil {
-			if err := s.wal.appendNoSync(payload); err == nil {
-				s.appends++
-			}
-		}
-	}
+	})
 	return nil
 }
 
@@ -96,51 +90,6 @@ func (s *Store) LoadCheckpoint(id string) *JobCheckpoint {
 	c := *ck
 	c.Data = append([]byte(nil), ck.Data...)
 	return &c
-}
-
-// NoteCacheHit appends a cache-hit lifecycle event to the succeeded
-// job whose content-addressed result answered a duplicate submission.
-// Persistence rides the WAL unsynced like stage events — diagnostics,
-// not durable state.
-func (s *Store) NoteCacheHit(id, detail string) {
-	s.noteTrace(id, TraceEvent{
-		At: time.Now().UTC(), Event: TraceCacheHit, Detail: detail,
-	})
-}
-
-// NoteResume appends a checkpoint-resume lifecycle event: the given
-// attempt restored from the committed checkpoint at epoch/events
-// instead of starting at event zero.
-func (s *Store) NoteResume(id string, attempt int, epoch, events uint64) {
-	s.noteTrace(id, TraceEvent{
-		At: time.Now().UTC(), Event: TraceResume, Attempt: attempt,
-		Detail: fmt.Sprintf("resumed from committed epoch %d (%d events)", epoch, events),
-	})
-}
-
-// noteTrace appends one lifecycle event through a "trace" WAL record —
-// like NoteStage, but valid on terminal jobs too (a cache hit lands on
-// a job that already succeeded).
-func (s *Store) noteTrace(id string, ev TraceEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || s.wal == nil {
-		return
-	}
-	evs := traceAppend(j, ev)
-	if len(evs) == 0 {
-		return
-	}
-	payload, err := json.Marshal(record{T: "trace", ID: id, TraceEvents: evs})
-	if err != nil {
-		return
-	}
-	if err := s.wal.appendNoSync(payload); err != nil {
-		s.logf("jobstore: job %s: trace record not persisted (%v); continuing", id, err)
-		return
-	}
-	s.appends++
 }
 
 // ListPage returns one page of job summaries, newest submission first,

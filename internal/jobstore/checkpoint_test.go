@@ -100,8 +100,7 @@ func TestCheckpointOversizeSkipped(t *testing.T) {
 }
 
 // TestNoteCacheHitOnTerminalJob: cache-hit trace events land on a
-// succeeded job and survive a reopen — unlike stage events, which
-// terminal jobs refuse.
+// succeeded job and survive a reopen.
 func TestNoteCacheHitOnTerminalJob(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := testOpen(t, dir)
@@ -113,7 +112,7 @@ func TestNoteCacheHitOnTerminalJob(t *testing.T) {
 	if err := s.CompleteLease(j.ID, lease.Token, &Result{Status: "ok"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.NoteCacheHit(j.ID, "duplicate submission job-99")
+	s.Note(j.ID, TraceEvent{Event: TraceCacheHit, Detail: "duplicate submission job-99"})
 	got := s.Get(j.ID)
 	var hit *TraceEvent
 	for i := range got.Trace {

@@ -36,7 +36,7 @@ func TestDeleteTerminalOnly(t *testing.T) {
 	if got := s.Get(j.ID); got != nil {
 		t.Fatalf("deleted job still served: %+v", got)
 	}
-	if got := len(s.List("")); got != 0 {
+	if _, got := s.ListPage("", 0, 0); got != 0 {
 		t.Fatalf("deleted job still listed: %d entries", got)
 	}
 	if err := s.Delete(j.ID); !errors.Is(err, ErrUnknownJob) {

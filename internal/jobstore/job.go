@@ -188,17 +188,6 @@ const (
 // marker is kept and further events are dropped.
 const MaxTraceEvents = 512
 
-// CrashRecovered returns the crash-recovery marker when the job's
-// latest lifecycle event is one — i.e. the job was running when the
-// process died and Open just re-enqueued it.  The serving layer uses
-// this to write a flight bundle for the interrupted attempt.
-func (j *Job) CrashRecovered() (TraceEvent, bool) {
-	if n := len(j.Trace); n > 0 && j.Trace[n-1].Event == TraceCrashRecovered {
-		return j.Trace[n-1], true
-	}
-	return TraceEvent{}, false
-}
-
 // InterruptedStage returns the pipeline stage the job's most recent
 // attempt had reached (from the last persisted stage event of the
 // final attempt), for naming what a crash interrupted.

@@ -13,20 +13,20 @@ import (
 	"time"
 
 	"polyprof/internal/obs"
+	"polyprof/internal/obs/flight"
 )
 
 // record is the WAL envelope.  Every state transition of every job is
 // one record; replay folds them, last writer wins per job.
 type record struct {
-	// T is the record type: "submit", "state", "stage", "trace",
-	// "ckpt", "delete", or "hist".  "stage" records carry only
-	// lifecycle trace events and are appended unsynced (diagnostics:
-	// they survive kill -9 via the page cache, and losing them on power
-	// failure loses no durable state).  "trace" records are the same
-	// but apply to terminal jobs too (a cache hit lands on a job that
-	// already succeeded).  "ckpt" records carry a streaming epoch
-	// checkpoint, fsynced — "committed epoch" means exactly this append
-	// survived.
+	// T is the record type: "submit", "state", "trace", "ckpt",
+	// "delete", or "hist".  "trace" records carry only lifecycle trace
+	// events and are appended unsynced (diagnostics: they survive
+	// kill -9 via the page cache, and losing them on power failure
+	// loses no durable state); replay also accepts "stage", the name
+	// older data directories gave the trace records of running jobs.
+	// "ckpt" records carry a streaming epoch checkpoint, fsynced —
+	// "committed epoch" means exactly this append survived.
 	T string `json:"t"`
 	// Job is the full job at submission time (T == "submit").
 	Job *Job `json:"job,omitempty"`
@@ -39,7 +39,7 @@ type record struct {
 	Error     *JobError `json:"error,omitempty"`
 	Result    *Result   `json:"result,omitempty"`
 	// TraceEvents are the lifecycle trace events this transition
-	// appends to the job (T == "state" or "stage").
+	// appends to the job (T == "state" or "trace").
 	TraceEvents []TraceEvent `json:"trace,omitempty"`
 	// Fence is the fencing token granted with a lease transition
 	// (T == "state" into running via AcquireLease); replay folds the
@@ -75,6 +75,30 @@ func traceAppend(j *Job, evs ...TraceEvent) []TraceEvent {
 		out = append(out, ev)
 	}
 	return out
+}
+
+// mirror logs lifecycle events the store just recorded into the flight
+// ring, which has no other source of job events: kind "job", named
+// after the trace event, carrying the job's trace ID and a detail that
+// leads with the job ID.  Replay does not call it: the ring holds what
+// this process saw happen.
+func mirror(j *Job, evs []TraceEvent) {
+	if !flight.Enabled() {
+		return
+	}
+	for _, ev := range evs {
+		detail := j.ID
+		if ev.Attempt > 0 {
+			detail += fmt.Sprintf(" attempt %d", ev.Attempt)
+		}
+		if ev.Stage != "" {
+			detail += " stage " + ev.Stage
+		}
+		if ev.Detail != "" {
+			detail += ": " + ev.Detail
+		}
+		flight.LogEvent(flight.Event{At: ev.At, Kind: "job", Name: ev.Event, Trace: j.TraceID, Detail: detail, WallNS: ev.WallNS})
+	}
 }
 
 // snapshot is the compacted on-disk state: everything the WAL records
@@ -156,8 +180,10 @@ type Store struct {
 // Open loads (or initializes) a store under dir: it reads the latest
 // snapshot, replays every surviving WAL generation on top of it,
 // truncates any torn tail, and re-enqueues jobs that were running at
-// crash time.  The returned recovered list holds the jobs needing
-// (re-)execution — queued and formerly-running — in submission order.
+// crash time, each with a crash-recovered trace event and a
+// crash-recovery flight trigger.  The returned recovered list holds the
+// jobs needing (re-)execution — queued and formerly-running — in
+// submission order.
 func Open(dir string, opts Options) (*Store, []*Job, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = 256
@@ -202,12 +228,17 @@ func Open(dir string, opts Options) (*Store, []*Job, error) {
 			if stage != "" {
 				detail += " in stage " + stage
 			}
-			traceAppend(j, TraceEvent{
+			mirror(j, traceAppend(j, TraceEvent{
 				At: time.Now().UTC(), Event: TraceCrashRecovered,
 				Stage: stage, Attempt: j.Attempts, Detail: detail,
-			})
+			}))
 			j.State = StateQueued
 			s.logf("jobstore: job %s was running at crash time; re-enqueued (attempt %d)", j.ID, j.Attempts)
+			// The crash's black box, written by the process that found
+			// the wreckage: the bundle names the interrupted stage.
+			flight.Trigger("crash-recovery", flight.TriggerInfo{
+				Trace: j.TraceID, Job: j.ID, Stage: stage, Detail: detail, Extra: j.Clone(),
+			})
 		}
 		if j.State == StateQueued {
 			recovered = append(recovered, j.Clone())
@@ -338,15 +369,7 @@ func (s *Store) applyRecord(payload []byte) {
 			j.FinishedAt = rec.At
 			delete(s.ckpts, rec.ID)
 		}
-	case "stage":
-		j, ok := s.jobs[rec.ID]
-		if !ok || j.State.Terminal() {
-			return
-		}
-		traceAppend(j, rec.TraceEvents...)
-	case "trace":
-		// Unlike "stage", trace records land on terminal jobs too: a
-		// cache hit is an event on a job that already succeeded.
+	case "trace", "stage":
 		j, ok := s.jobs[rec.ID]
 		if !ok {
 			return
@@ -560,7 +583,7 @@ func (s *Store) Submit(j *Job) error {
 	j.SubmittedAt = time.Now().UTC()
 	// The submit record carries the full job, trace included, so these
 	// two events are durable the moment the submission is acknowledged.
-	traceAppend(j,
+	evs := traceAppend(j,
 		TraceEvent{At: j.SubmittedAt, Event: TraceIntake, Detail: j.Name()},
 		TraceEvent{At: j.SubmittedAt, Event: TraceWALAppend})
 	if err := s.appendLocked(record{T: "submit", Job: j}); err != nil {
@@ -568,6 +591,7 @@ func (s *Store) Submit(j *Job) error {
 		// number up; ids are unique, not dense).
 		return err
 	}
+	mirror(j, evs)
 	s.jobs[j.ID] = j.Clone()
 	s.order = append(s.order, j.ID)
 	s.reg.Add("jobs.submitted", 1)
@@ -694,32 +718,40 @@ func (s *Store) DetachProgress(id string) {
 	delete(s.live, id)
 }
 
-// NoteStage persists a stage-progress lifecycle event for a running
-// job.  The WAL append is deliberately unsynced: a write() survives
-// kill -9 through the OS page cache, which is exactly the failure this
-// record diagnoses (naming the stage a crash interrupted), while an
-// fsync per pipeline stage would tax every job for diagnostics.  Power
-// failure may lose the record — losing only the stage name, never
-// durable state.
-func (s *Store) NoteStage(id, stage string) {
+// Note appends one lifecycle event — a pipeline stage start, a
+// checkpoint resume, a cache hit on a succeeded job — to the job's
+// trace (a zero At is stamped now).  The WAL append is deliberately
+// unsynced: a write() survives kill -9 through the OS page cache,
+// which is exactly the failure a stage event diagnoses (naming the
+// stage a crash interrupted), while an fsync per pipeline stage would
+// tax every job for diagnostics.  Power failure may lose the record —
+// losing only the event, never durable state.
+func (s *Store) Note(id string, ev TraceEvent) {
+	if ev.At.IsZero() {
+		ev.At = time.Now().UTC()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || j.State != StateRunning || s.wal == nil {
-		return
+	if j, ok := s.jobs[id]; ok && s.wal != nil {
+		s.noteLocked(j, ev)
 	}
-	evs := traceAppend(j, TraceEvent{
-		At: time.Now().UTC(), Event: TraceStage, Stage: stage, Attempt: j.Attempts,
-	})
+}
+
+// noteLocked records one unsynced lifecycle event through a "trace"
+// WAL record and mirrors it into the flight ring.  Callers hold s.mu
+// and an open WAL.
+func (s *Store) noteLocked(j *Job, ev TraceEvent) {
+	evs := traceAppend(j, ev)
 	if len(evs) == 0 {
 		return
 	}
-	payload, err := json.Marshal(record{T: "stage", ID: id, TraceEvents: evs})
-	if err != nil {
-		return
+	mirror(j, evs)
+	payload, err := json.Marshal(record{T: "trace", ID: j.ID, TraceEvents: evs})
+	if err == nil {
+		err = s.wal.appendNoSync(payload)
 	}
-	if err := s.wal.appendNoSync(payload); err != nil {
-		s.logf("jobstore: job %s: stage record not persisted (%v); continuing", id, err)
+	if err != nil {
+		s.logf("jobstore: job %s: %s record not persisted (%v); continuing", j.ID, ev.Event, err)
 		return
 	}
 	s.appends++
@@ -756,22 +788,6 @@ func (s *Store) Get(id string) *Job {
 		c.Lease = &LeaseView{Worker: ls.Worker, Attempt: ls.Attempt, ExpiresAt: ls.ExpiresAt}
 	}
 	return c
-}
-
-// List returns job summaries, newest submission first, optionally
-// filtered by state ("" for all).
-func (s *Store) List(state State) []JobSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobSummary, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		j := s.jobs[s.order[i]]
-		if state != "" && j.State != state {
-			continue
-		}
-		out = append(out, j.Summary())
-	}
-	return out
 }
 
 // AppendHistory persists one request-history entry (an opaque blob

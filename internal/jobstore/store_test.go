@@ -66,10 +66,10 @@ func TestStoreSubmitGetList(t *testing.T) {
 	if got.State != StateSucceeded || got.Result == nil || string(got.Result.Report) != `{"x":1}` {
 		t.Fatalf("job after completion = %+v", got)
 	}
-	if l := s.List(StateSucceeded); len(l) != 1 || l[0].ID != j.ID {
+	if l, _ := s.ListPage(StateSucceeded, 0, 0); len(l) != 1 || l[0].ID != j.ID {
 		t.Fatalf("list(succeeded) = %+v", l)
 	}
-	if l := s.List(StateQueued); len(l) != 0 {
+	if l, _ := s.ListPage(StateQueued, 0, 0); len(l) != 0 {
 		t.Fatalf("list(queued) = %+v", l)
 	}
 }

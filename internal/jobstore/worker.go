@@ -406,8 +406,6 @@ func (p *Pool) Fail(jobID string, token uint64, jerr *JobError, evs []TraceEvent
 		return StateQueued, nil
 	}
 	p.logf("jobstore: job %s attempt %d failed (%s); retrying in %s", jobID, e.Attempt, e.Message, next.Sub(now).Round(time.Millisecond))
-	flight.LogEvent(flight.Event{Kind: "job", Name: "retry", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s attempt %d: %s", jobID, e.Attempt, e.Message)})
 	if e.Attempt+1 == p.opts.MaxAttempts {
 		// The next attempt is the job's last: capture the process state
 		// now, while the failure pattern is fresh in the ring.

@@ -1,8 +1,8 @@
 // Package flight is the always-on flight recorder: a bounded in-memory
-// ring of recent observability events (finished stage spans, request,
-// job and lease lifecycle transitions, budget/degradation outcomes,
-// per-request metric deltas) that costs one atomic load per recording
-// site while disabled, and on an anomaly trigger freezes the ring into
+// ring of recent observability events (finished stage spans, requests,
+// job lifecycle steps as the job store records them, budget and
+// degradation outcomes, per-request metric deltas) that costs one
+// atomic load per recording site while disabled, and on an anomaly trigger freezes the ring into
 // a self-contained JSON bundle on disk — the last N seconds of process
 // history, a goroutine and heap profile, the metrics snapshot, and
 // build metadata — so a panic,
@@ -35,9 +35,9 @@ import (
 )
 
 // Event is one ring-buffer entry.  Kind groups events for rendering
-// ("span", "stage", "request", "job", "lease", "stream", "metrics",
-// "budget", "degrade", "trigger"); Trace carries the request/job trace ID when
-// the site knows it.
+// ("span", "request", "job", "stream", "metrics", "budget", "degrade",
+// "trigger"); Trace carries the request/job trace ID when the site
+// knows it.
 type Event struct {
 	At     time.Time `json:"at"`
 	Kind   string    `json:"kind"`

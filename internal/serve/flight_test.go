@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 
 	"polyprof/internal/budget"
 	"polyprof/internal/faultinject"
+	"polyprof/internal/jobapi"
+	"polyprof/internal/jobexec"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
@@ -409,5 +412,124 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 	}
 	if slow.Job != sum.ID {
 		t.Fatalf("slow-job bundle names job %q, want %q", slow.Job, sum.ID)
+	}
+}
+
+// TestJobLifecycleRingFromStore: the flight ring sees jobs only through
+// the job store's record.  A job run by a local slot and one run by a
+// remote jobapi.Worker each leave every step of their durable
+// lifecycle trace in the ring exactly once, as job/<event> — including
+// the remote attempt's shipped stage events and the terminal complete
+// — and no serving-layer copy (job/submit, job/attempt, lease/grant,
+// stage/<name>) remains.
+func TestJobLifecycleRingFromStore(t *testing.T) {
+	// The Default recorder's ring outlives a test's daemon; events older
+	// than this test belong to earlier daemons' jobs.
+	start := time.Now()
+	s, ts, dir := newFlightServer(t, Options{Workers: -1})
+	submit := func(query string) string {
+		t.Helper()
+		resp, body := postJob(t, ts, query, nil)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s = %d: %s", query, resp.StatusCode, body)
+		}
+		var sum jobstore.JobSummary
+		if err := json.Unmarshal(body, &sum); err != nil {
+			t.Fatal(err)
+		}
+		return sum.ID
+	}
+
+	// The local job runs exactly as a pool slot runs it: claimed under a
+	// lease that never expires, executed by runJob, completed under its
+	// token.  A duplicate submission then notes a cache hit on it.
+	local := submit("workload=example1")
+	lease, job, err := s.pool.Acquire(jobstore.LocalWorker, 0)
+	if err != nil || job.ID != local {
+		t.Fatalf("local claim = %v, %v", job, err)
+	}
+	res, err := s.runJob(context.Background(), job, lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.pool.Complete(job.ID, lease.Token, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJob(t, ts, "workload=example1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("duplicate submit = %d: %s", resp.StatusCode, body)
+	}
+
+	remote := submit("workload=example2")
+	ctx, cancel := context.WithCancel(context.Background())
+	w := jobapi.NewWorker(jobapi.WorkerOptions{
+		Coordinator: ts.URL, Name: "ring", Slots: 1, Poll: 25 * time.Millisecond,
+		Exec: jobexec.Options{Timeout: 30 * time.Second},
+	})
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	waitJob(t, ts, remote)
+	cancel()
+	<-done
+
+	id, err := flight.Trigger("probe", flight.TriggerInfo{})
+	if err != nil || id == "" {
+		t.Fatalf("trigger = %q, %v", id, err)
+	}
+	b, err := flight.ReadBundle(dir, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := map[string][]flight.Event{} // job id -> its lifecycle events
+	for _, ev := range b.Events {
+		switch {
+		case ev.At.Before(start):
+		case ev.Kind == "lease" || ev.Kind == "stage",
+			ev.Kind == "job" && (ev.Name == "submit" || ev.Name == "attempt"):
+			t.Errorf("serving-layer ring event %s/%s: %s", ev.Kind, ev.Name, ev.Detail)
+		case ev.Kind == "job":
+			// The detail leads with the job ID ("job-1 attempt 1 ...",
+			// "job-1: example1"); outcome events ("status=ok") match no job.
+			jobID, _, _ := strings.Cut(ev.Detail, " ")
+			jobID = strings.TrimSuffix(jobID, ":")
+			ring[jobID] = append(ring[jobID], ev)
+		}
+	}
+	for _, id := range []string{local, remote} {
+		resp, body := get(t, ts, "/v1/jobs/"+id+"?trace=1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s trace = %d: %s", id, resp.StatusCode, body)
+		}
+		var j jobstore.Job
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != jobstore.StateSucceeded {
+			t.Fatalf("%s ended %s: %+v", id, j.State, j.Error)
+		}
+		got := ring[id]
+		if len(got) != len(j.Trace) {
+			t.Fatalf("%s: ring holds %d lifecycle events, trace has %d:\nring  %+v\ntrace %+v", id, len(got), len(j.Trace), got, j.Trace)
+		}
+		stages := 0
+		for i, ev := range j.Trace {
+			if got[i].Name != ev.Event || !got[i].At.Equal(ev.At) || got[i].Trace != j.TraceID || got[i].WallNS != ev.WallNS {
+				t.Fatalf("%s: ring event %d = %+v, want trace event %+v", id, i, got[i], ev)
+			}
+			if ev.Event == jobstore.TraceStage {
+				stages++
+				if !strings.Contains(got[i].Detail, "stage "+ev.Stage) {
+					t.Fatalf("%s: ring stage event %+v does not name stage %s", id, got[i], ev.Stage)
+				}
+			}
+		}
+		if stages == 0 {
+			t.Fatalf("%s: no stage events in trace %+v", id, j.Trace)
+		}
+		if last := j.Trace[len(j.Trace)-1].Event; id == remote && last != jobstore.TraceComplete {
+			t.Fatalf("remote trace ends with %s, want complete", last)
+		}
+		if id == local && j.Trace[len(j.Trace)-1].Event != jobstore.TraceCacheHit {
+			t.Fatalf("local trace ends with %s, want cache-hit", j.Trace[len(j.Trace)-1].Event)
+		}
 	}
 }

@@ -130,11 +130,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 			// The hit job's lifecycle trace records that it answered a
 			// duplicate submission — without this, ?trace=1 on the cached
 			// job cannot explain where the extra reads came from.
-			s.store.NoteCacheHit(hit.ID, fmt.Sprintf("answered duplicate submission (trace %s, key %s)",
-				requestID(req.Context()), key[:12]))
-			flight.LogEvent(flight.Event{
-				Kind: "job", Name: "cache-hit", Trace: requestID(req.Context()),
-				Detail: fmt.Sprintf("%s (%s) key %s", hit.ID, hit.Name(), key[:12]),
+			s.store.Note(hit.ID, jobstore.TraceEvent{
+				Event: jobstore.TraceCacheHit,
+				Detail: fmt.Sprintf("answered duplicate submission (trace %s, key %s)",
+					requestID(req.Context()), key[:12]),
 			})
 			w.Header().Set("Location", "/v1/jobs/"+hit.ID)
 			writeJSON(w, http.StatusOK, map[string]any{
@@ -157,10 +156,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.pool.Wake(time.Time{})
-	flight.LogEvent(flight.Event{
-		Kind: "job", Name: "submit", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s (%s)", job.ID, job.Name()),
-	})
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, job.Summary())
 }
@@ -235,23 +230,14 @@ func (s *Server) handleJobList(w http.ResponseWriter, req *http.Request) {
 		}
 		state = st
 	}
-	limit := DefaultJobListLimit
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			http.Error(w, fmt.Sprintf("invalid limit %q: want a positive integer", v), http.StatusBadRequest)
-			return
-		}
-		limit = min(n, MaxJobListLimit)
+	limit, ok := queryInt(w, q, "limit", DefaultJobListLimit, 1)
+	if !ok {
+		return
 	}
-	offset := 0
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, fmt.Sprintf("invalid offset %q: want a non-negative integer", v), http.StatusBadRequest)
-			return
-		}
-		offset = n
+	limit = min(limit, MaxJobListLimit)
+	offset, ok := queryInt(w, q, "offset", 0, 0)
+	if !ok {
+		return
 	}
 	page, total := s.store.ListPage(state, offset, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -348,13 +334,11 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	// Every stage span start is persisted into the job's lifecycle
-	// trace (unsynced WAL record — survives kill -9, cheap) and mirrored
-	// into the flight ring, so a crash or a bundle can name the stage.
+	// trace (unsynced WAL record — survives kill -9, cheap), which the
+	// store mirrors into the flight ring, so a crash or a bundle can
+	// name the stage.
 	reg.OnStage(func(stage string) {
-		s.store.NoteStage(job.ID, stage)
-		flight.LogEvent(flight.Event{
-			Kind: "stage", Name: stage, Trace: job.TraceID, Detail: "job " + job.ID,
-		})
+		s.store.Note(job.ID, jobstore.TraceEvent{Event: jobstore.TraceStage, Stage: stage, Attempt: attempt})
 	})
 	s.store.AttachProgress(job.ID, reg)
 	defer s.store.DetachProgress(job.ID)
@@ -386,10 +370,6 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		}()
 	}
 
-	flight.LogEvent(flight.Event{
-		Kind: "job", Name: "attempt", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s attempt %d", job.ID, attempt),
-	})
 	exOpts := jobexec.Options{
 		Limits:   s.opts.Limits,
 		Timeout:  s.opts.RequestTimeout,
@@ -407,11 +387,9 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		}
 		exOpts.OnResume = func(epoch, events uint64) {
 			s.reg.Add("serve.jobs.resumes", 1)
-			s.store.NoteResume(job.ID, attempt, epoch, events)
-			flight.LogEvent(flight.Event{
-				Kind: "job", Name: "checkpoint-resume", Trace: job.TraceID,
-				Detail: fmt.Sprintf("%s attempt %d resumes from committed epoch %d (%d events)",
-					job.ID, attempt, epoch, events),
+			s.store.Note(job.ID, jobstore.TraceEvent{
+				Event: jobstore.TraceResume, Attempt: attempt,
+				Detail: fmt.Sprintf("resumed from committed epoch %d (%d events)", epoch, events),
 			})
 		}
 	}

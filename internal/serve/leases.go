@@ -92,11 +92,6 @@ func (s *Server) handleLeases(rw http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	flight.LogEvent(flight.Event{
-		Kind: "lease", Name: "grant", Trace: job.TraceID,
-		Detail: fmt.Sprintf("%s -> worker %s attempt %d token %d ttl %s",
-			job.ID, worker, lease.Attempt, lease.Token, ttl),
-	})
 	// A streaming job's committed checkpoint rides along with the grant:
 	// the worker resumes from it instead of replaying from event zero.
 	ck := s.store.LoadCheckpoint(job.ID)

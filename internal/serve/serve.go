@@ -224,9 +224,9 @@ func (s *Server) Open() error {
 	}
 	if s.opts.DataDir != "" {
 		// The flight recorder goes live before the store opens, so crash
-		// recovery itself is ring history and recovered jobs can trigger
-		// bundles.  A recorder failure degrades diagnostics, never
-		// serving.
+		// recovery itself is ring history and each job it re-enqueues
+		// writes a crash-recovery bundle.  A recorder failure degrades
+		// diagnostics, never serving.
 		if err := flight.Default.Enable(filepath.Join(s.opts.DataDir, "flightrec"), flight.Options{
 			Registry: s.opts.Registry,
 			Logf:     s.opts.Logf,
@@ -242,17 +242,6 @@ func (s *Server) Open() error {
 			return fmt.Errorf("serve: opening job store: %w", err)
 		}
 		s.store = store
-		// Each job interrupted by the previous process's death gets a
-		// bundle naming the stage it died in — the crash's black box,
-		// written by the process that found the wreckage.
-		for _, j := range recovered {
-			if ev, ok := j.CrashRecovered(); ok {
-				flight.Trigger("crash-recovery", flight.TriggerInfo{
-					Trace: j.TraceID, Job: j.ID, Stage: j.InterruptedStage(),
-					Detail: ev.Detail, Extra: j,
-				})
-			}
-		}
 		s.pool = jobstore.NewPool(store, s.runJob, jobstore.PoolOptions{
 			Workers:         s.opts.Workers,
 			MaxAttempts:     s.opts.MaxAttempts,
@@ -422,8 +411,8 @@ const maxInboundRequestID = 128
 // otherwise — echoes it on the response (error paths included, since
 // the header is set before the handler runs), and turns any 5xx into a
 // flight-recorder trigger carrying that ID.  It writes no ring event of
-// its own: submits, cache hits, lease grants, attempts and their
-// outcomes log themselves, so liveness probes never crowd the ring.
+// its own: the job store records job lifecycle steps and attempts log
+// their outcomes, so liveness probes never crowd the ring.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.Header.Get("X-Request-ID")
@@ -541,6 +530,22 @@ func workloadParam(req *http.Request) string {
 	return ""
 }
 
+// queryInt reads the integer query parameter name: def when it is
+// absent, else a value of at least lo.  Anything else is answered with
+// a 400 naming the parameter, and ok is false.
+func queryInt(w http.ResponseWriter, q url.Values, name string, def, lo int) (n int, ok bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < lo {
+		http.Error(w, fmt.Sprintf("invalid %s %q: want an integer >= %d", name, v, lo), http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
 // httpStatus maps a profile status to its HTTP code.
 func httpStatus(status string) int {
 	switch status {
@@ -638,9 +643,9 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 }
 
 func (s *Server) handleRequests(w http.ResponseWriter, req *http.Request) {
-	limit := 0
-	if v := req.URL.Query().Get("limit"); v != "" {
-		limit, _ = strconv.Atoi(v)
+	limit, ok := queryInt(w, req.URL.Query(), "limit", 0, 1)
+	if !ok {
+		return
 	}
 	var out []RequestSummary
 	if s.store != nil {

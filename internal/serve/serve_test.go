@@ -343,6 +343,38 @@ func TestRingBoundsDurableHistory(t *testing.T) {
 	}
 }
 
+// TestRequestsLimitValidated: /v1/requests parses ?limit= like
+// /v1/jobs does — a malformed or non-positive limit is a 400 naming
+// the parameter, not the whole history — and a valid one caps the
+// listing.
+func TestRequestsLimitValidated(t *testing.T) {
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
+	for i := 0; i < 2; i++ {
+		if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("profile %d = %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	for _, path := range []string{
+		"/v1/requests?limit=bogus", "/v1/requests?limit=-1", "/v1/requests?limit=0",
+		"/v1/jobs?limit=bogus", "/v1/jobs?limit=0", "/v1/jobs?offset=-1",
+	} {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid ") {
+			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, body)
+		}
+	}
+	_, body := get(t, ts, "/v1/requests?limit=1")
+	var out struct {
+		Requests []RequestSummary `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Requests) != 1 {
+		t.Fatalf("/v1/requests?limit=1 lists %d summaries: %s", len(out.Requests), body)
+	}
+}
+
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)

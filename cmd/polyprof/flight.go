@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"polyprof/internal/jobstore"
 	"polyprof/internal/obs/flight"
 )
 
@@ -51,7 +52,7 @@ func cmdFlight(args []string) error {
 		if *dataDir == "" {
 			return fmt.Errorf("flight: need -data-dir (or -dir) to locate bundles")
 		}
-		dir = filepath.Join(*dataDir, "flightrec")
+		dir = filepath.Join(*dataDir, jobstore.FlightDir)
 	}
 
 	switch verb {

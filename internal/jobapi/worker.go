@@ -158,10 +158,10 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 	exec.Registry = reg
 	// Streaming wiring is the worker's own (caller-supplied hooks are
 	// ignored like Exec.Registry): checkpoints commit through the
-	// coordinator's lease-fenced endpoint, and a resume is shipped home
-	// as a trace event.  No provisional hook — remote attempts skip the
-	// per-epoch fold and render; live subscribers are served by the
-	// coordinator.
+	// coordinator's lease-fenced endpoint, and the resume decision is
+	// shipped home as a trace event.  No provisional hook — remote
+	// attempts skip the per-epoch fold and render; live subscribers are
+	// served by the coordinator.
 	exec.Checkpoints = nil
 	exec.OnProvisional = nil
 	exec.OnResume = nil
@@ -169,15 +169,12 @@ func (w *Worker) runAttempt(ctx context.Context, grant *Grant) {
 		exec.Checkpoints = &remoteCheckpoints{
 			worker: w, ctx: attemptCtx, jobID: job.ID, lease: lease, grant: grant.Checkpoint,
 		}
-		exec.OnResume = func(epoch, epochEvents uint64) {
-			w.logf("jobapi: worker %s: %s attempt %d resumes from committed epoch %d (%d events)",
-				w.opts.Name, job.ID, lease.Attempt, epoch, epochEvents)
+		exec.OnResume = func(ev jobstore.TraceEvent) {
+			w.logf("jobapi: worker %s: %s attempt %d %s: %s", w.opts.Name, job.ID, lease.Attempt, ev.Event, ev.Detail)
+			ev.At, ev.Attempt = time.Now().UTC(), lease.Attempt
+			ev.Detail = "worker " + w.opts.Name + " " + ev.Detail
 			evMu.Lock()
-			events = append(events, jobstore.TraceEvent{
-				At: time.Now().UTC(), Event: jobstore.TraceResume, Attempt: lease.Attempt,
-				Detail: fmt.Sprintf("worker %s resumed from committed epoch %d (%d events)",
-					w.opts.Name, epoch, epochEvents),
-			})
+			events = append(events, ev)
 			evMu.Unlock()
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"polyprof/internal/isa"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
-	"polyprof/internal/obs/flight"
 	"polyprof/internal/transform"
 	"polyprof/internal/workloads"
 )
@@ -80,10 +79,11 @@ type Options struct {
 	// OnProvisional receives the rendered report after each epoch (nil
 	// skips the per-epoch fold and render entirely).
 	OnProvisional func(Provisional)
-	// OnResume is told when the attempt restored from a committed
-	// checkpoint instead of starting at event zero (for lifecycle
-	// tracing).
-	OnResume func(epoch, events uint64)
+	// OnResume receives the attempt's resume decision as a lifecycle
+	// trace event: TraceResume when it restored from a committed
+	// checkpoint, TraceResumeRejected when the checkpoint did not decode
+	// and it started from event zero.  The caller stamps At and Attempt.
+	OnResume func(jobstore.TraceEvent)
 }
 
 // program materializes the program a job profiles.  Errors here are
@@ -222,15 +222,17 @@ func resumePoint(job *jobstore.Job, opts Options) *core.Checkpoint {
 		return nil
 	}
 	ck, err := core.DecodeCheckpoint(data)
-	if err != nil {
+	ev := jobstore.TraceEvent{Event: jobstore.TraceResume}
+	if err == nil {
+		ev.Detail = fmt.Sprintf("resumed from committed epoch %d (%d events)", ck.Epoch, ck.Events)
+	} else {
 		// Resuming is an optimization; a fresh start is always sound.
 		// Record the corruption and run from event zero.
-		flight.LogEvent(flight.Event{Kind: "stream", Name: "resume-rejected", Trace: job.TraceID,
-			Detail: fmt.Sprintf("job %s: %v; starting from event zero", job.ID, err)})
-		return nil
+		ev.Event, ck = jobstore.TraceResumeRejected, nil
+		ev.Detail = fmt.Sprintf("job %s: %v; starting from event zero", job.ID, err)
 	}
 	if opts.OnResume != nil {
-		opts.OnResume(ck.Epoch, ck.Events)
+		opts.OnResume(ev)
 	}
 	return ck
 }

@@ -179,9 +179,11 @@ const (
 	TraceCacheHit = "cache-hit"
 	// TraceCheckpoint marks a streaming epoch checkpoint committed to
 	// the WAL; TraceResume marks an attempt that restored from one
-	// instead of starting at event zero.
-	TraceCheckpoint = "checkpoint"
-	TraceResume     = "checkpoint-resume"
+	// instead of starting at event zero, and TraceResumeRejected one
+	// that found its checkpoint undecodable and started from zero.
+	TraceCheckpoint     = "checkpoint"
+	TraceResume         = "checkpoint-resume"
+	TraceResumeRejected = "resume-rejected"
 )
 
 // MaxTraceEvents caps a job's persisted trace; past it one truncation

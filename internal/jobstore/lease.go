@@ -155,7 +155,7 @@ func (s *Store) grantLocked(j *Job, worker string, ttl time.Duration, now time.T
 	}); werr != nil {
 		s.logf("jobstore: job %s: lease record not persisted (%v); continuing", j.ID, werr)
 	}
-	mirror(j, evs)
+	s.mirror(j, evs)
 	s.reg.Add("jobs.leases.granted", 1)
 	s.publishGauges()
 	return lease, j.Clone(), nil
@@ -223,7 +223,7 @@ func (s *Store) CompleteLease(jobID string, token uint64, res *Result, evs []Tra
 		j.Trace = j.Trace[:len(j.Trace)-len(traced)]
 		return err
 	}
-	mirror(j, traced)
+	s.mirror(j, traced)
 	delete(s.leases, jobID)
 	j.State = StateSucceeded
 	j.FinishedAt = now
@@ -273,7 +273,7 @@ func (s *Store) FailLease(jobID string, token uint64, jerr *JobError, evs []Trac
 	if werr := s.appendLocked(rec); werr != nil {
 		s.logf("jobstore: job %s: %s record not persisted (%v); continuing", jobID, ev.Event, werr)
 	}
-	mirror(j, rec.TraceEvents)
+	s.mirror(j, rec.TraceEvents)
 	s.publishGauges()
 	return nil
 }

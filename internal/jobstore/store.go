@@ -77,13 +77,13 @@ func traceAppend(j *Job, evs ...TraceEvent) []TraceEvent {
 	return out
 }
 
-// mirror logs lifecycle events the store just recorded into the flight
+// mirror logs lifecycle events the store just recorded into its flight
 // ring, which has no other source of job events: kind "job", named
 // after the trace event, carrying the job's trace ID and a detail that
 // leads with the job ID.  Replay does not call it: the ring holds what
-// this process saw happen.
-func mirror(j *Job, evs []TraceEvent) {
-	if !flight.Enabled() {
+// this store saw happen.
+func (s *Store) mirror(j *Job, evs []TraceEvent) {
+	if s.rec == nil {
 		return
 	}
 	for _, ev := range evs {
@@ -97,7 +97,7 @@ func mirror(j *Job, evs []TraceEvent) {
 		if ev.Detail != "" {
 			detail += ": " + ev.Detail
 		}
-		flight.LogEvent(flight.Event{At: ev.At, Kind: "job", Name: ev.Event, Trace: j.TraceID, Detail: detail, WallNS: ev.WallNS})
+		s.rec.LogEvent(flight.Event{At: ev.At, Kind: "job", Name: ev.Event, Trace: j.TraceID, Detail: detail, WallNS: ev.WallNS})
 	}
 }
 
@@ -137,6 +137,9 @@ type Store struct {
 	dir  string
 	opts Options
 	reg  *obs.Registry
+	// rec is the daemon's flight recorder under FlightDir (nil when it
+	// failed to open: diagnostics degrade, the store does not).
+	rec *flight.Recorder
 
 	mu      sync.Mutex
 	wal     *wal
@@ -177,11 +180,15 @@ type Store struct {
 	ckpts map[string]*JobCheckpoint
 }
 
-// Open loads (or initializes) a store under dir: it reads the latest
-// snapshot, replays every surviving WAL generation on top of it,
-// truncates any torn tail, and re-enqueues jobs that were running at
-// crash time, each with a crash-recovered trace event and a
-// crash-recovery flight trigger.  The returned recovered list holds the
+// FlightDir is the directory under a store's data directory that holds
+// its flight recorder's incident bundles.
+const FlightDir = "flightrec"
+
+// Open loads (or initializes) a store under dir: it opens the flight
+// recorder under FlightDir, reads the latest snapshot, replays every
+// surviving WAL generation on top of it, truncates any torn tail, and
+// re-enqueues jobs that were running at crash time, each with a
+// crash-recovered trace event and a crash-recovery flight trigger.  The returned recovered list holds the
 // jobs needing (re-)execution — queued and formerly-running — in
 // submission order.
 func Open(dir string, opts Options) (*Store, []*Job, error) {
@@ -207,6 +214,13 @@ func Open(dir string, opts Options) (*Store, []*Job, error) {
 		cache:  map[string]string{},
 		ckpts:  map[string]*JobCheckpoint{},
 	}
+	// The recorder goes live before replay, so crash recovery itself is
+	// ring history and each job it re-enqueues writes a bundle.
+	rec, err := flight.Open(filepath.Join(dir, FlightDir), flight.Options{Registry: opts.Registry, Logf: opts.Logf})
+	if err != nil {
+		s.logf("jobstore: flight recorder disabled: %v", err)
+	}
+	s.rec = rec
 	if err := s.load(); err != nil {
 		return nil, nil, err
 	}
@@ -228,7 +242,7 @@ func Open(dir string, opts Options) (*Store, []*Job, error) {
 			if stage != "" {
 				detail += " in stage " + stage
 			}
-			mirror(j, traceAppend(j, TraceEvent{
+			s.mirror(j, traceAppend(j, TraceEvent{
 				At: time.Now().UTC(), Event: TraceCrashRecovered,
 				Stage: stage, Attempt: j.Attempts, Detail: detail,
 			}))
@@ -236,7 +250,7 @@ func Open(dir string, opts Options) (*Store, []*Job, error) {
 			s.logf("jobstore: job %s was running at crash time; re-enqueued (attempt %d)", j.ID, j.Attempts)
 			// The crash's black box, written by the process that found
 			// the wreckage: the bundle names the interrupted stage.
-			flight.Trigger("crash-recovery", flight.TriggerInfo{
+			s.rec.Trigger("crash-recovery", flight.TriggerInfo{
 				Trace: j.TraceID, Job: j.ID, Stage: stage, Detail: detail, Extra: j.Clone(),
 			})
 		}
@@ -591,7 +605,7 @@ func (s *Store) Submit(j *Job) error {
 		// number up; ids are unique, not dense).
 		return err
 	}
-	mirror(j, evs)
+	s.mirror(j, evs)
 	s.jobs[j.ID] = j.Clone()
 	s.order = append(s.order, j.ID)
 	s.reg.Add("jobs.submitted", 1)
@@ -745,7 +759,7 @@ func (s *Store) noteLocked(j *Job, ev TraceEvent) {
 	if len(evs) == 0 {
 		return
 	}
-	mirror(j, evs)
+	s.mirror(j, evs)
 	payload, err := json.Marshal(record{T: "trace", ID: j.ID, TraceEvents: evs})
 	if err == nil {
 		err = s.wal.appendNoSync(payload)
@@ -831,6 +845,16 @@ func (s *Store) publishGauges() {
 		s.reg.SetGauge("jobs."+string(st), int64(counts[st]))
 	}
 	s.reg.SetGauge("jobs.leases", int64(len(s.leases)))
+}
+
+// Recorder returns the store's flight recorder, which the daemon
+// serving this store records through; nil for a nil store or when the
+// recorder failed to open (every *flight.Recorder method is nil-safe).
+func (s *Store) Recorder() *flight.Recorder {
+	if s == nil {
+		return nil
+	}
+	return s.rec
 }
 
 // Snapshot forces a compaction (tests, shutdown).

@@ -283,20 +283,17 @@ func TestReplayParentStageRecords(t *testing.T) {
 }
 
 // TestRingMirrorsRecordedSteps: the store mirrors each lifecycle step
-// into the flight ring once, as it records it.  A completion whose WAL
+// into its flight ring once, as it records it.  A completion whose WAL
 // append failed (and was rolled back) leaves no ring event, and replay
-// mirrors nothing — the reopened store adds only its crash marker.
+// mirrors nothing — the reopened store's ring holds only its crash
+// marker.
 func TestRingMirrorsRecordedSteps(t *testing.T) {
-	start := time.Now() // the Default recorder's ring outlives a test
-	bundles := t.TempDir()
-	if err := flight.Default.Enable(bundles, flight.Options{Registry: obs.NewRegistry()}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(flight.Default.Disable)
 	t.Cleanup(faultinject.DisarmAll)
-	ring := func() []string {
+	dir := t.TempDir()
+	bundles := filepath.Join(dir, FlightDir)
+	ring := func(st *Store) []string {
 		t.Helper()
-		id, err := flight.Trigger("probe", flight.TriggerInfo{})
+		id, err := st.Recorder().Trigger("probe", flight.TriggerInfo{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,14 +303,13 @@ func TestRingMirrorsRecordedSteps(t *testing.T) {
 		}
 		var out []string
 		for _, ev := range b.Events {
-			if ev.Kind == "job" && !ev.At.Before(start) {
+			if ev.Kind == "job" {
 				out = append(out, ev.Name)
 			}
 		}
 		return out
 	}
 
-	dir := t.TempDir()
 	st, _, err := Open(dir, Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +327,7 @@ func TestRingMirrorsRecordedSteps(t *testing.T) {
 		t.Fatal("completion with a failing WAL append succeeded")
 	}
 	want := []string{TraceIntake, TraceWALAppend, TraceQueueWait, TraceLease, TraceStage}
-	if got := ring(); !reflect.DeepEqual(got, want) {
+	if got := ring(st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring after rolled-back completion = %v, want %v", got, want)
 	}
 	if got := traceEvents(st.Get(j.ID)); !reflect.DeepEqual(got, want) {
@@ -346,8 +342,7 @@ func TestRingMirrorsRecordedSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	want = append(want, TraceCrashRecovered)
-	if got := ring(); !reflect.DeepEqual(got, want) {
+	if got, want := ring(st2), []string{TraceCrashRecovered}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring after reopen = %v, want %v", got, want)
 	}
 	// Open fires the crash-recovery trigger where it appends the marker.

@@ -171,7 +171,7 @@ func (p *Pool) reclaim(now time.Time) int {
 		if job != nil {
 			trace = job.TraceID
 		}
-		flight.Trigger("lease-reclaim", flight.TriggerInfo{
+		p.store.rec.Trigger("lease-reclaim", flight.TriggerInfo{
 			Trace: trace, Job: ls.JobID,
 			Detail: fmt.Sprintf("lease on %s reclaimed from silent worker %s (attempt %d, token %d)",
 				ls.JobID, ls.Worker, ls.Attempt, ls.Token),
@@ -394,7 +394,7 @@ func (p *Pool) Fail(jobID string, token uint64, jerr *JobError, evs []TraceEvent
 	}
 	if e.Terminal {
 		p.logf("jobstore: job %s failed (%s): %s", jobID, why, e.Message)
-		flight.Trigger("job-quarantine", flight.TriggerInfo{
+		p.store.rec.Trigger("job-quarantine", flight.TriggerInfo{
 			Trace: job.TraceID, Job: jobID,
 			Detail: fmt.Sprintf("job %s quarantined (%s): %s", jobID, why, e.Message),
 			Extra:  p.store.Get(jobID),
@@ -409,7 +409,7 @@ func (p *Pool) Fail(jobID string, token uint64, jerr *JobError, evs []TraceEvent
 	if e.Attempt+1 == p.opts.MaxAttempts {
 		// The next attempt is the job's last: capture the process state
 		// now, while the failure pattern is fresh in the ring.
-		flight.Trigger("retry-escalation", flight.TriggerInfo{
+		p.store.rec.Trigger("retry-escalation", flight.TriggerInfo{
 			Trace: job.TraceID, Job: jobID,
 			Detail: fmt.Sprintf("job %s entering final attempt %d/%d after: %s",
 				jobID, e.Attempt+1, p.opts.MaxAttempts, e.Message),

@@ -176,34 +176,6 @@ func writeBundle(dir string, b *Bundle) (string, error) {
 	return b.ID, nil
 }
 
-// gcBundles deletes oldest bundles until at most maxBundles files
-// totalling at most maxBytes remain (always keeping the newest one).
-func gcBundles(dir string, maxBundles int, maxBytes int64, logf func(string, ...any)) error {
-	names, sizes, err := bundleFiles(dir)
-	if err != nil {
-		return err
-	}
-	var total int64
-	for _, sz := range sizes {
-		total += sz
-	}
-	for i := 0; i < len(names)-1; i++ { // never delete the newest
-		remaining := len(names) - i
-		if remaining <= maxBundles && total <= maxBytes {
-			break
-		}
-		path := filepath.Join(dir, names[i])
-		if err := os.Remove(path); err != nil {
-			return err
-		}
-		total -= sizes[i]
-		if logf != nil {
-			logf("flight: gc removed bundle %s", names[i])
-		}
-	}
-	return nil
-}
-
 // bundleFiles returns the bundle file names in dir sorted oldest first
 // (IDs sort chronologically), with sizes.
 func bundleFiles(dir string) ([]string, []int64, error) {
@@ -307,12 +279,9 @@ func Remove(dir, id string) error {
 
 // GC prunes bundles oldest-first until at most keep remain and (when
 // maxBytes > 0) their total size fits maxBytes, returning the removed
-// IDs.  keep == 0 removes everything — unlike the recorder's internal
-// retention gc, an explicit prune may empty the directory.
+// IDs.  The byte cap never removes the newest bundle; keep == 0 removes
+// everything.  It is also the recorder's retention after each trigger.
 func GC(dir string, keep int, maxBytes int64) ([]string, error) {
-	if keep < 0 {
-		keep = 0
-	}
 	names, sizes, err := bundleFiles(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -327,7 +296,7 @@ func GC(dir string, keep int, maxBytes int64) ([]string, error) {
 	var removed []string
 	for i := 0; i < len(names); i++ {
 		remaining := len(names) - i
-		if remaining <= keep && (maxBytes <= 0 || total <= maxBytes) {
+		if remaining <= keep && (maxBytes <= 0 || total <= maxBytes || remaining == 1) {
 			break
 		}
 		if err := os.Remove(filepath.Join(dir, names[i])); err != nil {

@@ -61,25 +61,6 @@ type SpanRecord struct {
 
 var noopSpan = &Span{}
 
-// spanHook, when installed, receives every finished span record from
-// every registry in the process.  The flight recorder uses it to mirror
-// stage spans into its ring buffer.  The cost on Span.End when no hook
-// is installed is one atomic pointer load; spans are stage-granularity,
-// never per dynamic instruction, so the enabled cost is off the hot
-// path by construction.
-var spanHook atomic.Pointer[func(SpanRecord)]
-
-// SetSpanHook installs (or, with nil, removes) the process-wide
-// finished-span hook.  The hook must be fast and must not start spans
-// itself.
-func SetSpanHook(f func(SpanRecord)) {
-	if f == nil {
-		spanHook.Store(nil)
-		return
-	}
-	spanHook.Store(&f)
-}
-
 // StartSpan opens a span nested under the registry's innermost active
 // span; call End on the returned span when the stage completes.
 func (r *Registry) StartSpan(name string) *Span {
@@ -200,9 +181,6 @@ func (s *Span) End() SpanRecord {
 	}
 	r.spans = append(r.spans, rec)
 	r.mu.Unlock()
-	if h := spanHook.Load(); h != nil {
-		(*h)(rec)
-	}
 	return rec
 }
 

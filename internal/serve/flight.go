@@ -16,18 +16,19 @@ import (
 )
 
 // handleFlightList serves GET /v1/flight: the on-disk incident bundles,
-// newest first.  503 while the recorder is disabled (no -data-dir).
+// newest first.  503 without a recorder (no -data-dir).
 func (s *Server) handleFlightList(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
 		http.Error(w, "GET /v1/flight lists incident bundles", http.StatusMethodNotAllowed)
 		return
 	}
-	if !flight.Default.Enabled() {
+	dir := s.store.Recorder().Dir()
+	if dir == "" {
 		http.Error(w, "flight recorder is disabled; restart the daemon with -data-dir", http.StatusServiceUnavailable)
 		return
 	}
-	infos, err := flight.Default.List()
+	infos, err := flight.List(dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -45,13 +46,14 @@ func (s *Server) handleFlightGet(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "GET /v1/flight/<id> returns one bundle; DELETE prunes it", http.StatusMethodNotAllowed)
 		return
 	}
-	if !flight.Default.Enabled() {
+	dir := s.store.Recorder().Dir()
+	if dir == "" {
 		http.Error(w, "flight recorder is disabled; restart the daemon with -data-dir", http.StatusServiceUnavailable)
 		return
 	}
 	id := strings.TrimPrefix(req.URL.Path, "/v1/flight/")
 	if req.Method == http.MethodDelete {
-		if err := flight.Default.Remove(id); err != nil {
+		if err := flight.Remove(dir, id); err != nil {
 			http.Error(w, fmt.Sprintf("bundle %q: %v", id, err), http.StatusNotFound)
 			return
 		}
@@ -59,7 +61,7 @@ func (s *Server) handleFlightGet(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 		return
 	}
-	b, err := flight.Default.Read(id)
+	b, err := flight.ReadBundle(dir, id)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bundle %q: %v", id, err), http.StatusNotFound)
 		return
@@ -80,16 +82,19 @@ type outcome struct {
 }
 
 // finish ends one attempt: its registry merges into the process one
-// and, while the recorder is on, its metric delta (the attempt's
-// registry is exactly that), anomaly decision and status enter the
-// ring.  It is the one place a pipeline outcome becomes a trigger, so
-// every such bundle carries the attempt's IDs.
+// and, when the daemon has a recorder, its metric delta (the attempt's
+// registry is exactly that), finished spans, anomaly decision and
+// status enter the ring.  It is the one place a pipeline outcome
+// becomes a trigger, so every such bundle carries the attempt's IDs and
+// spans.
 func (s *Server) finish(o outcome) {
 	s.reg.Merge(o.reg)
-	if !flight.Enabled() {
+	rec := s.store.Recorder()
+	if rec == nil {
 		return
 	}
 	snap := o.reg.Snapshot()
+	rec.LogSpans(o.trace, snap.Spans)
 	detail := fmt.Sprintf("%d counters, %d gauges, %d histograms",
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
 	var top obs.NamedUint
@@ -101,15 +106,15 @@ func (s *Server) finish(o outcome) {
 	if top.Name != "" {
 		detail += fmt.Sprintf("; top %s=%d", top.Name, top.Value)
 	}
-	flight.LogEvent(flight.Event{Kind: "metrics", Name: o.name, Trace: o.trace, Detail: detail})
+	rec.LogEvent(flight.Event{Kind: "metrics", Name: o.name, Trace: o.trace, Detail: detail})
 	evs, reason, info := anomaly(o)
 	for _, ev := range evs {
-		flight.LogEvent(ev)
+		rec.LogEvent(ev)
 	}
 	if reason != "" {
-		flight.Trigger(reason, info)
+		rec.Trigger(reason, info)
 	}
-	flight.LogEvent(flight.Event{Kind: o.kind, Name: o.name, Trace: o.trace,
+	rec.LogEvent(flight.Event{Kind: o.kind, Name: o.name, Trace: o.trace,
 		Detail: "status=" + o.status, WallNS: o.wallNS})
 }
 

@@ -22,17 +22,31 @@ import (
 )
 
 // newFlightServer builds a test daemon with the durable subsystem (and
-// therefore the flight recorder) enabled, returning the bundle dir.
-// The global Default recorder is disabled again at cleanup so later
-// tests in the package start from the quiescent state.
+// therefore its own flight recorder), returning the bundle dir.
 func newFlightServer(t *testing.T, opts Options) (*Server, *httptest.Server, string) {
 	t.Helper()
 	if opts.DataDir == "" {
 		opts.DataDir = t.TempDir()
 	}
 	s, ts := newTestServer(t, opts)
-	t.Cleanup(flight.Default.Disable)
-	return s, ts, filepath.Join(opts.DataDir, "flightrec")
+	return s, ts, filepath.Join(opts.DataDir, jobstore.FlightDir)
+}
+
+// freeze triggers the daemon's recorder and returns the bundle, whose
+// events are the ring at that instant; the trigger itself then enters
+// the ring as one event.
+func freeze(t *testing.T, s *Server, reason string) *flight.Bundle {
+	t.Helper()
+	rec := s.store.Recorder()
+	id, err := rec.Trigger(reason, flight.TriggerInfo{})
+	if err != nil || id == "" {
+		t.Fatalf("trigger %s = %q, %v", reason, id, err)
+	}
+	b, err := flight.ReadBundle(rec.Dir(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func countBundles(t *testing.T, dir string) int {
@@ -61,6 +75,29 @@ func waitBundles(t *testing.T, dir string, want int) []flight.BundleInfo {
 	}
 	t.Fatalf("bundle dir %s never reached %d bundles", dir, want)
 	return nil
+}
+
+// submitID submits a job, under the given X-Request-ID when trace is
+// set, and returns its ID.
+func submitID(t *testing.T, ts *httptest.Server, query, trace string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?"+query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace != "" {
+		req.Header.Set("X-Request-ID", trace)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sum jobstore.JobSummary
+	if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&sum) != nil {
+		t.Fatalf("submit %s = %d", query, resp.StatusCode)
+	}
+	return sum.ID
 }
 
 // TestInboundRequestIDSeedsTrace: a client-chosen X-Request-ID is
@@ -162,7 +199,6 @@ func TestOversizedInboundRequestIDIgnored(t *testing.T) {
 // TestFlightEndpointsDisabledWithoutDataDir: without a data dir there
 // is no recorder; the API says so with 503 rather than 404.
 func TestFlightEndpointsDisabledWithoutDataDir(t *testing.T) {
-	flight.Default.Disable()
 	_, ts := newTestServer(t, Options{})
 	if resp, _ := get(t, ts, "/v1/flight"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("GET /v1/flight = %d, want 503", resp.StatusCode)
@@ -176,21 +212,8 @@ func TestFlightEndpointsDisabledWithoutDataDir(t *testing.T) {
 // flight ring, so liveness probes cannot crowd it, and a synchronous
 // profile leaves exactly one status event — its outcome's.
 func TestRequestsLogNoRingEvents(t *testing.T) {
-	_, ts, dir := newFlightServer(t, Options{})
-	// ring freezes the ring into a bundle and returns its events; the
-	// trigger itself then enters the ring as one event.
-	ring := func(reason string) []flight.Event {
-		t.Helper()
-		id, err := flight.Trigger(reason, flight.TriggerInfo{})
-		if err != nil || id == "" {
-			t.Fatalf("trigger %s = %q, %v", reason, id, err)
-		}
-		b, err := flight.ReadBundle(dir, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b.Events
-	}
+	s, ts, _ := newFlightServer(t, Options{})
+	ring := func(reason string) []flight.Event { return freeze(t, s, reason).Events }
 	before := ring("probe-before")
 	for i := 0; i < 100; i++ {
 		if resp, body := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
@@ -423,22 +446,8 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 // — and no serving-layer copy (job/submit, job/attempt, lease/grant,
 // stage/<name>) remains.
 func TestJobLifecycleRingFromStore(t *testing.T) {
-	// The Default recorder's ring outlives a test's daemon; events older
-	// than this test belong to earlier daemons' jobs.
-	start := time.Now()
-	s, ts, dir := newFlightServer(t, Options{Workers: -1})
-	submit := func(query string) string {
-		t.Helper()
-		resp, body := postJob(t, ts, query, nil)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %s = %d: %s", query, resp.StatusCode, body)
-		}
-		var sum jobstore.JobSummary
-		if err := json.Unmarshal(body, &sum); err != nil {
-			t.Fatal(err)
-		}
-		return sum.ID
-	}
+	s, ts, _ := newFlightServer(t, Options{Workers: -1})
+	submit := func(query string) string { return submitID(t, ts, query, "") }
 
 	// The local job runs exactly as a pool slot runs it: claimed under a
 	// lease that never expires, executed by runJob, completed under its
@@ -471,18 +480,9 @@ func TestJobLifecycleRingFromStore(t *testing.T) {
 	cancel()
 	<-done
 
-	id, err := flight.Trigger("probe", flight.TriggerInfo{})
-	if err != nil || id == "" {
-		t.Fatalf("trigger = %q, %v", id, err)
-	}
-	b, err := flight.ReadBundle(dir, id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring := map[string][]flight.Event{} // job id -> its lifecycle events
-	for _, ev := range b.Events {
+	for _, ev := range freeze(t, s, "probe").Events {
 		switch {
-		case ev.At.Before(start):
 		case ev.Kind == "lease" || ev.Kind == "stage",
 			ev.Kind == "job" && (ev.Name == "submit" || ev.Name == "attempt"):
 			t.Errorf("serving-layer ring event %s/%s: %s", ev.Kind, ev.Name, ev.Detail)
@@ -530,6 +530,109 @@ func TestJobLifecycleRingFromStore(t *testing.T) {
 		}
 		if id == local && j.Trace[len(j.Trace)-1].Event != jobstore.TraceCacheHit {
 			t.Fatalf("local trace ends with %s, want cache-hit", j.Trace[len(j.Trace)-1].Event)
+		}
+	}
+}
+
+// TestTwoDaemonsKeepDisjointRings: two daemons in one process each
+// record through their own store's recorder, so a bundle of either
+// holds only that daemon's job lifecycle, span and outcome events.
+func TestTwoDaemonsKeepDisjointRings(t *testing.T) {
+	daemons := map[string]*Server{}
+	for _, trace := range []string{"daemon-a", "daemon-b"} {
+		s, ts, _ := newFlightServer(t, Options{})
+		if j := waitJob(t, ts, submitID(t, ts, "workload=example1", trace)); j.State != jobstore.StateSucceeded {
+			t.Fatalf("%s job ended %s: %+v", trace, j.State, j.Error)
+		}
+		daemons[trace] = s
+	}
+	for trace, s := range daemons {
+		kinds := map[string]int{}
+		for _, ev := range freeze(t, s, "probe").Events {
+			if ev.Kind == "trigger" {
+				continue
+			}
+			if ev.Trace != trace {
+				t.Errorf("%s bundle holds %s/%s of trace %q: %s", trace, ev.Kind, ev.Name, ev.Trace, ev.Detail)
+			}
+			kinds[ev.Kind]++
+		}
+		if kinds["job"] == 0 || kinds["span"] == 0 {
+			t.Fatalf("%s bundle event kinds = %v, want its job and span events", trace, kinds)
+		}
+	}
+}
+
+// TestResumeRejectedReachesTraceAndRing: a streaming attempt whose
+// committed checkpoint does not decode starts from event zero and
+// leaves a resume-rejected event in the job's lifecycle trace and the
+// coordinator's ring — run by a local slot or by a remote
+// jobapi.Worker alike.
+func TestResumeRejectedReachesTraceAndRing(t *testing.T) {
+	s, ts, _ := newFlightServer(t, Options{Workers: -1})
+	// plant claims the job and commits an undecodable checkpoint for it
+	// under the lease.
+	plant := func(id string) (*jobstore.Lease, *jobstore.Job) {
+		t.Helper()
+		lease, job, err := s.pool.Acquire("planter", 0)
+		if err != nil || job.ID != id {
+			t.Fatalf("claim %s = %v, %v", id, job, err)
+		}
+		if err := s.store.SaveLeasedCheckpoint(id, lease.Token, &jobstore.JobCheckpoint{
+			Epoch: 1, Events: 20, Attempt: lease.Attempt, Data: []byte("not a checkpoint"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return lease, job
+	}
+
+	local := submitID(t, ts, "workload=example1&epoch-events=20", "")
+	lease, job := plant(local)
+	res, err := s.runJob(context.Background(), job, lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.pool.Complete(local, lease.Token, res, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// A retryable failure re-queues the remote job with its checkpoint,
+	// so the worker's grant carries the undecodable one.
+	remote := submitID(t, ts, "workload=example2&epoch-events=20", "")
+	lease, _ = plant(remote)
+	if _, err := s.pool.Fail(remote, lease.Token, &jobstore.JobError{Message: "planted", Attempt: lease.Attempt}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	w := jobapi.NewWorker(jobapi.WorkerOptions{
+		Coordinator: ts.URL, Name: "resumer", Slots: 1, Poll: 25 * time.Millisecond,
+		Exec: jobexec.Options{Timeout: 30 * time.Second},
+	})
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	waitJob(t, ts, remote)
+	cancel()
+	<-done
+
+	ring := freeze(t, s, "probe").Events
+	for _, id := range []string{local, remote} {
+		resp, body := get(t, ts, "/v1/jobs/"+id+"?trace=1")
+		var j jobstore.Job
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil {
+			t.Fatalf("GET %s trace = %d: %s", id, resp.StatusCode, body)
+		}
+		if j.State != jobstore.StateSucceeded {
+			t.Fatalf("%s ended %s: %+v", id, j.State, j.Error)
+		}
+		var traced, ringed bool
+		for _, ev := range j.Trace {
+			traced = traced || ev.Event == jobstore.TraceResumeRejected
+		}
+		for _, ev := range ring {
+			ringed = ringed || ev.Kind == "job" && ev.Name == jobstore.TraceResumeRejected && strings.HasPrefix(ev.Detail, id+" ")
+		}
+		if !traced || !ringed {
+			t.Fatalf("%s: resume-rejected in trace %v, in ring %v; trace %+v", id, traced, ringed, j.Trace)
 		}
 	}
 }

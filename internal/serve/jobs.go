@@ -348,7 +348,7 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 	// is doing, not what it did.
 	if th := s.opts.SlowJobThreshold; th > 0 {
 		slow := func(detail string) {
-			flight.Trigger("slow-job", flight.TriggerInfo{
+			s.store.Recorder().Trigger("slow-job", flight.TriggerInfo{
 				Trace: job.TraceID, Job: job.ID,
 				Detail: detail,
 				Extra:  s.store.Get(job.ID),
@@ -378,19 +378,20 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 	if job.EpochEvents > 0 {
 		// Streaming attempt: checkpoints commit through the job store's
 		// WAL under the slot's lease (so a SIGKILL'd attempt resumes from
-		// the last committed epoch), provisionals fan out to ?stream=1 subscribers, and a
-		// resume is recorded in the job's lifecycle trace.
+		// the last committed epoch), provisionals fan out to ?stream=1
+		// subscribers, and the resume decision is recorded in the job's
+		// lifecycle trace.
 		exOpts.Checkpoints = storeCheckpoints{store: s.store, lease: lease}
 		exOpts.OnProvisional = func(p jobexec.Provisional) {
 			s.reg.Add("serve.jobs.provisionals", 1)
 			s.streams.publish(job.ID, p)
 		}
-		exOpts.OnResume = func(epoch, events uint64) {
-			s.reg.Add("serve.jobs.resumes", 1)
-			s.store.Note(job.ID, jobstore.TraceEvent{
-				Event: jobstore.TraceResume, Attempt: attempt,
-				Detail: fmt.Sprintf("resumed from committed epoch %d (%d events)", epoch, events),
-			})
+		exOpts.OnResume = func(ev jobstore.TraceEvent) {
+			if ev.Event == jobstore.TraceResume {
+				s.reg.Add("serve.jobs.resumes", 1)
+			}
+			ev.Attempt = attempt
+			s.store.Note(job.ID, ev)
 		}
 	}
 	res, err := jobexec.Run(ctx, job, name, exOpts)

@@ -198,7 +198,7 @@ func (s *Server) handleLeaseResult(w http.ResponseWriter, req *http.Request, id 
 			if job != nil {
 				trace = job.TraceID
 			}
-			flight.Trigger("zombie-fenced", flight.TriggerInfo{
+			s.store.Recorder().Trigger("zombie-fenced", flight.TriggerInfo{
 				Trace: trace, Job: id,
 				Detail: fmt.Sprintf("fenced result post for %s (token %d): %v", id, rr.Token, err),
 				Extra:  job,

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
+	"polyprof/internal/obs/flight"
 )
 
 // TestReadyzGate: a DeferOpen server answers /healthz but holds
@@ -67,6 +72,68 @@ func TestReadyzGate(t *testing.T) {
 		t.Fatalf("job submit after open = %d", resp.StatusCode)
 	}
 }
+
+// TestReadyzPolledDuringOpen: /readyz answers 503 through the full
+// middleware while Open replays the store on another goroutine.  Those
+// starting-up 503s read nothing Open writes (run with -race) and leave
+// no serve-5xx bundle; polling ends on 200.
+func TestReadyzPolledDuringOpen(t *testing.T) {
+	dataDir := t.TempDir()
+	s, err := New(Options{DataDir: dataDir, Registry: obs.NewRegistry(), DeferOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	var starting atomic.Int64
+	firstStarting := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			resp, err := http.Get(ts.URL + "/readyz")
+			if err != nil {
+				done <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				done <- nil
+				return
+			case http.StatusServiceUnavailable:
+				if starting.Add(1) == 1 {
+					close(firstStarting)
+				}
+			default:
+				done <- &statusError{resp.StatusCode}
+				return
+			}
+		}
+	}()
+	<-firstStarting
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	infos, err := flight.List(filepath.Join(dataDir, jobstore.FlightDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		if info.Reason == "serve-5xx" {
+			t.Fatalf("starting-up /readyz (%d polls answered 503) wrote bundle %+v", starting.Load(), info)
+		}
+	}
+}
+
+type statusError struct{ code int }
+
+func (e *statusError) Error() string { return http.StatusText(e.code) }
 
 // TestReadyzImmediateWhenNotDeferred: the default construction path
 // (no DeferOpen) comes up ready.

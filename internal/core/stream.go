@@ -68,6 +68,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if ck.VM == nil {
 		return nil, fmt.Errorf("core: checkpoint has no VM state")
 	}
+	if ck.DDG != nil && ck.DDG.Format != ddg.StateFormat {
+		// An older builder folded state this one derives; resuming
+		// is an optimization, so the attempt starts from event zero.
+		return nil, fmt.Errorf("core: checkpoint dependence state has format %d, want %d", ck.DDG.Format, ddg.StateFormat)
+	}
 	return &ck, nil
 }
 

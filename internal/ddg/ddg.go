@@ -68,8 +68,28 @@ type Stmt struct {
 	Depth int
 	Count uint64 // dynamic executions of the block under this context
 
-	folder *fold.Folder
-	Domain fold.Piece // valid after Finish
+	// derives marks a block with in-block register pairs: its folder
+	// labels every instance with its own coordinates, the piece its
+	// derived bundles take (derive.go).
+	derives bool
+	folder  *fold.Folder
+	Domain  fold.Piece // valid after Finish
+}
+
+// labelW is the label width of the statement's domain folder.
+func (s *Stmt) labelW() int {
+	if s.derives {
+		return s.Depth
+	}
+	return 0
+}
+
+// label is the label of the instance at coords in the domain stream.
+func (s *Stmt) label(coords []int64) []int64 {
+	if s.derives {
+		return coords
+	}
+	return nil
 }
 
 // Instr is a static instruction in a specific context; the unit for
@@ -89,6 +109,13 @@ type Instr struct {
 	accessFolder *fold.Folder // memory instructions (label = address)
 	hasValue     bool
 	hasAccess    bool
+	// term marks the block's terminator, where the statement's domain
+	// stream takes the instance's point.
+	term bool
+	// boxed lists, once per operand, the derived bundles into this
+	// instruction whose edge grant was refused; each event extends
+	// their degraded boxes.
+	boxed []*Dep
 
 	Value  fold.Piece // valid after Finish when valueFolder != nil
 	Access fold.Piece // valid after Finish when accessFolder != nil
@@ -121,6 +148,11 @@ type Dep struct {
 
 	folder *fold.MultiFolder
 	box    *coordBox // coarse consumer box, merged into Pieces at Finish
+	// mult is a derived bundle's operand multiplicity: its count is
+	// mult times its consumer's (derive.go).  Zero for folded bundles.
+	mult uint64
+	// check folds a derived bundle's points under the cross-check.
+	check *fold.MultiFolder
 	// Pieces folds the dependence as a union: each piece's domain is a
 	// set of consumer coordinates and its Fn maps them to the producer
 	// coordinates.  Piecewise-affine dependencies (in-place stencils,
@@ -195,10 +227,12 @@ type stmtKey struct {
 }
 
 // blockVerts are the vertices of one statement: the statement and its
-// block's instructions by index (nil until first executed).
+// block's instructions by index (nil until first executed), with the
+// block's in-block reaching definitions (see inBlockDefs).
 type blockVerts struct {
 	stmt   *Stmt
 	instrs []*Instr
+	defs   [][]int32
 }
 
 type depKey struct {
@@ -260,6 +294,21 @@ type Builder struct {
 	pendingRet  writerRec
 	usesBuf     []isa.Reg
 
+	// defs caches each block's in-block reaching definitions, computed
+	// when its first statement is created.
+	defs map[isa.BlockID][][]int32
+	// derived and allDerived hold the in-block register-flow bundles,
+	// sequencer state no partition touches (derive.go).
+	derived    map[depKey]*Dep
+	allDerived []*Dep
+	// last is the last instruction sequenced; when it is not a
+	// terminator its block instance, at coordinates openCoords, is in
+	// flight.
+	last       *Instr
+	openCoords []int64
+	// checking is the cross-check setting the builder was made under.
+	checking bool
+
 	totalOps, memOps, fpOps uint64
 
 	// curRegWords/peakRegWords track the live register-table size
@@ -316,10 +365,13 @@ func NewPartitioned(prog *isa.Program, opts Options, n int, insert *faultinject.
 // shadow memory or frames (a clone never needs them).
 func newBuilder(prog *isa.Program, opts Options, n int, insert *faultinject.P) *Builder {
 	b := &Builder{
-		prog:   prog,
-		opts:   opts,
-		insert: insert,
-		verts:  map[stmtKey]*blockVerts{},
+		prog:     prog,
+		opts:     opts,
+		insert:   insert,
+		verts:    map[stmtKey]*blockVerts{},
+		defs:     map[isa.BlockID][][]int32{},
+		derived:  map[depKey]*Dep{},
+		checking: crossCheck.Load(),
 	}
 	if opts.Stream {
 		b.epochN = 1
@@ -377,7 +429,8 @@ func (b *Builder) OnControl(ev trace.ControlEvent) {
 // addStmt and addInstr intern a vertex under its (context, block) and
 // append it in ID order; a statement precedes its instructions.
 func (b *Builder) addStmt(s *Stmt) *blockVerts {
-	bv := &blockVerts{stmt: s, instrs: make([]*Instr, len(b.prog.Block(s.Block).Code))}
+	bv := &blockVerts{stmt: s, instrs: make([]*Instr, len(b.prog.Block(s.Block).Code)), defs: b.blockDefs(s.Block)}
+	s.derives = bv.defs != nil
 	b.verts[stmtKey{s.Ctx, s.Block}] = bv
 	b.allStmts = append(b.allStmts, s)
 	return bv
@@ -410,7 +463,7 @@ func (b *Builder) vertsFor(ctx string, blk isa.BlockID, depth int) *blockVerts {
 func (b *Builder) ensureFolders() {
 	for _, s := range b.allStmts {
 		if s.folder == nil {
-			s.folder = b.newFolder(s.Depth, 0)
+			s.folder = b.newFolder(s.Depth, s.labelW())
 		}
 	}
 	for _, i := range b.allInst {
@@ -436,6 +489,7 @@ func (b *Builder) newInstr(id int, ref trace.InstrRef, ctx string, in *isa.Instr
 		Stmt:      stmt,
 		hasValue:  in.Op.ProducesInt() && in.Dst != isa.NoReg,
 		hasAccess: in.Op.IsMem(),
+		term:      in.Op.IsTerminator(),
 	}
 }
 
@@ -444,7 +498,7 @@ func (b *Builder) newInstr(id int, ref trace.InstrRef, ctx string, in *isa.Instr
 func (b *Builder) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
 	e := b.Sequence(ctxKey, coords, ev, in, nil, 0)
 	p := b.parts[0]
-	if ev.Ref.Index == 0 {
+	if e.Instr.term {
 		p.foldDomain(&e)
 	}
 	if e.Addr >= 0 {
@@ -461,7 +515,9 @@ func (b *Builder) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in
 // register/frame mirror.  Register-flow dependences resolve here,
 // because the mirror lives here: with regs nil (one partition) they
 // fold in line, otherwise they are recorded in regs as points of
-// batch event ev.  The returned event is what the partitions need.
+// batch event ev.  Operands defined earlier in the same block are
+// neither: their bundles are derived (derive.go).  The returned event
+// is what the partitions need.
 func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr, regs *Points, evIdx int32) Event {
 	b.totalOps++
 	if in.Op.IsFP() {
@@ -469,22 +525,39 @@ func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, i
 	}
 	bv := b.vertsFor(ctxKey, ev.Ref.Block, len(coords))
 	stmt := bv.stmt
-	if ev.Ref.Index == 0 {
+	idx := ev.Ref.Index
+	if idx == 0 {
 		stmt.Count++
 	}
-	instr := bv.instrs[ev.Ref.Index]
+	if idx == 0 || b.last == nil {
+		// The instance's coordinates, kept for a finish while it is in
+		// flight (coords is only valid during the call).
+		b.openCoords = append(b.openCoords[:0], coords...)
+	}
+	instr := bv.instrs[idx]
 	if instr == nil {
 		instr = b.newInstr(len(b.allInst), ev.Ref, ctxKey, in, stmt)
 		b.addInstr(bv, instr)
 	}
 	instr.Count++
+	b.last = instr
 	e := Event{Instr: instr, Coords: coords, Addr: ev.Addr}
 
 	fr := b.curFrame()
 	// Register flow dependencies: one edge per operand whose producer is
 	// known.
+	var local []int32
+	if bv.defs != nil {
+		local = bv.defs[idx]
+	}
 	b.usesBuf = in.Uses(b.usesBuf)
-	for _, r := range b.usesBuf {
+	for u, r := range b.usesBuf {
+		if local != nil && local[u] >= 0 {
+			if instr.Count == 1 || b.checking {
+				b.inBlockOperand(bv.instrs[local[u]], instr, bv.defs, coords)
+			}
+			continue
+		}
 		if int(r) < len(fr.regw) {
 			if w := &fr.regw[r]; w.instr != nil {
 				if regs == nil {
@@ -494,6 +567,9 @@ func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, i
 				}
 			}
 		}
+	}
+	for _, d := range instr.boxed {
+		d.box.extend(coords)
 	}
 	if ev.Addr >= 0 {
 		b.memOps++
@@ -575,12 +651,9 @@ func (b *Builder) FinishChecked() (*Graph, error) {
 		MemOps:   b.memOps,
 		FPOps:    b.fpOps,
 	}
-	for _, s := range g.Stmts {
-		s.Domain = s.folder.Finish()
-		s.folder = nil
-		if err := check(); err != nil {
-			return nil, err
-		}
+	flow, open, err := b.finishStmts(g.Stmts, check)
+	if err != nil {
+		return nil, err
 	}
 	for _, i := range g.Instrs {
 		if i.valueFolder != nil {
@@ -622,6 +695,9 @@ func (b *Builder) FinishChecked() (*Graph, error) {
 			}
 		}
 	}
+	if err := b.finishDerived(g, flow, open, check); err != nil {
+		return nil, err
+	}
 	sortDeps(g.Deps)
 	b.buildDegradation(g)
 	b.publishMetrics(g)
@@ -652,9 +728,13 @@ func (b *Builder) publishMetrics(g *Graph) {
 	if !sc.Enabled() {
 		return
 	}
-	folded := 0
+	folded := len(b.allDerived)
 	for _, p := range b.parts {
 		folded += len(p.allDeps)
+	}
+	var derivedPoints uint64
+	for _, d := range b.allDerived {
+		derivedPoints += d.mult * d.Dst.Count
 	}
 	// Two writer records per program word: last writer + last reader.
 	sc.MaxGauge("ddg.shadow.words", int64(len(b.writers)+len(b.readers)))
@@ -664,6 +744,8 @@ func (b *Builder) publishMetrics(g *Graph) {
 	sc.Add("ddg.deps.folded", uint64(folded))
 	sc.Add("ddg.deps.emitted", uint64(len(g.Deps)))
 	sc.Add("ddg.deps.scev_elided", uint64(folded-len(g.Deps)))
+	sc.Add("ddg.deps.derived", uint64(len(b.allDerived)))
+	sc.Add("ddg.dep.points.derived", derivedPoints)
 	sc.Add("ddg.events.instr", b.totalOps)
 	sc.Add("ddg.events.mem", b.memOps)
 	var depPoints uint64

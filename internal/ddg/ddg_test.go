@@ -7,6 +7,7 @@ import (
 
 	"polyprof/internal/core"
 	"polyprof/internal/ddg"
+	"polyprof/internal/fold"
 	"polyprof/internal/isa"
 	"polyprof/internal/poly"
 	"polyprof/internal/workloads"
@@ -353,7 +354,12 @@ func TestStatementDomains(t *testing.T) {
 // TestRestoreRejectsMisplacedVertices: checkpoints arrive from the WAL
 // and the lease API, so a statement outside the program, or an
 // instruction filed under another statement's block or context, is an
-// error rather than a panic or a vertex the event path never finds.
+// error rather than a panic or a vertex the event path never finds.  So
+// is a bundle listed twice or of no known kind, and a state that does
+// not derive in-block register flow: an older format, a derived bundle
+// carrying a folder, a derived count off its consumer's, a missing
+// derived bundle, or a statement of a block with in-block pairs folding
+// unlabelled.
 func TestRestoreRejectsMisplacedVertices(t *testing.T) {
 	prog := workloads.Example1()
 	st, err := core.AnalyzeStructure(prog, core.Env{})
@@ -372,11 +378,53 @@ func TestRestoreRejectsMisplacedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// derived is the first bundle the state lists without a folder or
+	// box: an in-block register pair.
+	derived := func(s *ddg.BuilderState) int {
+		for i, d := range s.Deps {
+			if d.Folder == nil && d.Box == nil {
+				return i
+			}
+		}
+		t.Fatal("example1 derives no bundle")
+		return 0
+	}
+	labelled := func(s *ddg.BuilderState) int {
+		for i, st := range s.Stmts {
+			if st.Folder.LabelW > 0 {
+				return i
+			}
+		}
+		t.Fatal("example1 has no statement with a labelled domain")
+		return 0
+	}
 	for name, corrupt := range map[string]func(s *ddg.BuilderState){
 		"intact":        func(*ddg.BuilderState) {},
 		"stmt block":    func(s *ddg.BuilderState) { s.Stmts[0].Block = isa.BlockID(len(prog.Blocks)) },
 		"instr block":   func(s *ddg.BuilderState) { s.Instrs[0].Ref.Block = s.Stmts[1].Block },
 		"instr context": func(s *ddg.BuilderState) { s.Instrs[0].Ctx += "/b0" },
+		"repeated bundle": func(s *ddg.BuilderState) {
+			s.Deps = append(s.Deps, s.Deps[len(s.Deps)-1])
+		},
+		"unknown kind": func(s *ddg.BuilderState) {
+			d := s.Deps[0]
+			d.Kind = 9
+			s.Deps = append(s.Deps, d)
+		},
+		"older format": func(s *ddg.BuilderState) { s.Format = 0 },
+		"derived with a folder": func(s *ddg.BuilderState) {
+			mf := fold.NewMultiFolder(0, 0, fold.DefaultMaxPieces).State()
+			s.Deps[derived(s)].Folder = &mf
+		},
+		"derived count": func(s *ddg.BuilderState) { s.Deps[derived(s)].Count++ },
+		"derived missing": func(s *ddg.BuilderState) {
+			i := derived(s)
+			s.Deps = append(s.Deps[:i], s.Deps[i+1:]...)
+		},
+		"unlabelled domain": func(s *ddg.BuilderState) {
+			f := &s.Stmts[labelled(s)].Folder
+			f.LabelW, f.LabelFit, f.LastLbl = 0, nil, nil
+		},
 	} {
 		var s ddg.BuilderState
 		if err := json.Unmarshal(data, &s); err != nil {
@@ -390,5 +438,6 @@ func TestRestoreRejectsMisplacedVertices(t *testing.T) {
 		if (err == nil) != (name == "intact") {
 			t.Errorf("%s: Restore returned %v", name, err)
 		}
+		t.Logf("%s: %v", name, err)
 	}
 }

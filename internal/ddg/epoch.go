@@ -55,6 +55,7 @@ func (b *Builder) Clone() *Builder {
 	c.curRegWords, c.peakRegWords = b.curRegWords, b.peakRegWords
 	c.epochN, c.releasedBytes = b.epochN, b.releasedBytes
 	c.inline = b.inline
+	c.checking = b.checking
 	c.pinTripped = b.opts.Budget.Tripped()
 	cloneFolder := func(f *fold.Folder) *fold.Folder {
 		if f == nil {
@@ -79,8 +80,25 @@ func (b *Builder) Clone() *Builder {
 		ci.Stmt = sm[i.Stmt]
 		ci.valueFolder = cloneFolder(i.valueFolder)
 		ci.accessFolder = cloneFolder(i.accessFolder)
+		ci.boxed = nil // a clone is only finished, never sequenced
 		im[i] = ci
 		c.allInst = append(c.allInst, ci)
+	}
+	if b.last != nil {
+		c.last = im[b.last]
+		c.openCoords = append([]int64(nil), b.openCoords...)
+	}
+	for _, d := range b.allDerived {
+		cd := &Dep{Src: im[d.Src], Dst: im[d.Dst], Kind: d.Kind, Degraded: d.Degraded, mult: d.mult}
+		if d.box != nil {
+			cd.box = cloneBox(d.box)
+		}
+		if d.check != nil {
+			cd.check = d.check.Clone()
+			cd.check.Obs = opts.Obs
+		}
+		c.derived[depKey{src: cd.Src.ID, dst: cd.Dst.ID, kind: cd.Kind}] = cd
+		c.allDerived = append(c.allDerived, cd)
 	}
 	cloneRanges := func(ranges map[int64]*coarseRange) map[int64]*coarseRange {
 		out := make(map[int64]*coarseRange, len(ranges))
@@ -274,7 +292,10 @@ func restoreBox(s BoxState) *coordBox {
 	return &coordBox{lo: append([]int64(nil), s.Lo...), hi: append([]int64(nil), s.Hi...), n: s.N}
 }
 
-// DepState is one dependence bundle.
+// DepState is one dependence bundle.  A derived bundle (in-block
+// register flow, derive.go) carries no folder: Restore recognizes it
+// from the program and its count is its consumer's times its operand
+// multiplicity.
 type DepState struct {
 	Src      int                    `json:"src"`
 	Dst      int                    `json:"dst"`
@@ -298,9 +319,16 @@ type StaleRangeState struct {
 	Readers []StaleInstrState `json:"r,omitempty"`
 }
 
+// StateFormat versions BuilderState.  Format 1 derives in-block register
+// flow: statements with in-block pairs fold labelled domains and derived
+// bundles carry no folder.  States without it (format 0) folded every
+// bundle and are not restored.
+const StateFormat = 1
+
 // BuilderState is the full serializable pass-2 dependence state at an
 // epoch boundary.
 type BuilderState struct {
+	Format      int               `json:"format"`
 	Stmts       []StmtState       `json:"stmts"`  // in ID order
 	Instrs      []InstrState      `json:"instrs"` // in ID order
 	Deps        []DepState        `json:"deps,omitempty"`
@@ -374,6 +402,7 @@ func (b *Builder) State() (*BuilderState, error) {
 	}
 	b.ensureFolders()
 	s := &BuilderState{
+		Format:   StateFormat,
 		TotalOps: b.totalOps, MemOps: b.memOps, FPOps: b.fpOps,
 		PeakRegs: b.peakRegWords, EpochN: b.epochN, Released: b.releasedBytes,
 		Shadow: recStates(b.writers), LastRead: recStates(b.readers),
@@ -397,7 +426,7 @@ func (b *Builder) State() (*BuilderState, error) {
 		}
 		s.Instrs = append(s.Instrs, is)
 	}
-	var deps []*Dep
+	deps := append([]*Dep(nil), b.allDerived...)
 	stale := map[int64]*coarseRange{}
 	for _, p := range b.parts {
 		deps = append(deps, p.allDeps...)
@@ -408,8 +437,17 @@ func (b *Builder) State() (*BuilderState, error) {
 	sortDeps(deps)
 	for _, d := range deps {
 		ds := DepState{Src: d.Src.ID, Dst: d.Dst.ID, Kind: uint8(d.Kind), Count: d.Count, Degraded: d.Degraded}
+		if d.mult > 0 {
+			ds.Count = d.mult * d.Dst.Count
+		}
 		if d.folder != nil {
 			f := d.folder.State()
+			ds.Folder = &f
+		}
+		if d.check != nil {
+			// Only under the cross-check: the resumed builder keeps
+			// comparing against the fold of every point.
+			f := d.check.State()
 			ds.Folder = &f
 		}
 		if d.box != nil {
@@ -458,6 +496,9 @@ func (b *Builder) Restore(s *BuilderState) error {
 	if len(b.allStmts) > 0 || b.totalOps > 0 {
 		return fmt.Errorf("ddg: restore into a builder that has seen events")
 	}
+	if s.Format != StateFormat {
+		return fmt.Errorf("ddg: checkpoint state format %d, want %d", s.Format, StateFormat)
+	}
 	prog, opts := b.prog, b.opts
 	b.totalOps, b.memOps, b.fpOps = s.TotalOps, s.MemOps, s.FPOps
 	if s.EpochN > 0 {
@@ -481,7 +522,11 @@ func (b *Builder) Restore(s *BuilderState) error {
 		if err != nil {
 			return err
 		}
-		stmtVerts = append(stmtVerts, b.addStmt(&Stmt{ID: len(b.allStmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f}))
+		bv := b.addStmt(&Stmt{ID: len(b.allStmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f})
+		if ss.Folder.LabelW != bv.stmt.labelW() {
+			return fmt.Errorf("ddg: checkpoint stmt S%d folds labels of width %d, want %d", bv.stmt.ID, ss.Folder.LabelW, bv.stmt.labelW())
+		}
+		stmtVerts = append(stmtVerts, bv)
 	}
 	for _, is := range s.Instrs {
 		if is.Stmt < 0 || is.Stmt >= len(stmtVerts) {
@@ -532,7 +577,22 @@ func (b *Builder) Restore(s *BuilderState) error {
 		if err != nil {
 			return err
 		}
+		if ds.Kind > uint8(Anti) {
+			return fmt.Errorf("ddg: checkpoint bundle I%d -> I%d has unknown kind %d", src.ID, dst.ID, ds.Kind)
+		}
 		d := &Dep{Src: src, Dst: dst, Kind: Kind(ds.Kind), Count: ds.Count, Degraded: ds.Degraded}
+		key := depKey{src: src.ID, dst: dst.ID, kind: d.Kind}
+		p := b.parts[ownerOfDep(src.ID, dst.ID, d.Kind, len(b.parts))]
+		if p.deps[key] != nil || b.derived[key] != nil {
+			return fmt.Errorf("ddg: checkpoint repeats bundle %v", d)
+		}
+		if d.mult = b.derivedMult(src, dst, d.Kind); d.mult > 0 {
+			if err := b.restoreDerived(d, ds); err != nil {
+				return err
+			}
+			opts.Budget.GrantEdges(1)
+			continue
+		}
 		if ds.Folder != nil {
 			mf, err := fold.RestoreMultiFolder(*ds.Folder)
 			if err != nil {
@@ -545,9 +605,11 @@ func (b *Builder) Restore(s *BuilderState) error {
 			d.box = restoreBox(*ds.Box)
 		}
 		opts.Budget.GrantEdges(1)
-		p := b.parts[ownerOfDep(src.ID, dst.ID, d.Kind, len(b.parts))]
-		p.deps[depKey{src: src.ID, dst: dst.ID, kind: d.Kind}] = d
+		p.deps[key] = d
 		p.allDeps = append(p.allDeps, d)
+	}
+	if err := b.checkDerivedRestored(stmtVerts); err != nil {
+		return err
 	}
 	// Every record surviving in a checkpoint was touched in the epoch
 	// the checkpoint closed (ReleaseEpoch runs first), so it restores as

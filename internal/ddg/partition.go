@@ -131,7 +131,7 @@ func (b *Builder) Fold(part int, evs []Event, regs []Point, mem []Points) {
 		e := &evs[i]
 		ev := int32(i)
 		id := e.Instr.ID
-		if e.Instr.Ref.Index == 0 && e.Instr.Stmt.ID%n == part {
+		if e.Instr.term && e.Instr.Stmt.ID%n == part {
 			p.foldDomain(e)
 		}
 		for ; ri < len(regs) && regs[ri].Ev == ev; ri++ {
@@ -159,9 +159,9 @@ func (b *Builder) Fold(part int, evs []Event, regs []Point, mem []Points) {
 func (p *partition) foldDomain(e *Event) {
 	s := e.Instr.Stmt
 	if s.folder == nil {
-		s.folder = p.b.newFolder(s.Depth, 0)
+		s.folder = p.b.newFolder(s.Depth, s.labelW())
 	}
-	s.folder.Add(e.Coords, nil)
+	s.folder.Add(e.Coords, s.label(e.Coords))
 	p.points++
 }
 

@@ -89,17 +89,36 @@ func (f *Fitter) Samples() int { return f.nSamples }
 // Add feeds one sample; returns false once the stream is known to be
 // non-affine.
 func (f *Fitter) Add(x []int64, y int64) bool {
+	return f.add(x, y, f.check(x, y))
+}
+
+// check classifies a sample against the fitter's current state without
+// changing what it decides: a failed fitter contradicts everything, a
+// determined function is redundant with the samples it evaluates to and
+// contradicts the others, and an undetermined basis asks the kernel
+// test (see classify).
+func (f *Fitter) check(x []int64, y int64) verdict {
+	switch {
+	case f.failed:
+		return contradicts
+	case f.solved != nil:
+		if f.solved.Eval(x) == y {
+			return redundant
+		}
+		return contradicts
+	}
+	return f.classify(x, y)
+}
+
+// add feeds one sample whose verdict check (or Check) has already
+// computed against the current state: redundant samples only count,
+// contradictions fail the fitter, and the rest eliminate.
+func (f *Fitter) add(x []int64, y int64, v verdict) bool {
 	if f.failed {
 		return false
 	}
 	f.nSamples++
-	if f.solved != nil {
-		if f.solved.Eval(x) != y {
-			f.fail()
-		}
-		return !f.failed
-	}
-	switch f.classify(x, y) {
+	switch v {
 	case redundant:
 		return true
 	case contradicts:

@@ -80,6 +80,9 @@ type Folder struct {
 	DetectStrides bool
 	labelDup      bool // duplicate coords carried different labels
 	lastLbl       []int64
+	// verdicts holds the label fitters' verdicts on the point
+	// checkLabels last accepted, for addChecked.
+	verdicts []verdict
 
 	// Small-stream fast path: the first few points are buffered without
 	// touching the run recognizer or the affine fitters.  Most
@@ -179,7 +182,7 @@ func (f *Folder) materialize() {
 	buf := f.buf
 	f.buf = nil
 	for _, p := range buf {
-		f.add(p.coords, p.label)
+		f.add(p.coords, p.label, nil)
 	}
 }
 
@@ -208,14 +211,20 @@ func (f *Folder) Add(coords []int64, label []int64) {
 		}
 		f.materialize()
 	}
-	f.add(coords, label)
+	f.add(coords, label, nil)
 }
 
-// add is the incremental recognizer behind Add.
-func (f *Folder) add(coords []int64, label []int64) {
+// add is the incremental recognizer behind Add.  verdicts, when
+// non-nil, are the label fitters' verdicts on this point (see
+// checkLabels); nil lets each fitter classify its label itself.
+func (f *Folder) add(coords []int64, label []int64, verdicts []verdict) {
 	f.total++
-	for i := range f.labelFit {
-		f.labelFit[i].Add(coords, label[i])
+	for i, fit := range f.labelFit {
+		if verdicts != nil {
+			fit.add(coords, label[i], verdicts[i])
+		} else {
+			fit.Add(coords, label[i])
+		}
 	}
 	if !f.started {
 		f.started = true

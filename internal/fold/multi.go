@@ -10,31 +10,40 @@ import "polyprof/internal/obs"
 // only when the test is unavailable does Check eliminate, and then
 // int64 overflow promotes the fitter to big.Rat rows.
 func (f *Fitter) Check(x []int64, y int64) bool {
-	if f.failed {
-		return false
-	}
-	if f.solved != nil {
-		return f.solved.Eval(x) == y
-	}
-	switch f.classify(x, y) {
-	case extends, redundant:
-		return true
-	case contradicts:
-		return false
+	return f.checkVerdict(x, y) != contradicts
+}
+
+// checkVerdict is Check's decision in the form add takes it: undecided
+// means the sample is consistent but only elimination, which add
+// repeats on the basis, can tell whether it raises the rank.
+func (f *Fitter) checkVerdict(x []int64, y int64) verdict {
+	v := f.check(x, y)
+	if v != undecided {
+		return v
 	}
 	f.eliminations++
+	consistent := false
 	if !f.wide {
 		if row, ok := f.reduce(x, y); ok {
-			return f.leadCol(row) != -1 || row[f.m+1] == 0
+			consistent = f.leadCol(row) != -1 || row[f.m+1] == 0
+		} else {
+			f.promote()
 		}
-		f.promote()
 	}
-	row := f.sampleRat(x, y)
-	f.reduceWide(row)
-	return f.leadColWide(row) != -1 || row[f.m+1].Sign() == 0
+	if f.wide {
+		row := f.sampleRat(x, y)
+		f.reduceWide(row)
+		consistent = f.leadColWide(row) != -1 || row[f.m+1].Sign() == 0
+	}
+	if !consistent {
+		return contradicts
+	}
+	return undecided
 }
 
 // checkLabels tests a whole label vector against the folder's fitters.
+// When the fitters decide it, their verdicts stay in f.verdicts for
+// addChecked, so an accepted point is classified once.
 func (f *Folder) checkLabels(coords, label []int64) bool {
 	if f.buffering {
 		// Fast-path folders have no fitters yet.  A point identical to
@@ -47,12 +56,33 @@ func (f *Folder) checkLabels(coords, label []int64) bool {
 		}
 		f.materialize()
 	}
+	if f.verdicts == nil {
+		f.verdicts = make([]verdict, len(f.labelFit))
+	}
 	for i, fit := range f.labelFit {
-		if !fit.Check(coords, label[i]) {
+		v := fit.checkVerdict(coords, label[i])
+		if v == contradicts {
 			return false
 		}
+		f.verdicts[i] = v
 	}
 	return true
+}
+
+// addChecked is Add for a point checkLabels has just accepted: the
+// fitters take the verdicts it computed instead of classifying the
+// labels again.  A point the buffered fast path accepted has none and
+// takes the plain Add.
+func (f *Folder) addChecked(coords, label []int64) {
+	if f.buffering {
+		f.Add(coords, label)
+		return
+	}
+	if ownershipChecks.Load() {
+		f.g.enter("Folder.Add")
+		defer f.g.leave()
+	}
+	f.add(coords, label, f.verdicts)
 }
 
 // MultiFolder folds one dependence stream into a *union* of pieces,
@@ -101,7 +131,7 @@ func (m *MultiFolder) Add(coords, label []int64) {
 	m.points++
 	for _, p := range m.pieces {
 		if p.checkLabels(coords, label) {
-			p.Add(coords, label)
+			p.addChecked(coords, label)
 			return
 		}
 	}

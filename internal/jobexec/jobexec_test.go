@@ -3,6 +3,7 @@ package jobexec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -47,7 +48,8 @@ func streamed(t *testing.T, ck *memCheckpoints) (*jobstore.Result, []jobstore.Tr
 }
 
 // TestCorruptCheckpointStartsFromZero: an attempt whose committed
-// checkpoint does not decode reports resume-rejected, runs from event
+// checkpoint does not decode, or was written by a builder with an older
+// state format, reports resume-rejected, runs from event
 // zero — committing the same epochs as an attempt with no checkpoint —
 // and renders the same report bytes.  A valid checkpoint resumes past
 // it and reports checkpoint-resume.
@@ -61,21 +63,42 @@ func TestCorruptCheckpointStartsFromZero(t *testing.T) {
 		t.Fatalf("unresumed attempt committed epochs %v, want 1, 2, ...", fresh.epochs)
 	}
 
-	corrupt := &memCheckpoints{load: []byte("not a checkpoint")}
-	got, resumes := streamed(t, corrupt)
-	if len(resumes) != 1 || resumes[0].Event != jobstore.TraceResumeRejected ||
-		!strings.HasSuffix(resumes[0].Detail, "starting from event zero") {
-		t.Fatalf("resume events = %+v, want one resume-rejected", resumes)
+	// A checkpoint an older binary wrote decodes as JSON, but its
+	// dependence state folded every bundle (no format field), so it is
+	// rejected the same way.
+	var older, ddgState map[string]json.RawMessage
+	if err := json.Unmarshal(fresh.data[0], &older); err != nil {
+		t.Fatal(err)
 	}
-	if !slices.Equal(corrupt.epochs, fresh.epochs) {
-		t.Fatalf("rejected resume committed epochs %v, want %v from event zero", corrupt.epochs, fresh.epochs)
+	if err := json.Unmarshal(older["ddg"], &ddgState); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Report, want.Report) {
-		t.Fatal("report after a rejected resume differs from the unresumed run")
+	delete(ddgState, "format")
+	var err error
+	if older["ddg"], err = json.Marshal(ddgState); err != nil {
+		t.Fatal(err)
+	}
+	olderData, err := json.Marshal(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, data := range map[string][]byte{"corrupt": []byte("not a checkpoint"), "older": olderData} {
+		rejected := &memCheckpoints{load: data}
+		got, resumes := streamed(t, rejected)
+		if len(resumes) != 1 || resumes[0].Event != jobstore.TraceResumeRejected ||
+			!strings.HasSuffix(resumes[0].Detail, "starting from event zero") {
+			t.Fatalf("%s: resume events = %+v, want one resume-rejected", what, resumes)
+		}
+		if !slices.Equal(rejected.epochs, fresh.epochs) {
+			t.Fatalf("%s: rejected resume committed epochs %v, want %v from event zero", what, rejected.epochs, fresh.epochs)
+		}
+		if !bytes.Equal(got.Report, want.Report) {
+			t.Fatalf("%s: report after a rejected resume differs from the unresumed run", what)
+		}
 	}
 
 	resumed := &memCheckpoints{load: fresh.data[0]}
-	got, resumes = streamed(t, resumed)
+	got, resumes := streamed(t, resumed)
 	if len(resumes) != 1 || resumes[0].Event != jobstore.TraceResume ||
 		!strings.HasPrefix(resumes[0].Detail, "resumed from committed epoch 1 ") {
 		t.Fatalf("resume events = %+v, want one checkpoint-resume from epoch 1", resumes)

@@ -1,8 +1,8 @@
 // Package parddg is the parallel dependence engine: a batch dispatcher
 // that runs internal/ddg's shadow-partition core on N goroutines.  The
 // pass-2 VM goroutine sequences every event (statement and instruction
-// identity, dynamic counts, the register/frame mirror — ddg's
-// Builder.Sequence) into a batch; N shard workers then take each batch
+// identity, dynamic counts, the register/frame mirror and the derived
+// in-block register-flow bundles — ddg's Builder.Sequence) into a batch; N shard workers then take each batch
 // through the partitions' two steps:
 //
 //  1. Resolve: each worker resolves the memory events of its address

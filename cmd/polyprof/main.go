@@ -360,16 +360,15 @@ func cmdProfile(args []string) error {
 		Limits:      bf.limits(),
 		EpochEvents: *epochEvents,
 	}
-	if *epochEvents > 0 {
-		popts.OnEpoch = func(ep *polyprof.Epoch) error {
-			fmt.Fprintf(os.Stderr, "polyprof: epoch %d: %d events folded (%.1f MiB shadow released)\n",
-				ep.N, ep.Events, float64(ep.ReleasedBytes)/(1<<20))
-			return nil
-		}
-	}
+	// No OnEpoch: a callback makes every boundary serialize a resume
+	// checkpoint, which the CLI has no use for.
 	rep, err := polyprof.ProfileWith(context.Background(), prog, popts)
 	if err != nil {
 		return err
+	}
+	if p := rep.Profile; *epochEvents > 0 {
+		fmt.Fprintf(os.Stderr, "polyprof: %d epochs of %d events folded (%.1f MiB shadow released)\n",
+			p.Epochs, *epochEvents, float64(p.ReleasedBytes)/(1<<20))
 	}
 	noteDegraded(rep)
 	fmt.Print(rep.Summary())

@@ -64,6 +64,11 @@ type Profile struct {
 	// Budget is the governing budget of the run (nil for unlimited);
 	// downstream stages keep polling it.
 	Budget *budget.Budget
+
+	// Epochs is the ordinal of a streaming run's last epoch boundary (0
+	// when buffered); ReleasedBytes totals the shadow budget this run's
+	// boundaries returned.
+	Epochs, ReleasedBytes uint64
 }
 
 // streaming reports whether pass 2 runs under the epoch driver.
@@ -150,7 +155,7 @@ func Run(prog *isa.Program, opts Options) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Profile{
+	prof := &Profile{
 		Prog:      prog,
 		Structure: st,
 		Tree:      p2.Tree,
@@ -158,7 +163,11 @@ func Run(prog *isa.Program, opts Options) (*Profile, error) {
 		Stats:     stats,
 		Obs:       env.Obs,
 		Budget:    env.Budget,
-	}, nil
+	}
+	if ec != nil {
+		prof.Epochs, prof.ReleasedBytes = ec.epochN, ec.released
+	}
+	return prof, nil
 }
 
 // FoldedStreams counts the folded streams of a finished DDG: one

@@ -129,6 +129,8 @@ type epochConfig struct {
 	p      *Pass2
 	m      *vm.Machine
 	epochN uint64
+	// released totals the shadow bytes this run's boundaries returned.
+	released uint64
 }
 
 // arm installs the epoch hook on the machine and, when a checkpoint is
@@ -173,6 +175,7 @@ func (ec *epochConfig) fire(events uint64) error {
 		return fmt.Errorf("core: dependence engine at epoch %d: %w", ec.epochN, err)
 	}
 	released := ec.eng.Builder.ReleaseEpoch()
+	ec.released += released
 	if ec.cb == nil {
 		return nil
 	}

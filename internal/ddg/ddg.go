@@ -377,7 +377,7 @@ func newBuilder(prog *isa.Program, opts Options, n int, insert *faultinject.P) *
 		b.epochN = 1
 	}
 	for i := 0; i < max(n, 1); i++ {
-		p := &partition{b: b, id: i, deps: map[depKey]*Dep{}}
+		p := &partition{b: b, id: i}
 		if opts.Stream {
 			p.stale = map[int64]*coarseRange{}
 		}

@@ -441,3 +441,38 @@ func TestRestoreRejectsMisplacedVertices(t *testing.T) {
 		t.Logf("%s: %v", name, err)
 	}
 }
+
+// TestBundlesSplitByKind: a value loaded in one block and stored back
+// to the same word in the next makes two bundles between the same two
+// instructions, register flow and anti; each keeps its own points on
+// both engines.
+func TestBundlesSplitByKind(t *testing.T) {
+	pb := isa.NewProgram("load-then-store-back")
+	a := pb.Global("A", 16)
+	f := pb.Func("main", 0)
+	base := f.IConst(a.Base)
+	f.Loop("L", f.IConst(0), f.IConst(8), 1, func(i isa.Reg) {
+		x := f.LoadIdx(base, i, 0)
+		f.If(f.CmpGE(i, f.IConst(0)), func() { f.StoreIdx(base, i, 0, x) }, nil)
+	})
+	f.Halt()
+	pb.SetMain(f)
+	prog := pb.MustBuild()
+	for _, shards := range []int{0, 2} {
+		opts := core.DefaultRunOptions()
+		opts.ParallelDDG = shards
+		p, err := core.Run(prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[ddg.Kind]uint64{}
+		for _, d := range p.DDG.Deps {
+			if d.Src.Op == isa.Load && d.Dst.Op == isa.Store {
+				kinds[d.Kind] += d.Count
+			}
+		}
+		if len(kinds) != 2 || kinds[ddg.FlowReg] != 8 || kinds[ddg.Anti] != 8 {
+			t.Fatalf("shards=%d: load -> store bundles by kind %v, want 8 register-flow and 8 anti points", shards, kinds)
+		}
+	}
+}

@@ -127,8 +127,7 @@ func (b *Builder) Clone() *Builder {
 			if d.box != nil {
 				cd.box = cloneBox(d.box)
 			}
-			cp.deps[depKey{src: cd.Src.ID, dst: cd.Dst.ID, kind: cd.Kind}] = cd
-			cp.allDeps = append(cp.allDeps, cd)
+			cp.addBundle(cd)
 		}
 		if p.coarse != nil {
 			cp.coarse = &coarseState{ranges: cloneRanges(p.coarse.ranges), events: p.coarse.events}
@@ -581,9 +580,8 @@ func (b *Builder) Restore(s *BuilderState) error {
 			return fmt.Errorf("ddg: checkpoint bundle I%d -> I%d has unknown kind %d", src.ID, dst.ID, ds.Kind)
 		}
 		d := &Dep{Src: src, Dst: dst, Kind: Kind(ds.Kind), Count: ds.Count, Degraded: ds.Degraded}
-		key := depKey{src: src.ID, dst: dst.ID, kind: d.Kind}
 		p := b.parts[ownerOfDep(src.ID, dst.ID, d.Kind, len(b.parts))]
-		if p.deps[key] != nil || b.derived[key] != nil {
+		if p.find(src, dst, d.Kind) != nil || b.derived[depKey{src: src.ID, dst: dst.ID, kind: d.Kind}] != nil {
 			return fmt.Errorf("ddg: checkpoint repeats bundle %v", d)
 		}
 		if d.mult = b.derivedMult(src, dst, d.Kind); d.mult > 0 {
@@ -605,8 +603,7 @@ func (b *Builder) Restore(s *BuilderState) error {
 			d.box = restoreBox(*ds.Box)
 		}
 		opts.Budget.GrantEdges(1)
-		p.deps[key] = d
-		p.allDeps = append(p.allDeps, d)
+		p.addBundle(d)
 	}
 	if err := b.checkDerivedRestored(stmtVerts); err != nil {
 		return err

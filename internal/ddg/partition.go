@@ -63,7 +63,12 @@ type partition struct {
 	b  *Builder
 	id int
 
-	deps    map[depKey]*Dep
+	// byDst lists this partition's bundles by consumer Instr.ID; a
+	// lookup scans the consumer's few bundles for (Src, Kind).  Each
+	// partition owns its lists, so the parallel engine's partitions
+	// share no writes.  allDeps holds the same bundles in creation
+	// order.
+	byDst   [][]*Dep
 	allDeps []*Dep
 
 	// coarse is non-nil once this partition's shadow budget tripped;
@@ -269,8 +274,7 @@ func (p *partition) resolve(e *Event, out *Points, ev int32) {
 // grants one, and is kept (dropping it would be unsound) only as a
 // degraded consumer bounding box when not.
 func (p *partition) bundle(src, dst *Instr, kind Kind, exact bool) *Dep {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	if d, ok := p.deps[key]; ok {
+	if d := p.find(src, dst, kind); d != nil {
 		return d
 	}
 	d := &Dep{Src: src, Dst: dst, Kind: kind}
@@ -284,9 +288,29 @@ func (p *partition) bundle(src, dst *Instr, kind Kind, exact bool) *Dep {
 		d.Degraded = true
 		d.box = &coordBox{}
 	}
-	p.deps[key] = d
-	p.allDeps = append(p.allDeps, d)
+	p.addBundle(d)
 	return d
+}
+
+// find returns the partition's bundle src -> dst of kind, or nil.
+func (p *partition) find(src, dst *Instr, kind Kind) *Dep {
+	if dst.ID < len(p.byDst) {
+		for _, d := range p.byDst[dst.ID] {
+			if d.Src == src && d.Kind == kind {
+				return d
+			}
+		}
+	}
+	return nil
+}
+
+// addBundle lists a new bundle on its consumer and in creation order.
+func (p *partition) addBundle(d *Dep) {
+	if id := d.Dst.ID; id >= len(p.byDst) {
+		p.byDst = append(p.byDst, make([][]*Dep, id+1-len(p.byDst))...)
+	}
+	p.byDst[d.Dst.ID] = append(p.byDst[d.Dst.ID], d)
+	p.allDeps = append(p.allDeps, d)
 }
 
 // boxBundle is bundle for an over-approximated edge, which always

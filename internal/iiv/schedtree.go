@@ -79,6 +79,11 @@ type Tree struct {
 	cur    *TreeNode // leaf for the current context
 	byCtx  map[string]*TreeNode
 	frozen bool
+	// path holds the nodes of the last context path walked, outermost
+	// first: path[0] is a child of Root and path[k] a child of
+	// path[k-1].  A walk that covers only a prefix of it (see
+	// NoteIteration) leaves the deeper tail in place, still a chain.
+	path []*TreeNode
 }
 
 // NewTree creates an empty dynamic schedule tree.
@@ -87,6 +92,31 @@ func NewTree() *Tree {
 		Root:  &TreeNode{},
 		byCtx: map[string]*TreeNode{},
 	}
+}
+
+// walk returns the node at the end of the context elements of the
+// vector's first nd dimensions.  Consecutive control events change
+// only the tail of the context, so it steps from the last path: while
+// the vector's elements equal the path's, the path's nodes are reused
+// with no lookup, and child runs only for the suffix that changed.
+// Elem equality implies key equality, so a reused node is the one
+// child would return; equal keys behind unequal Elems merely take the
+// lookup.
+func (t *Tree) walk(v *Vector, nd int) *TreeNode {
+	n := t.Root
+	k := 0
+	for _, d := range v.dims[:nd] {
+		for _, e := range d.Ctx {
+			if k < len(t.path) && t.path[k].Elem == e {
+				n = t.path[k]
+			} else {
+				n = n.child(e)
+				t.path = append(t.path[:k], n)
+			}
+			k++
+		}
+	}
+	return n
 }
 
 // Touch positions the tree's current leaf at the context described by
@@ -100,12 +130,7 @@ func NewTree() *Tree {
 // the next dimension, and the innermost holds blocks only.  So the key
 // is computed once per leaf, not per event.
 func (t *Tree) Touch(v *Vector) *TreeNode {
-	n := t.Root
-	for _, d := range v.dims {
-		for _, e := range d.Ctx {
-			n = n.child(e)
-		}
-	}
+	n := t.walk(v, len(v.dims))
 	if n.CtxKey == "" {
 		key := v.Key()
 		n.CtxKey = key
@@ -121,13 +146,7 @@ func (t *Tree) NoteIteration(v *Vector) {
 	if len(v.dims) < 2 {
 		return
 	}
-	n := t.Root
-	for i := 0; i < len(v.dims)-1; i++ {
-		for _, e := range v.dims[i].Ctx {
-			n = n.child(e)
-		}
-	}
-	n.Iters++
+	t.walk(v, len(v.dims)-1).Iters++
 }
 
 // CountOp attributes one executed instruction to the current context.

@@ -358,6 +358,38 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
+// Clone deep-copies the program: functions with their block lists,
+// blocks with their code, each instruction's call arguments, and the
+// globals.  The copy shares nothing mutable with p, so a transformation
+// may rewrite it freely.
+func (p *Program) Clone() *Program {
+	q := *p
+	q.Funcs = make([]*Func, len(p.Funcs))
+	for i, f := range p.Funcs {
+		cf := *f
+		cf.Blocks = append([]BlockID(nil), f.Blocks...)
+		q.Funcs[i] = &cf
+	}
+	q.Blocks = make([]*Block, len(p.Blocks))
+	for i, b := range p.Blocks {
+		cb := *b
+		cb.Code = append([]Instr(nil), b.Code...)
+		for k := range cb.Code {
+			if args := cb.Code[k].Args; args != nil {
+				cb.Code[k].Args = append([]Reg(nil), args...)
+			}
+		}
+		q.Blocks[i] = &cb
+	}
+	if p.Globals != nil {
+		q.Globals = make(map[string]Global, len(p.Globals))
+		for name, g := range p.Globals {
+			q.Globals[name] = g
+		}
+	}
+	return &q
+}
+
 // MaxRegsPerFunc caps a function's register frame.  The VM allocates
 // NumRegs words per call frame, so an unchecked hostile program could
 // request absurd frames; no generated workload comes near this.

@@ -23,10 +23,7 @@ type genLevel struct {
 // are appended with dense IDs, so the clone still encodes and
 // validates.
 func rewrite(orig *isa.Program, info *nestInfo, spec VariantSpec, tileSize int) (*isa.Program, error) {
-	prog, err := cloneProgram(orig)
-	if err != nil {
-		return nil, err
-	}
+	prog := orig.Clone()
 	fn := prog.Func(info.fn.ID)
 
 	levels, err := buildLevels(fn, info, spec, tileSize)
@@ -191,19 +188,4 @@ func buildLevels(fn *isa.Func, info *nestInfo, spec VariantSpec, tileSize int) (
 		levels[l].stepReg = newReg(fn)
 	}
 	return levels, nil
-}
-
-// cloneProgram deep-copies a program through its canonical JSON
-// encoding — a lossless round trip that preserves block IDs, register
-// numbers and source locations.
-func cloneProgram(p *isa.Program) (*isa.Program, error) {
-	data, err := isa.EncodeJSON(p)
-	if err != nil {
-		return nil, fmt.Errorf("encode for clone: %w", err)
-	}
-	q, err := isa.DecodeJSON(data)
-	if err != nil {
-		return nil, fmt.Errorf("decode clone: %w", err)
-	}
-	return q, nil
 }

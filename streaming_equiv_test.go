@@ -326,6 +326,11 @@ func TestStreamingBoundedMemory(t *testing.T) {
 		if rep.Profile.DDG.Degraded != nil {
 			t.Fatalf("shards=%d: streaming run degraded despite fold-and-release: %+v", shards, rep.Profile.DDG.Degraded)
 		}
+		// The profile's summary is what a caller without a callback
+		// reads (the CLI's epoch line).
+		if p := rep.Profile; p.Epochs != uint64(epochs) || p.ReleasedBytes != released {
+			t.Fatalf("shards=%d: profile summary %d epochs, %d bytes released; callbacks saw %d, %d", shards, p.Epochs, p.ReleasedBytes, epochs, released)
+		}
 		factor := released / limit
 		t.Logf("shards=%d: epochs=%d released=%d bytes (%dx the %d-byte ceiling)", shards, epochs, released, factor, uint64(limit))
 		if !testing.Short() && factor < 100 {

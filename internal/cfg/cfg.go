@@ -69,9 +69,6 @@ func (g *Graph) AddEdge(src, dst isa.BlockID) {
 	g.succs[src] = append(g.succs[src], dst)
 }
 
-// HasNode reports whether the block was executed.
-func (g *Graph) HasNode(b isa.BlockID) bool { return g.nodes[b] }
-
 // Succs returns the recorded successors of a block.
 func (g *Graph) Succs(b isa.BlockID) []isa.BlockID { return g.succs[b] }
 

@@ -3,6 +3,7 @@ package evaluation
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -65,18 +66,21 @@ func LoadBaseline(data []byte) (*BenchBaseline, error) {
 // StageDelta is one stage's baseline-vs-current comparison.
 type StageDelta struct {
 	Stage string `json:"stage"`
-	// OldNS and NewNS are per-run wall nanoseconds.
-	OldNS int64 `json:"old_ns"`
-	NewNS int64 `json:"new_ns"`
+	// OldNS is the baseline's wall nanoseconds; NewNS is the median of
+	// the current runs and SpreadNS their interquartile range.
+	OldNS    int64 `json:"old_ns"`
+	NewNS    int64 `json:"new_ns"`
+	SpreadNS int64 `json:"spread_ns"`
 	// Ratio is NewNS/OldNS (1.0 = unchanged).
 	Ratio float64 `json:"ratio"`
-	// Regressed marks Ratio > 1 + tolerance.
+	// Regressed marks Ratio > 1 + tolerance by more than SpreadNS.
 	Regressed bool `json:"regressed"`
 }
 
 // CompareResult is the outcome of an overhead regression check.
 type CompareResult struct {
 	Workload    string       `json:"workload"`
+	Runs        int          `json:"runs"`
 	Tolerance   float64      `json:"tolerance"`
 	Deltas      []StageDelta `json:"deltas"`
 	Regressions int          `json:"regressions"`
@@ -92,33 +96,37 @@ func (c *CompareResult) Err() error {
 		c.Regressions, 100*c.Tolerance)
 }
 
-// regressionFloorNS is the absolute slowdown a stage must additionally
-// exceed to count as a regression: millisecond-scale stages (pass1,
-// sched) jitter by 2x between runs, and a ratio threshold alone would
-// flag them on every comparison.  Real regressions in the stages worth
-// guarding (the multi-second DDG pass) clear this floor trivially.
-const regressionFloorNS = 25_000_000
+// CompareRuns is how many times a comparison measures the workload:
+// one run of a millisecond-scale stage jitters by 2x, the median of
+// five holds still enough to gate on.
+const CompareRuns = 5
 
-// CompareOverhead checks a fresh overhead report against a baseline:
-// each bench stage with a baseline entry is compared to the matching
-// report rows, and a stage regresses when it is more than tolerance
-// slower (tolerance 0.10 = +10%) by at least regressionFloorNS.
-// Stages absent from the baseline are skipped — old baselines stay
-// usable after the pipeline grows stages.
-func CompareOverhead(r *OverheadReport, base *BenchBaseline, tolerance float64) *CompareResult {
-	res := &CompareResult{Workload: r.Workload, Tolerance: tolerance}
+// CompareOverhead checks fresh overhead reports of one workload — the
+// CompareRuns measurements — against a baseline: each bench stage
+// with a baseline entry compares the median of its matching report
+// rows across the runs, and regresses when that median is more than
+// tolerance slower (tolerance 0.10 = +10%) and slower by more than the
+// runs' own interquartile range, so a stage is not failed for the
+// noise its own runs show.  Stages absent from the baseline are
+// skipped — old baselines stay usable after the pipeline grows stages.
+func CompareOverhead(runs []*OverheadReport, base *BenchBaseline, tolerance float64) *CompareResult {
+	res := &CompareResult{Workload: runs[0].Workload, Runs: len(runs), Tolerance: tolerance}
 	for _, m := range benchStageMap {
 		old, ok := base.Stages[m.Bench]
 		if !ok || old <= 0 {
 			continue
 		}
-		var cur time.Duration
-		for _, st := range m.Stages {
-			cur += r.Stage(st).Wall
+		walls := make([]int64, len(runs))
+		for i, r := range runs {
+			for _, st := range m.Stages {
+				walls[i] += int64(r.Stage(st).Wall)
+			}
 		}
-		d := StageDelta{Stage: m.Bench, OldNS: old, NewNS: int64(cur)}
+		slices.Sort(walls)
+		q := func(p float64) int64 { return walls[int(p*float64(len(walls)-1)+0.5)] }
+		d := StageDelta{Stage: m.Bench, OldNS: old, NewNS: q(0.5), SpreadNS: q(0.75) - q(0.25)}
 		d.Ratio = float64(d.NewNS) / float64(old)
-		d.Regressed = d.Ratio > 1+tolerance && d.NewNS-d.OldNS > regressionFloorNS
+		d.Regressed = d.Ratio > 1+tolerance && d.NewNS-d.OldNS > d.SpreadNS
 		if d.Regressed {
 			res.Regressions++
 		}
@@ -130,19 +138,20 @@ func CompareOverhead(r *OverheadReport, base *BenchBaseline, tolerance float64) 
 // RenderCompare formats the comparison table.
 func RenderCompare(c *CompareResult, meta *BenchMeta) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "overhead vs baseline — %s (tolerance +%.0f%%)\n\n", c.Workload, 100*c.Tolerance)
+	fmt.Fprintf(&sb, "overhead vs baseline — %s, median of %d runs (tolerance +%.0f%%)\n\n",
+		c.Workload, c.Runs, 100*c.Tolerance)
 	if meta != nil {
 		fmt.Fprintf(&sb, "baseline: %s rev=%s gomaxprocs=%d numcpu=%d %s\n\n",
 			meta.Go, meta.Rev, meta.GoMaxProcs, meta.NumCPU, meta.Timestamp)
 	}
-	fmt.Fprintf(&sb, "%-20s %14s %14s %8s\n", "stage", "baseline", "current", "ratio")
+	fmt.Fprintf(&sb, "%-20s %14s %14s %14s %8s\n", "stage", "baseline", "median", "iqr", "ratio")
 	for _, d := range c.Deltas {
 		mark := ""
 		if d.Regressed {
 			mark = "  REGRESSED"
 		}
-		fmt.Fprintf(&sb, "%-20s %14s %14s %7.2fx%s\n", d.Stage,
-			time.Duration(d.OldNS).String(), time.Duration(d.NewNS).String(), d.Ratio, mark)
+		fmt.Fprintf(&sb, "%-20s %14s %14s %14s %7.2fx%s\n", d.Stage, time.Duration(d.OldNS).String(),
+			time.Duration(d.NewNS).String(), time.Duration(d.SpreadNS).String(), d.Ratio, mark)
 	}
 	if c.Regressions == 0 {
 		sb.WriteString("\nno regressions\n")

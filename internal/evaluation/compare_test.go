@@ -13,6 +13,21 @@ func report(stages map[string]time.Duration) *OverheadReport {
 	return r
 }
 
+// runs builds one report per run with the given stage wall times.
+func runs(stages map[string][]time.Duration) []*OverheadReport {
+	var out []*OverheadReport
+	for i := 0; ; i++ {
+		run := map[string]time.Duration{}
+		for st, walls := range stages {
+			if i >= len(walls) {
+				return out
+			}
+			run[st] = walls[i]
+		}
+		out = append(out, report(run))
+	}
+}
+
 func TestLoadBaselineFormats(t *testing.T) {
 	// Current bench emission: {meta, stages}.
 	b, err := LoadBaseline([]byte(`{
@@ -57,11 +72,11 @@ func TestCompareOverheadRegression(t *testing.T) {
 	}}
 
 	// Unchanged run: no regressions, nil Err.
-	c := CompareOverhead(report(map[string]time.Duration{
+	c := CompareOverhead([]*OverheadReport{report(map[string]time.Duration{
 		"pass1": 2 * time.Millisecond,
 		"ddg":   1900 * time.Millisecond,
 		"fold":  100 * time.Millisecond,
-	}), base, 0.10)
+	})}, base, 0.10)
 	if c.Regressions != 0 || c.Err() != nil {
 		t.Fatalf("clean compare flagged regressions: %+v", c)
 	}
@@ -70,12 +85,12 @@ func TestCompareOverheadRegression(t *testing.T) {
 		t.Fatalf("deltas = %+v", c.Deltas)
 	}
 
-	// DDG 30% slower: past tolerance and far past the absolute floor.
-	c = CompareOverhead(report(map[string]time.Duration{
+	// DDG 30% slower: past tolerance, and a single run has no spread.
+	c = CompareOverhead([]*OverheadReport{report(map[string]time.Duration{
 		"pass1": 2 * time.Millisecond,
 		"ddg":   2500 * time.Millisecond,
 		"fold":  100 * time.Millisecond,
-	}), base, 0.10)
+	})}, base, 0.10)
 	if c.Regressions != 1 || c.Err() == nil {
 		t.Fatalf("ddg regression missed: %+v", c)
 	}
@@ -85,12 +100,13 @@ func TestCompareOverheadRegression(t *testing.T) {
 		}
 	}
 
-	// pass1 doubling (2ms -> 4ms) is 2.0x but under the absolute noise
-	// floor — millisecond stages jitter that much run to run and must
-	// not fail the gate.
-	c = CompareOverhead(report(map[string]time.Duration{
-		"pass1": 4 * time.Millisecond,
-		"ddg":   2 * time.Second,
+	// pass1's median doubling (2ms -> 4ms) is 2.0x but inside the
+	// spread of its own runs — millisecond stages jitter that much run
+	// to run and must not fail the gate.
+	ms := time.Millisecond
+	c = CompareOverhead(runs(map[string][]time.Duration{
+		"pass1": {1 * ms, 2 * ms, 4 * ms, 6 * ms, 9 * ms},
+		"ddg":   {2 * time.Second, 2 * time.Second, 2 * time.Second, 2 * time.Second, 2 * time.Second},
 	}), base, 0.10)
 	if c.Regressions != 0 {
 		t.Fatalf("µs-scale jitter flagged as regression: %+v", c.Deltas)
@@ -98,5 +114,24 @@ func TestCompareOverheadRegression(t *testing.T) {
 
 	if s := RenderCompare(c, &BenchMeta{Go: "go1.24.0", GoMaxProcs: 1, NumCPU: 1}); s == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// TestCompareOverheadTightSpreadRegresses: a stage whose median is 1.3x
+// the baseline with runs that agree closely regresses, whatever its
+// absolute size, and one outlier run moves neither the median nor the
+// verdict.
+func TestCompareOverheadTightSpreadRegresses(t *testing.T) {
+	base := &BenchBaseline{Stages: map[string]int64{"pass1-structure": int64(2 * time.Millisecond)}}
+	us := time.Microsecond
+	c := CompareOverhead(runs(map[string][]time.Duration{
+		"pass1": {2580 * us, 2600 * us, 9000 * us, 2590 * us, 2610 * us},
+	}), base, 0.10)
+	if c.Runs != 5 || len(c.Deltas) != 1 {
+		t.Fatalf("compare = %+v, want 5 runs and one stage", c)
+	}
+	d := c.Deltas[0]
+	if d.NewNS != int64(2600*us) || d.SpreadNS != int64(20*us) || !d.Regressed || c.Err() == nil {
+		t.Fatalf("1.3x stage with a 20µs spread = %+v, want a regression at the 2.6ms median", d)
 	}
 }

@@ -1,8 +1,6 @@
 package fold
 
 import (
-	"fmt"
-
 	"polyprof/internal/faultinject"
 	"polyprof/internal/obs"
 	"polyprof/internal/poly"
@@ -485,9 +483,4 @@ func embed(e poly.Expr, dim int) poly.Expr {
 	copy(w.C, e.C)
 	w.K = e.K
 	return w
-}
-
-// Describe summarizes the folder state for diagnostics.
-func (f *Folder) Describe() string {
-	return fmt.Sprintf("folder(dim=%d points=%d exact=%v lex=%v)", f.dim, f.Points(), f.exact, f.lexOK)
 }

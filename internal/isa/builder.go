@@ -340,32 +340,6 @@ func (fb *FuncBuilder) Loop(name string, lo, hi Reg, step int64, body func(iv Re
 	fb.cur = exitBlk
 }
 
-// LoopDown emits `for iv := hi-1; iv >= lo; iv--` around body.
-func (fb *FuncBuilder) LoopDown(name string, lo, hi Reg, body func(iv Reg)) {
-	iv := fb.NewReg()
-	fb.Mov(iv, fb.Sub(hi, fb.IConst(1)))
-	header := fb.newBlock(name + ".header")
-	fb.emit(Instr{Op: Jmp, Dst: NoReg, Then: header.ID})
-
-	fb.cur = header
-	cond := fb.CmpGE(iv, lo)
-	bodyBlk := fb.newBlock(name + ".body")
-	exitBlk := fb.newBlock(name + ".exit")
-	fb.emit(Instr{Op: Br, Dst: NoReg, A: cond, Then: bodyBlk.ID, Else: exitBlk.ID})
-
-	fb.cur = bodyBlk
-	body(iv)
-	fb.emit(Instr{Op: Sub, Dst: iv, A: iv, B: fb.mustConstInBlock(1)})
-	fb.emit(Instr{Op: Jmp, Dst: NoReg, Then: header.ID})
-
-	fb.cur = exitBlk
-}
-
-// mustConstInBlock materializes a constant without disturbing fb.cur
-// bookkeeping (plain IConst already works; this exists for symmetry and
-// clarity inside terminator-adjacent code).
-func (fb *FuncBuilder) mustConstInBlock(v int64) Reg { return fb.IConst(v) }
-
 // While emits a general while loop.  cond is called with the builder
 // positioned in the header block and must return the condition register;
 // body is emitted in the body block.  Use it for irregular loops whose

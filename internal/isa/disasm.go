@@ -120,13 +120,3 @@ func (p *Program) Callees(id BlockID) []FuncID {
 	}
 	return nil
 }
-
-// NumDynOpsHint returns a crude static instruction count, used only for
-// sizing diagnostics.
-func (p *Program) NumDynOpsHint() int {
-	n := 0
-	for _, b := range p.Blocks {
-		n += len(b.Code)
-	}
-	return n
-}

@@ -33,7 +33,6 @@ package isa
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // opcodeByName is the mnemonic → opcode reverse of opNames.
@@ -265,15 +264,4 @@ func DecodeJSON(data []byte) (*Program, error) {
 		}
 	}
 	return p, nil
-}
-
-// GlobalNames lists the program's globals sorted by name (deterministic
-// listings for reports and tests).
-func (p *Program) GlobalNames() []string {
-	out := make([]string, 0, len(p.Globals))
-	for name := range p.Globals {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,11 +1,14 @@
 // Package jobexec executes one attempt of one job: materialize the
 // program, run the pipeline under a budget with its own span tree and
-// registry, and fold the outcome into a jobstore.Result.  It is the
+// registry, and fold the outcome into a jobrec.Result.  It is the
 // daemon's only attempt runner — behind synchronous /v1/profile
 // requests (an unpersisted workload job), the in-process worker pool
 // and remote lease-holding workers (`polyprof work`) — so an attempt
 // behaves identically — budgets, degradation, error classification,
-// panic containment — no matter which path or process runs it.
+// panic containment — no matter which path or process runs it.  It is
+// also the one place that decides what a failed attempt means (Judge):
+// the verdict rides the attempt's error into its persisted JobError,
+// so the daemon reads the same decision for local and remote attempts.
 package jobexec
 
 import (
@@ -20,7 +23,7 @@ import (
 	"polyprof/internal/faultinject"
 	"polyprof/internal/feedback"
 	"polyprof/internal/isa"
-	"polyprof/internal/jobstore"
+	"polyprof/internal/jobrec"
 	"polyprof/internal/obs"
 	"polyprof/internal/transform"
 	"polyprof/internal/workloads"
@@ -83,22 +86,22 @@ type Options struct {
 	// trace event: TraceResume when it restored from a committed
 	// checkpoint, TraceResumeRejected when the checkpoint did not decode
 	// and it started from event zero.  The caller stamps At and Attempt.
-	OnResume func(jobstore.TraceEvent)
+	OnResume func(jobrec.TraceEvent)
 }
 
 // program materializes the program a job profiles.  Errors here are
 // terminal by construction (never ErrRetryable, never budget timeouts):
 // an unknown workload, an undecodable body, or a structurally invalid
 // program fails identically on every attempt.
-func program(job *jobstore.Job) (*isa.Program, error) {
+func program(job *jobrec.Job) (*isa.Program, error) {
 	switch job.Kind {
-	case jobstore.KindWorkload:
+	case jobrec.KindWorkload:
 		spec := workloads.ByName(job.Workload)
 		if spec == nil {
 			return nil, fmt.Errorf("unknown workload %q", job.Workload)
 		}
 		return spec.Build(), nil
-	case jobstore.KindProgram:
+	case jobrec.KindProgram:
 		prog, err := isa.DecodeJSON(job.Program)
 		if err != nil {
 			return nil, err
@@ -118,47 +121,53 @@ func program(job *jobstore.Job) (*isa.Program, error) {
 // root — "request:<workload>" or "job:<name>#<attempt>" — with one
 // child span per pipeline stage) and metric deltas into opts.Registry.
 // The Result is always non-nil with Status already classified.  The
-// error is the pipeline error (nil on success) for the caller's
-// retry/quarantine decision.
+// error is nil on success, else a *jobrec.Failure: the pipeline error
+// with the attempt's verdict, which jobstore.NewJobError persists and
+// the caller's retry/quarantine decision reads through (Unwrap).
 //
 // A panic anywhere in the attempt — the fault point, program build, an
 // epoch hook, report rendering, the pipeline outside a stage's own
 // recovery — is contained here: the attempt ends with Status "panic"
 // and a retryable error, and the caller's process keeps serving.
-func Run(ctx context.Context, job *jobstore.Job, root string, opts Options) (*jobstore.Result, error) {
+func Run(ctx context.Context, job *jobrec.Job, root string, opts Options) (*jobrec.Result, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	sp := opts.Registry.Scope().StartSpan(root)
-	res := &jobstore.Result{Status: "ok", SpanID: sp.ID()}
+	res := &jobrec.Result{Status: "ok", SpanID: sp.ID()}
 	start := time.Now()
 	panicked := false
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicked = true
-				err = fmt.Errorf("attempt panicked: %v: %w", r, jobstore.ErrRetryable)
+				err = fmt.Errorf("attempt panicked: %v: %w", r, jobrec.ErrRetryable)
 			}
 		}()
 		return attempt(ctx, job, opts.Registry.Scope().WithSpan(sp), res, opts)
 	}()
 	if err != nil {
 		sp.Fail(err)
-		res.Status = classify(err)
-		if panicked {
-			res.Status = "panic"
-		}
 	}
 	sp.End()
 	res.WallNS = int64(time.Since(start))
-	return res, err
+	if err == nil {
+		return res, nil
+	}
+	v := Judge(err)
+	if panicked {
+		v.Status = "panic"
+	}
+	v.WallNS = res.WallNS
+	res.Status = v.Status
+	return res, &jobrec.Failure{Err: err, Verdict: v}
 }
 
 // attempt is the body of Run: build the program, run the pipeline and
 // the optional transform stage, and render the report into res.
-func attempt(ctx context.Context, job *jobstore.Job, sc obs.Scope, res *jobstore.Result, opts Options) error {
+func attempt(ctx context.Context, job *jobrec.Job, sc obs.Scope, res *jobrec.Result, opts Options) error {
 	if err := attemptFault.Hit(); err != nil {
 		return err
 	}
@@ -213,7 +222,7 @@ func attempt(ctx context.Context, job *jobstore.Job, sc obs.Scope, res *jobstore
 
 // resumePoint decodes the job's latest committed checkpoint, or
 // returns nil for a start from event zero.
-func resumePoint(job *jobstore.Job, opts Options) *core.Checkpoint {
+func resumePoint(job *jobrec.Job, opts Options) *core.Checkpoint {
 	if opts.Checkpoints == nil {
 		return nil
 	}
@@ -222,13 +231,13 @@ func resumePoint(job *jobstore.Job, opts Options) *core.Checkpoint {
 		return nil
 	}
 	ck, err := core.DecodeCheckpoint(data)
-	ev := jobstore.TraceEvent{Event: jobstore.TraceResume}
+	ev := jobrec.TraceEvent{Event: jobrec.TraceResume}
 	if err == nil {
 		ev.Detail = fmt.Sprintf("resumed from committed epoch %d (%d events)", ck.Epoch, ck.Events)
 	} else {
 		// Resuming is an optimization; a fresh start is always sound.
 		// Record the corruption and run from event zero.
-		ev.Event, ck = jobstore.TraceResumeRejected, nil
+		ev.Event, ck = jobrec.TraceResumeRejected, nil
 		ev.Detail = fmt.Sprintf("job %s: %v; starting from event zero", job.ID, err)
 	}
 	if opts.OnResume != nil {
@@ -266,28 +275,45 @@ func epochHook(opts Options) func(*core.Epoch) error {
 		}
 		if opts.Checkpoints != nil && len(ep.Checkpoint) > 0 {
 			if err := checkpointFault.Hit(); err != nil {
-				return fmt.Errorf("checkpoint at epoch %d: %w", ep.N, errors.Join(err, jobstore.ErrRetryable))
+				return fmt.Errorf("checkpoint at epoch %d: %w", ep.N, errors.Join(err, jobrec.ErrRetryable))
 			}
 			if err := opts.Checkpoints.Save(ep.N, ep.Events, ep.Checkpoint); err != nil {
-				return fmt.Errorf("checkpoint at epoch %d: %w", ep.N, errors.Join(err, jobstore.ErrRetryable))
+				return fmt.Errorf("checkpoint at epoch %d: %w", ep.N, errors.Join(err, jobrec.ErrRetryable))
 			}
 		}
 		return nil
 	}
 }
 
-// classify maps a pipeline error to a result status: budget aborts
-// split into timeout/canceled/budget, anything else is a plain error.
-func classify(err error) string {
-	be, ok := budget.AsError(err)
+// Judge decides what a failed attempt's error means: its status —
+// budget aborts split into timeout/canceled/budget, anything else is a
+// plain error (Run marks a panic it contained itself "panic") — and
+// the flight trigger it fires.  A contained stage panic outranks an
+// oracle mismatch and a hard budget abort, in that order; cancellation
+// and plain errors fire nothing.  No other code outside the pipeline
+// matches *core.StagePanic or *transform.OracleError.
+func Judge(err error) jobrec.Verdict {
+	v := jobrec.Verdict{Status: "error"}
+	be, isBudget := budget.AsError(err)
 	switch {
-	case !ok:
-		return "error"
+	case !isBudget:
 	case be.Timeout():
-		return "timeout"
+		v.Status = "timeout"
 	case be.Canceled():
-		return "canceled"
+		v.Status = "canceled"
 	default:
-		return "budget"
+		v.Status = "budget"
 	}
+	var sp *core.StagePanic
+	var oe *transform.OracleError
+	switch {
+	case errors.As(err, &sp):
+		v.Reason, v.Stage, v.Detail = "stage-panic", sp.Stage, sp.Error()
+	case errors.As(err, &oe):
+		v.Reason, v.Stage, v.Detail = "optimize-verify-failed", "transform", oe.Error()
+		v.Program, v.Nest, v.Variant = oe.Program, oe.Nest, oe.Variant
+	case isBudget && !be.Canceled():
+		v.Reason, v.Detail = "budget-exhausted", err.Error()
+	}
+	return v
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
+	"polyprof/internal/budget"
+	"polyprof/internal/jobrec"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 )
@@ -108,5 +111,49 @@ func TestCorruptCheckpointStartsFromZero(t *testing.T) {
 	}
 	if !bytes.Equal(got.Report, want.Report) {
 		t.Fatal("report after a resume differs from the unresumed run")
+	}
+}
+
+// TestRunCarriesVerdict: a failed attempt's error carries its verdict
+// — status, trigger, wall time — over the pipeline error, which
+// errors.As still reaches.
+func TestRunCarriesVerdict(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	job := &jobstore.Job{ID: "job-1", Kind: jobstore.KindWorkload, Workload: "example1"}
+	res, err := Run(context.Background(), job, "job:example1#1", Options{
+		Registry: reg, Limits: budget.Limits{MaxSteps: 10},
+	})
+	var f *jobrec.Failure
+	if !errors.As(err, &f) {
+		t.Fatalf("Run error %v carries no verdict", err)
+	}
+	if _, ok := budget.AsError(err); !ok {
+		t.Fatalf("Run error %v hides its budget error", err)
+	}
+	if f.Status != "budget" || res.Status != "budget" || f.Reason != "budget-exhausted" ||
+		f.WallNS <= 0 || f.WallNS != res.WallNS {
+		t.Fatalf("verdict = %+v, result status %s wall %d", f.Verdict, res.Status, res.WallNS)
+	}
+	if _, err := Run(context.Background(), job, "job:example1#2", Options{Registry: reg}); err != nil {
+		t.Fatalf("unlimited attempt failed: %v", err)
+	}
+}
+
+// TestJudgeStatus: budget aborts split into timeout, canceled and
+// budget; anything else is a plain error.
+func TestJudgeStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err            error
+		status, reason string
+	}{
+		{&budget.Error{Resource: budget.ResourceWall}, "timeout", "budget-exhausted"},
+		{&budget.Error{Resource: budget.ResourceCanceled}, "canceled", ""},
+		{&budget.Error{Resource: budget.ResourceSteps}, "budget", "budget-exhausted"},
+		{errors.New("program rejected"), "error", ""},
+	} {
+		if v := Judge(tc.err); v.Status != tc.status || v.Reason != tc.reason {
+			t.Errorf("Judge(%v) = %+v, want status %s reason %q", tc.err, v, tc.status, tc.reason)
+		}
 	}
 }

@@ -49,16 +49,6 @@ type Lease struct {
 	TTL       time.Duration `json:"ttl_ns"`
 }
 
-// LeaseView is the volatile lease info filled into Get clones of a
-// running job — everything but the fencing token, which only the
-// lease holder may hold.  ExpiresAt is zero for a lease of the pool's
-// own slots, which never expires.
-type LeaseView struct {
-	Worker    string    `json:"worker,omitempty"`
-	Attempt   int       `json:"attempt"`
-	ExpiresAt time.Time `json:"expires_at"`
-}
-
 // Lease TTL clamps: a hostile or buggy worker cannot request a lease
 // so short it flaps nor so long it parks a job for an hour.
 const (

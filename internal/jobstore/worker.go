@@ -367,8 +367,8 @@ func (p *Pool) Complete(jobID string, token uint64, res *Result, evs []TraceEven
 //   - anything else re-queues after an exponential backoff.
 //
 // Only the worker's shipped trace events and its error's message,
-// terminal flag, budget and span id are taken from jerr.  Fail returns
-// the state the job moved to.
+// terminal flag, budget, span id and verdict are taken from jerr.  Fail
+// returns the state the job moved to.
 func (p *Pool) Fail(jobID string, token uint64, jerr *JobError, evs []TraceEvent) (State, error) {
 	job := p.store.Get(jobID)
 	if job == nil {

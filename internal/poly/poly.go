@@ -2,9 +2,7 @@ package poly
 
 import (
 	"fmt"
-	"math"
 	"math/big"
-	"sort"
 	"strings"
 )
 
@@ -315,38 +313,4 @@ func (p *Poly) String() string {
 		tag = " approx"
 	}
 	return fmt.Sprintf("{ [%s]%s : %s }", strings.Join(vars, ","), tag, strings.Join(parts, " and "))
-}
-
-// SortConstraints orders constraints deterministically (useful for
-// golden tests).
-func (p *Poly) SortConstraints() {
-	sort.SliceStable(p.Cs, func(i, j int) bool {
-		return p.Cs[i].String() < p.Cs[j].String()
-	})
-}
-
-// BoxVolume returns the product of per-dimension extents using integer
-// bounds; it over-estimates the point count for non-box polyhedra and
-// returns false when any dimension is unbounded.
-func (p *Poly) BoxVolume() (int64, bool) {
-	vol := int64(1)
-	for i := 0; i < p.Dim; i++ {
-		lo, hi, lok, hok := p.IntBounds(Var(p.Dim, i))
-		if !lok || !hok || hi < lo {
-			return 0, false
-		}
-		ext := hi - lo + 1
-		if vol > math.MaxInt64/max64(ext, 1) {
-			return math.MaxInt64, true
-		}
-		vol *= ext
-	}
-	return vol, true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

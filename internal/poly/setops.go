@@ -49,63 +49,3 @@ func (p *Poly) violationEmpty(e Expr) bool {
 	viol.Add(e.Neg().Sub(Const(p.Dim, 1)))
 	return viol.IsEmpty()
 }
-
-// DisjointFrom reports whether the two polyhedra share no rational
-// point.
-func (p *Poly) DisjointFrom(q *Poly) bool {
-	return p.Intersect(q).IsEmpty()
-}
-
-// Translate returns the polyhedron shifted by the integer vector off
-// (every point x becomes x + off).
-func (p *Poly) Translate(off []int64) *Poly {
-	r := p.Clone()
-	for i := range r.Cs {
-		// c(x - off) >= 0 for the shifted set.
-		for k, o := range off {
-			r.Cs[i].E.K -= r.Cs[i].E.C[k] * o
-		}
-	}
-	return r
-}
-
-// Image computes a bounding polyhedron of the affine image m(p): exact
-// when m is invertible over the rationals is not required — the result
-// constrains each output coordinate by the FM bounds of its defining
-// expression, which suffices for the reporting uses in this package.
-func (p *Poly) Image(m Map) *Poly {
-	out := NewPoly(m.OutDim())
-	out.Approx = p.Approx
-	for i, row := range m.Rows {
-		lo, hi, lok, hok := p.Bounds(row)
-		if lok {
-			e := Var(out.Dim, i)
-			e.K = -ceilRat(lo)
-			out.Add(e) // x_i >= ceil(lo)
-		}
-		if hok {
-			e := Var(out.Dim, i).Neg()
-			e.K = floorRat(hi)
-			out.Add(e) // x_i <= floor(hi)
-		}
-	}
-	return out
-}
-
-// Compose returns m ∘ g (apply g first, then m).
-func (m Map) Compose(g Map) Map {
-	if m.InDim != g.OutDim() {
-		panic("poly: Compose dimension mismatch")
-	}
-	out := NewMap(g.InDim, m.OutDim())
-	for i, row := range m.Rows {
-		e := Const(g.InDim, row.K)
-		for j, c := range row.C {
-			if c != 0 {
-				e = e.Add(g.Rows[j].Scale(c))
-			}
-		}
-		out.Rows[i] = e
-	}
-	return out
-}

@@ -54,51 +54,6 @@ func TestIsSubsetOf(t *testing.T) {
 	}
 }
 
-func TestDisjointFrom(t *testing.T) {
-	a := box(0, 3, 0, 3)
-	b := box(5, 8, 5, 8)
-	if !a.DisjointFrom(b) {
-		t.Error("separated boxes must be disjoint")
-	}
-	if a.DisjointFrom(box(3, 5, 3, 5)) {
-		t.Error("touching boxes share a point")
-	}
-}
-
-func TestTranslate(t *testing.T) {
-	a := box(0, 3, 0, 3)
-	b := a.Translate([]int64{10, -2})
-	if !b.Contains([]int64{10, -2}) || !b.Contains([]int64{13, 1}) || b.Contains([]int64{0, 0}) {
-		t.Errorf("translate wrong: %v", b)
-	}
-}
-
-func TestImage(t *testing.T) {
-	a := box(0, 3, 0, 3)
-	m := NewMap(2, 1)
-	m.Rows[0] = Var(2, 0).Add(Var(2, 1)) // i+j
-	img := a.Image(m)
-	lo, hi, lok, hok := img.IntBounds(Var(1, 0))
-	if !lok || !hok || lo != 0 || hi != 6 {
-		t.Errorf("image bounds [%d,%d], want [0,6]", lo, hi)
-	}
-}
-
-func TestCompose(t *testing.T) {
-	// g: (i,j) -> (j, i+1); m: (a,b) -> (a+b)
-	g := NewMap(2, 2)
-	g.Rows[0] = Var(2, 1)
-	g.Rows[1] = Var(2, 0).Add(Const(2, 1))
-	m := NewMap(2, 1)
-	m.Rows[0] = Var(2, 0).Add(Var(2, 1))
-	comp := m.Compose(g)
-	// (i,j) -> j + i + 1
-	got := comp.Rows[0]
-	if got.C[0] != 1 || got.C[1] != 1 || got.K != 1 {
-		t.Errorf("composition = %v, want i + j + 1", got)
-	}
-}
-
 // TestSubsetMatchesEnumeration: property test against brute force.
 func TestSubsetMatchesEnumeration(t *testing.T) {
 	f := func(alo, aext, blo, bext uint8) bool {

@@ -61,12 +61,6 @@ func alignUp(lo, base, step int64) int64 {
 	return lo + step - d
 }
 
-// LatticePointCount counts integer points honoring strides (same
-// contract as PointCount).
-func (p *Poly) LatticePointCount(limit int64) (int64, bool) {
-	return p.PointCount(limit)
-}
-
 // String rendering of stride constraints.
 func (sc StrideConstraint) String() string {
 	return fmt.Sprintf("(i%d - (%s)) mod %d == 0", sc.Var, sc.Base, sc.Step)

@@ -69,10 +69,6 @@ func (t *NestTransform) OuterParallel() bool {
 	return t.BandLen >= 2
 }
 
-// InnerParallel reports whether the innermost dimension after the
-// permutation is parallel (SIMDizable).
-func (t *NestTransform) InnerParallel() bool { return t.SIMD }
-
 // FullyPermutable reports whether the whole nest forms one permutable
 // band.
 func (t *NestTransform) FullyPermutable() bool {

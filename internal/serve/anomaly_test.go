@@ -12,13 +12,18 @@ import (
 	"polyprof/internal/budget"
 	"polyprof/internal/core"
 	"polyprof/internal/faultinject"
+	"polyprof/internal/jobexec"
+	"polyprof/internal/jobrec"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs/flight"
 	"polyprof/internal/transform"
 )
 
 // TestAnomalyDecision: each attempt outcome gives exactly one trigger
-// reason (or none) and the budget/degrade ring events it implies.
+// reason (or none) and the budget/degrade ring events it implies.  The
+// pipeline error is judged by the attempt runner's one classifier
+// (jobexec.Judge) and persisted as a JobError, as every attempt's is;
+// anomaly reads only that record.
 func TestAnomalyDecision(t *testing.T) {
 	oracle := &transform.OracleError{Program: "p", Nest: "n", Variant: "interchange", Detail: "1 memory words differ"}
 	steps := &budget.Error{Resource: budget.ResourceSteps, Stage: "vm", Limit: 10, Used: 11}
@@ -49,7 +54,10 @@ func TestAnomalyDecision(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := outcome{kind: "job", name: "job:example1#1", trace: "tr-1", job: "job-1",
-				status: "x", err: tc.err, budgets: tc.budgets}
+				status: "x", budgets: tc.budgets}
+			if tc.err != nil {
+				o.fail = jobstore.NewJobError(&jobrec.Failure{Err: tc.err, Verdict: jobexec.Judge(tc.err)}, 1, 0)
+			}
 			evs, reason, info := anomaly(o)
 			if reason != tc.reason {
 				t.Fatalf("reason = %q, want %q", reason, tc.reason)

@@ -1,18 +1,14 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
-	"polyprof/internal/budget"
-	"polyprof/internal/core"
 	"polyprof/internal/jobstore"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
-	"polyprof/internal/transform"
 )
 
 // handleFlightList serves GET /v1/flight: the on-disk incident bundles,
@@ -70,15 +66,16 @@ func (s *Server) handleFlightGet(w http.ResponseWriter, req *http.Request) {
 }
 
 // outcome is one finished pipeline attempt: a synchronous /v1/profile
-// request or one job attempt.
+// request, a local pool slot's job attempt, or a remote worker's
+// result post.
 type outcome struct {
 	kind, name string // ring event kind ("request", "job") and attempt name
 	trace, job string // correlation IDs; job is "" for a request
 	status     string
-	err        error
 	wallNS     int64
-	budgets    []string // degrading budgets a degraded report tripped
-	reg        *obs.Registry
+	budgets    []string           // degrading budgets a degraded report tripped
+	fail       *jobstore.JobError // the failure with its verdict; nil on success
+	reg        *obs.Registry      // nil for a remote attempt, which ships none
 }
 
 // finish ends one attempt: its registry merges into the process one
@@ -86,27 +83,31 @@ type outcome struct {
 // registry is exactly that), finished spans, anomaly decision and
 // status enter the ring.  It is the one place a pipeline outcome
 // becomes a trigger, so every such bundle carries the attempt's IDs and
-// spans.
+// spans.  A job attempt that ran past SlowJobThreshold fires slow-job
+// here too; the recorder's dedupe keeps it one bundle when the local
+// watchdog already fired.
 func (s *Server) finish(o outcome) {
 	s.reg.Merge(o.reg)
 	rec := s.store.Recorder()
 	if rec == nil {
 		return
 	}
-	snap := o.reg.Snapshot()
-	rec.LogSpans(o.trace, snap.Spans)
-	detail := fmt.Sprintf("%d counters, %d gauges, %d histograms",
-		len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
-	var top obs.NamedUint
-	for _, c := range snap.Counters {
-		if c.Value >= top.Value {
-			top = c
+	if o.reg != nil {
+		snap := o.reg.Snapshot()
+		rec.LogSpans(o.trace, snap.Spans)
+		detail := fmt.Sprintf("%d counters, %d gauges, %d histograms",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
+		var top obs.NamedUint
+		for _, c := range snap.Counters {
+			if c.Value >= top.Value {
+				top = c
+			}
 		}
+		if top.Name != "" {
+			detail += fmt.Sprintf("; top %s=%d", top.Name, top.Value)
+		}
+		rec.LogEvent(flight.Event{Kind: "metrics", Name: o.name, Trace: o.trace, Detail: detail})
 	}
-	if top.Name != "" {
-		detail += fmt.Sprintf("; top %s=%d", top.Name, top.Value)
-	}
-	rec.LogEvent(flight.Event{Kind: "metrics", Name: o.name, Trace: o.trace, Detail: detail})
 	evs, reason, info := anomaly(o)
 	for _, ev := range evs {
 		rec.LogEvent(ev)
@@ -114,36 +115,41 @@ func (s *Server) finish(o outcome) {
 	if reason != "" {
 		rec.Trigger(reason, info)
 	}
+	if th, wall := s.opts.SlowJobThreshold, time.Duration(o.wallNS); o.job != "" && th > 0 && wall >= th {
+		rec.Trigger("slow-job", flight.TriggerInfo{
+			Trace: o.trace, Job: o.job,
+			Detail: fmt.Sprintf("%s exceeded threshold %s (wall %s)", o.name, th, wall.Round(time.Microsecond)),
+			Extra:  s.store.Get(o.job),
+		})
+	}
 	rec.LogEvent(flight.Event{Kind: o.kind, Name: o.name, Trace: o.trace,
 		Detail: "status=" + o.status, WallNS: o.wallNS})
 }
 
-// anomaly decides what a finished attempt adds to the ring — degrade
+// anomaly reads what a finished attempt adds to the ring — degrade
 // events, a budget event — and which trigger, if any, it fires (reason
-// "" for none).  A contained stage panic outranks an oracle mismatch
-// and a hard budget abort, in that order; cancellation and plain
-// errors fire nothing.
+// "" for none) off the failure's verdict, which the attempt runner
+// decided (jobexec).  A failure without a verdict fires nothing.
 func anomaly(o outcome) (evs []flight.Event, reason string, info flight.TriggerInfo) {
 	for _, res := range o.budgets {
 		evs = append(evs, flight.Event{Kind: "degrade", Name: res, Trace: o.trace,
 			Detail: res + " budget exhausted; report degraded"})
 	}
 	info = flight.TriggerInfo{Trace: o.trace, Job: o.job}
-	var sp *core.StagePanic
-	var oe *transform.OracleError
-	switch {
-	case o.err == nil:
-	case errors.As(o.err, &sp):
-		reason, info.Stage, info.Detail = "stage-panic", sp.Stage, sp.Error()
-	case errors.As(o.err, &oe):
-		reason, info.Stage, info.Detail = "optimize-verify-failed", "transform", oe.Error()
-		info.Extra = map[string]string{"program": oe.Program, "nest": oe.Nest, "variant": oe.Variant}
-	default:
-		if be, ok := budget.AsError(o.err); ok && !be.Canceled() {
+	if o.fail == nil {
+		return evs, "", info
+	}
+	v := o.fail.Verdict
+	reason, info.Stage, info.Detail = v.Reason, v.Stage, v.Detail
+	switch reason {
+	case "optimize-verify-failed":
+		info.Extra = map[string]string{"program": v.Program, "nest": v.Nest, "variant": v.Variant}
+	case "budget-exhausted":
+		if be := o.fail.Budget; be != nil {
 			evs = append(evs, flight.Event{Kind: "budget", Name: be.Resource, Trace: o.trace, Detail: be.Error()})
-			reason, info.Detail = "budget-exhausted", o.name+": "+o.err.Error()
-			info.Extra = map[string]any{"status": o.status, "wall_ns": o.wallNS}
 		}
+		info.Detail = o.name + ": " + v.Detail
+		info.Extra = map[string]any{"status": o.status, "wall_ns": o.wallNS}
 	}
 	return evs, reason, info
 }

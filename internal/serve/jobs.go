@@ -322,7 +322,6 @@ func (s *Server) handleJobGet(rw http.ResponseWriter, req *http.Request) {
 // it (program materialization and deterministic budget exhaustion are
 // terminal; wall-clock timeouts and shutdown cancellation retry).
 func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.Lease) (*jobstore.Result, error) {
-	start := time.Now()
 	attempt := lease.Attempt
 	name := fmt.Sprintf("job:%s#%d", job.Name(), attempt)
 
@@ -345,29 +344,18 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 
 	// Slow-job watchdog: an attempt outliving the threshold freezes the
 	// recorder while the job is still stuck — the bundle shows what it
-	// is doing, not what it did.
+	// is doing, not what it did.  An attempt that ends past the
+	// threshold before the timer fires is caught by finish.
 	if th := s.opts.SlowJobThreshold; th > 0 {
-		slow := func(detail string) {
+		watchdog := time.AfterFunc(th, func() {
 			s.store.Recorder().Trigger("slow-job", flight.TriggerInfo{
 				Trace: job.TraceID, Job: job.ID,
-				Detail: detail,
-				Extra:  s.store.Get(job.ID),
+				Detail: fmt.Sprintf("attempt %d of job %s (%s) still running after %s",
+					attempt, job.ID, job.Name(), th),
+				Extra: s.store.Get(job.ID),
 			})
-		}
-		watchdog := time.AfterFunc(th, func() {
-			slow(fmt.Sprintf("attempt %d of job %s (%s) still running after %s",
-				attempt, job.ID, job.Name(), th))
 		})
-		defer func() {
-			// Stop() == true means the timer never fired; if the attempt
-			// still overran the threshold the anomaly must not be lost to
-			// the cancellation race, so trigger synchronously.  Dedupe in
-			// the recorder keeps one bundle per (reason, job) either way.
-			if watchdog.Stop() && time.Since(start) >= th {
-				slow(fmt.Sprintf("attempt %d of job %s (%s) exceeded threshold %s (wall %s)",
-					attempt, job.ID, job.Name(), th, time.Since(start).Round(time.Microsecond)))
-			}
-		}()
+		defer watchdog.Stop()
 	}
 
 	exOpts := jobexec.Options{
@@ -407,10 +395,26 @@ func (s *Server) runJob(ctx context.Context, job *jobstore.Job, lease *jobstore.
 		s.reg.Add("serve.jobs.errors", 1)
 	}
 	s.reg.Observe("serve.job.wall_ns", uint64(res.WallNS))
-	s.finish(outcome{kind: "job", name: name,
-		trace: job.TraceID, job: job.ID, status: res.Status, err: err, wallNS: res.WallNS,
-		budgets: res.Budget, reg: reg})
+	s.finish(jobOutcome(job, attempt, res, jobstore.NewJobError(err, attempt, res.SpanID), reg))
 	s.logf("polyprof: job %s attempt=%d name=%s status=%s wall=%s ops=%d",
 		job.ID, attempt, job.Name(), res.Status, time.Duration(res.WallNS), res.Ops)
 	return res, err
+}
+
+// jobOutcome is one finished job attempt as the store records it: res
+// when it succeeded, fail — the failure with its verdict — when it
+// failed.  A remote attempt's failure comes without a Result.
+func jobOutcome(job *jobstore.Job, attempt int, res *jobstore.Result, fail *jobstore.JobError, reg *obs.Registry) outcome {
+	o := outcome{kind: "job", name: fmt.Sprintf("job:%s#%d", job.Name(), attempt),
+		trace: job.TraceID, job: job.ID, fail: fail, reg: reg}
+	switch {
+	case fail != nil:
+		o.status, o.wallNS = fail.Status, fail.WallNS
+		if o.status == "" {
+			o.status = "error" // a failure posted without a verdict
+		}
+	case res != nil:
+		o.status, o.wallNS, o.budgets = res.Status, res.WallNS, res.Budget
+	}
+	return o
 }

@@ -207,6 +207,11 @@ func (s *Server) handleLeaseResult(w http.ResponseWriter, req *http.Request, id 
 		s.writeLeaseError(w, err)
 		return
 	}
+	// The store accepted the attempt: it meets the same anomaly decision
+	// as a local one, off the verdict its worker's attempt runner wrote.
+	if job := s.store.Get(id); job != nil {
+		s.finish(jobOutcome(job, job.Attempts, rr.Result, rr.Error, nil))
+	}
 	writeJSON(w, http.StatusOK, jobapi.ResultResponse{State: state})
 }
 

@@ -132,9 +132,10 @@ type Options struct {
 	// opts out); 0 here leaves jobs buffered unless they opt in.
 	// Reports are byte-identical either way.
 	EpochEvents uint64
-	// SlowJobThreshold arms a per-attempt watchdog: a job attempt still
-	// running after this long freezes the flight recorder into a
-	// "slow-job" bundle (once per job within the dedupe window).  Zero
+	// SlowJobThreshold arms a per-attempt watchdog: a local job attempt
+	// still running after this long freezes the flight recorder into a
+	// "slow-job" bundle, and so does any job attempt, local or remote,
+	// that ends past it (once per job within the dedupe window).  Zero
 	// defaults to half the request timeout; negative disables.
 	SlowJobThreshold time.Duration
 	// LeaseTTL is the default lease duration granted to remote workers
@@ -607,7 +608,8 @@ func (s *Server) runProfile(ctx context.Context, id string, spec workloads.Spec,
 	}
 	s.reg.Observe("serve.request.wall_ns", uint64(resp.WallNS))
 	s.finish(outcome{kind: "request", name: "profile:" + spec.Name, trace: id,
-		status: resp.Status, err: err, wallNS: resp.WallNS, budgets: resp.Budget, reg: reqReg})
+		status: resp.Status, wallNS: resp.WallNS, budgets: resp.Budget,
+		fail: jobstore.NewJobError(err, 0, res.SpanID), reg: reqReg})
 
 	summary := RequestSummary{
 		ID: id, Workload: spec.Name, Status: resp.Status, Error: resp.Error,

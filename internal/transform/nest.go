@@ -13,7 +13,7 @@ import (
 //	latch:     consti stepReg, step; add iv, iv, stepReg; jmp header
 //
 // which is exactly what the workload builder emits for Loop().  Any
-// other shape (LoopDown's descending CmpGE/Sub form, While, manual
+// other shape (a descending CmpGE/Sub loop, While, manual
 // CFGs) is refused rather than guessed at.
 type loopShape struct {
 	loop   *cfg.Loop

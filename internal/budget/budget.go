@@ -12,9 +12,9 @@
 //
 //   - Degrading limits (shadow-memory bytes, DDG edges) never abort.
 //     Grant* calls answer false once the limit is exceeded and the DDG
-//     builder switches the offending address ranges to coarse
-//     over-approximated dependence summaries — the report is still
-//     produced, marked degraded (see ddg.Degradation).
+//     builder folds the refused records into coarse over-approximated
+//     per-range dependence summaries — the report is still produced,
+//     marked degraded (see ddg.Degradation).
 //
 // All Budget methods are safe on a nil receiver, so unlimited callers
 // simply pass nil and pay nothing.
@@ -52,7 +52,7 @@ type Limits struct {
 	// instrumentation sinks, cumulative across passes (hard limit).
 	MaxTraceEvents uint64
 	// MaxShadowBytes bounds the shadow-memory tables of the DDG builder
-	// (degrading: excess address ranges are coarsened, not fatal).
+	// (degrading: refused records are coarsened, not fatal).
 	MaxShadowBytes uint64
 	// MaxDDGEdges bounds distinct dependence edges in the DDG
 	// (degrading: excess edges lose their exact folders and keep only a
@@ -158,9 +158,11 @@ func (b *Budget) CountEvents(n uint64, stage string) error {
 }
 
 // GrantShadow asks for n more bytes of shadow-memory accounting.  It
-// answers false — permanently, the counter is monotone — once the
-// total would exceed MaxShadowBytes.  Callers degrade on false; they
-// never abort.
+// answers false when the total would exceed MaxShadowBytes, and then
+// latches the shadow budget as tripped.  The counter keeps a refused
+// request's bytes, so only ReleaseShadow lowers it: without releases a
+// refusal is permanent, after one a later grant may succeed again.
+// Callers degrade on false; they never abort.
 func (b *Budget) GrantShadow(n uint64) bool {
 	if b == nil || b.limits.MaxShadowBytes == 0 {
 		return true
@@ -189,8 +191,9 @@ func (b *Budget) GrantEdges(n uint64) bool {
 // Streaming epoch runs call it after folding-and-releasing per-record
 // state at an epoch boundary, which is what lets a trace far larger
 // than the ceiling run without ever tripping the degradation latch.
-// Releases never un-trip a latch: once GrantShadow answered false the
-// run is degraded for good, same as before.
+// Once the counter is back below the limit, later grants succeed
+// again; but a release never un-trips the latch, so Tripped still
+// reports a run whose grant was refused once.
 func (b *Budget) ReleaseShadow(n uint64) {
 	if b == nil || b.limits.MaxShadowBytes == 0 {
 		return

@@ -121,6 +121,31 @@ func TestDegradingGrantsAreMonotone(t *testing.T) {
 	}
 }
 
+// TestShadowGrantAfterRelease: a release that brings the counter back
+// below the limit lets a later grant succeed, but the refused bytes
+// stay counted and the tripped latch stays set.
+func TestShadowGrantAfterRelease(t *testing.T) {
+	b := New(context.Background(), Limits{MaxShadowBytes: 100})
+	if !b.GrantShadow(60) || !b.GrantShadow(40) {
+		t.Fatal("grants within limit refused")
+	}
+	if b.GrantShadow(1) {
+		t.Fatal("grant over limit allowed")
+	}
+	// Counter: 101 with the refused byte; the release leaves 41.
+	b.ReleaseShadow(60)
+	if !b.GrantShadow(1) {
+		t.Fatal("grant after release refused")
+	}
+	if got := b.Tripped(); len(got) != 1 || got[0] != ResourceShadowBytes {
+		t.Fatalf("Tripped() after release = %v, want [%s]", got, ResourceShadowBytes)
+	}
+	// 42 counted: 58 more fit, 59 do not.
+	if !b.GrantShadow(58) || b.GrantShadow(1) {
+		t.Fatal("refused byte not kept in the counter")
+	}
+}
+
 func TestErrorFormattingAndAs(t *testing.T) {
 	e := &Error{Resource: ResourceSteps, Stage: "vm", Limit: 1000, Used: 1001}
 	msg := e.Error()

@@ -26,8 +26,9 @@
 // boundary before anything is released, folded or saved.  Every step
 // above is then the builder's, so either engine streams, releases,
 // folds and checkpoints alike.  Checkpoints pause while a budget is
-// degraded (coarse state is monotone and address-granular; re-charging
-// it under a fresh budget would double-degrade).
+// degraded (the checkpoint format keeps neither refused events nor
+// refused bytes, so a resumed run could not report the same
+// degradation).
 package core
 
 import (

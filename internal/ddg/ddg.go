@@ -141,13 +141,14 @@ type Dep struct {
 	Count    uint64
 
 	// Degraded marks bundles holding an over-approximated coarse piece
-	// produced under budget pressure (see degrade.go); their final
-	// piece has no affine function, which the scheduler treats as a
-	// star dependence.
+	// produced under budget pressure: a point from a degraded range
+	// summary (see degrade.go) or a bundle refused its edge.  Their
+	// final piece has no affine function, which the scheduler treats
+	// as a star dependence.
 	Degraded bool
 
 	folder *fold.MultiFolder
-	box    *coordBox // coarse consumer box, merged into Pieces at Finish
+	box    *coordBox // summary-point consumer box, merged into Pieces at Finish
 	// mult is a derived bundle's operand multiplicity: its count is
 	// mult times its consumer's (derive.go).  Zero for folded bundles.
 	mult uint64
@@ -184,11 +185,11 @@ type Options struct {
 	// the zero Scope targets the process-wide default registry.
 	Obs obs.Scope
 	// Budget, when set, bounds shadow-memory bytes and dependence
-	// edges.  Exhaustion degrades the graph to coarse summaries (see
-	// degrade.go) instead of failing the run.
+	// edges.  Exhaustion degrades the graph to coarse range summaries
+	// (see degrade.go) instead of failing the run.
 	Budget *budget.Budget
 	// Stream enables epoch fold-and-release (epoch.go): shadow records
-	// untouched for a full epoch fold into conservative stale summaries
+	// untouched for a full epoch fold into conservative range summaries
 	// and return their bytes to the budget, so a trace far larger than
 	// MaxShadowBytes profiles without tripping degradation.  Set by the
 	// streaming driver in core when both an epoch size and a shadow
@@ -264,7 +265,7 @@ type Graph struct {
 //     identity, dynamic counts and the register/frame mirror — the
 //     order-sensitive work that must see every event in program order;
 //   - the partitions: shadow memory for a slice of the address space,
-//     degradation and stale summaries for that slice, and the fold
+//     the range summaries for that slice, and the fold
 //     streams the ownership hash assigns them.
 //
 // A Builder from NewBuilder is one in-line partition driven by OnInstr.
@@ -318,7 +319,7 @@ type Builder struct {
 	curRegWords, peakRegWords int
 
 	// writers/readers are the last writer and last reader per word.
-	// Partition p owns the words of every coarse range k with
+	// Partition p owns the words of every range k with
 	// k % len(parts) == p; no other partition touches them.
 	writers, readers []writerRec
 	parts            []*partition
@@ -352,12 +353,9 @@ func NewPartitioned(prog *isa.Program, opts Options, n int, insert *faultinject.
 	b.curRegWords = main.NumRegs
 	b.peakRegWords = b.curRegWords
 	// Charge the fixed record tables up front; a budget too small for
-	// them degrades the whole address space from the first event.
-	if !opts.Budget.GrantShadow(baseShadowBytes(prog.MemWords)) {
-		for _, p := range b.parts {
-			p.trip()
-		}
-	}
+	// them refuses every record, so every memory event joins its
+	// range's summary.
+	opts.Budget.GrantShadow(baseShadowBytes(prog.MemWords))
 	return b
 }
 
@@ -377,11 +375,7 @@ func newBuilder(prog *isa.Program, opts Options, n int, insert *faultinject.P) *
 		b.epochN = 1
 	}
 	for i := 0; i < max(n, 1); i++ {
-		p := &partition{b: b, id: i}
-		if opts.Stream {
-			p.stale = map[int64]*coarseRange{}
-		}
-		b.parts = append(b.parts, p)
+		b.parts = append(b.parts, &partition{b: b, id: i, summ: map[int64]*rangeSummary{}})
 	}
 	return b
 }
@@ -563,7 +557,7 @@ func (b *Builder) Sequence(ctxKey string, coords []int64, ev trace.InstrEvent, i
 				if regs == nil {
 					b.parts[0].addDep(w.instr, w.coords, instr, coords, FlowReg)
 				} else {
-					regs.add(evIdx, w.instr, w.coords, FlowReg, false)
+					regs.add(evIdx, w.instr, w.coords, FlowReg)
 				}
 			}
 		}
@@ -640,9 +634,6 @@ func (b *Builder) FinishChecked() (*Graph, error) {
 		}
 		return nil
 	}
-	// Pair coarse ranges first so degraded bundles fold below with
-	// everything else.
-	b.finishCoarse()
 	b.ensureFolders()
 	g := &Graph{
 		Stmts:    b.allStmts,
@@ -757,7 +748,7 @@ func (b *Builder) publishMetrics(g *Graph) {
 	if b.opts.Stream {
 		stale := 0
 		for _, p := range b.parts {
-			stale += len(p.stale)
+			stale += len(p.summ)
 		}
 		sc.Add("ddg.stream.epochs", b.epochN-1)
 		sc.Add("ddg.stream.released_bytes", b.releasedBytes)

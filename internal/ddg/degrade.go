@@ -1,30 +1,40 @@
-// Shadow-memory budget degradation.  When the budget denies shadow
-// bytes, the builder stops allocating exact last-writer/last-reader
-// records for the denied addresses and instead summarizes whole
-// address ranges coarsely: per 2^coarseRangeShift-word range it keeps
-// the set of writing and reading instruction contexts with a bounding
-// box of their iteration coordinates.  At Finish the ranges pair into
-// over-approximated dependence bundles (every writer before every
-// reader and writer of the same range) whose pieces carry no affine
-// function — exactly the shape the scheduler already treats as a
-// star ("all directions") dependence.  Degradation is therefore sound
-// in the paper's direction: it can only ADD dependences relative to
-// the exact graph, never drop one, so transformations stay legal.
+// Range summaries and shadow-memory budget degradation.
 //
-// Budget grants race between partitions of the parallel engine, so a
-// degraded parallel run is a superset of the sequential result rather
-// than bit-identical to it.
+// A partition holds exact last-writer/last-reader records per word
+// while it can.  A record is missing for one of three reasons: the
+// address was never touched, its record was released at an epoch
+// boundary (epoch.go), or the budget refused it.  For the last two the
+// partition keeps, per 2^rangeShift-word range, a summary: the writing
+// and reading instruction contexts whose records it does not hold, each
+// with a bounding box of their iteration coordinates.
 //
-// Per-address discipline: a record that went live while the budget
-// allowed stays exact forever (set() reuses its memory), and an
-// address denied at first touch stays coarse forever (grants are
-// monotone).  An event is noted coarsely exactly when one of its
-// dependence counterparts lacks an exact record, which makes the
-// range pairing a superset of the missing edges — see the chaos and
-// superset tests.
+// One rule in resolve (partition.go) covers all three: when an event's
+// dependence counterpart has no exact record, the event pulls one point
+// per entry of its range's summary (writers for flow and output,
+// readers for anti) into a bounding-box piece with no affine function
+// — the shape the scheduler already treats as a star ("all
+// directions") dependence.  Entries from other addresses of the range
+// over-match, so the pull is a superset of the edges the missing
+// record would have given: summaries can only ADD dependences relative
+// to the exact graph, never drop one, so transformations stay legal.
+//
+// When the budget refuses an event's own record, the event joins its
+// range's summary and marks it degraded.  A bundle that takes a point
+// from a degraded summary is marked Degraded, and the degraded
+// summaries are the graph's degraded regions.  Budget grants race
+// between partitions of the parallel engine, so a degraded parallel run
+// may differ from the sequential one; both are supersets of the exact
+// graph.
+//
+// Per-address discipline: a live record stays exact (set() reuses its
+// memory).  An address without one asks the budget again at its next
+// touch, so once a streaming release has lowered the budget's count
+// below its limit a record is granted and exact again; its missing
+// counterparts still come from the summary.
 package ddg
 
 import (
+	"slices"
 	"sort"
 
 	"polyprof/internal/budget"
@@ -33,10 +43,10 @@ import (
 	"polyprof/internal/poly"
 )
 
-// coarseRangeShift sets the coarse summary granularity: addresses are
-// grouped into 256-word ranges.  Partitions own whole ranges, which
-// keeps their coarse and stale summaries disjoint.
-const coarseRangeShift = 8
+// rangeShift sets the summary granularity: addresses are grouped into
+// 256-word ranges.  Partitions own whole ranges, which keeps their
+// summaries disjoint.
+const rangeShift = 8
 
 // shadowFault injects at the shadow-memory accounting path.
 var shadowFault = faultinject.Point("ddg.shadow.insert")
@@ -74,26 +84,6 @@ func (c *coordBox) extend(coords []int64) {
 	}
 }
 
-func (c *coordBox) union(o *coordBox) {
-	c.n += o.n
-	if c.lo == nil {
-		c.lo = append([]int64(nil), o.lo...)
-		c.hi = append([]int64(nil), o.hi...)
-		return
-	}
-	for i := range c.lo {
-		if i >= len(o.lo) {
-			break
-		}
-		if o.lo[i] < c.lo[i] {
-			c.lo[i] = o.lo[i]
-		}
-		if o.hi[i] > c.hi[i] {
-			c.hi[i] = o.hi[i]
-		}
-	}
-}
-
 // piece renders the box as an over-approximated dependence piece: an
 // Approx domain with no affine producer function, which sched.analyze
 // maps to a star dependence (all directions assumed).
@@ -106,16 +96,94 @@ func (c *coordBox) piece() fold.Piece {
 	return fold.Piece{Dom: dom, Exact: false, Points: c.n}
 }
 
-// coarseRange summarizes one address range after degradation.
-type coarseRange struct {
-	writers map[*Instr]*coordBox
-	readers map[*Instr]*coordBox
+// sumEntry is one instruction's box inside a range summary.
+type sumEntry struct {
+	instr *Instr
+	box   coordBox
 }
 
-// coarseState exists only after the shadow budget tripped.
-type coarseState struct {
-	ranges map[int64]*coarseRange
-	events uint64
+// rangeSummary stands in for the records a partition does not hold in
+// one address range.  writers and readers are kept in Instr.ID order as
+// they are inserted, the order pulls take them in.
+type rangeSummary struct {
+	writers, readers []sumEntry
+	// refused counts the events whose own record the budget refused;
+	// nonzero marks the summary degraded.
+	refused uint64
+}
+
+// entryBox returns instr's box in tab, inserting an empty one in ID
+// order when instr has none.
+func entryBox(tab *[]sumEntry, instr *Instr) *coordBox {
+	i := sort.Search(len(*tab), func(k int) bool { return (*tab)[k].instr.ID >= instr.ID })
+	if i == len(*tab) || (*tab)[i].instr != instr {
+		*tab = slices.Insert(*tab, i, sumEntry{instr: instr})
+	}
+	return &(*tab)[i].box
+}
+
+// add folds one (instr, coords) observation into the summary.
+func (s *rangeSummary) add(instr *Instr, coords []int64, write bool) {
+	tab := &s.readers
+	if write {
+		tab = &s.writers
+	}
+	entryBox(tab, instr).extend(coords)
+}
+
+// summary returns the summary of addr's range, creating it.
+func (p *partition) summary(addr int64) *rangeSummary {
+	s := p.summ[addr>>rangeShift]
+	if s == nil {
+		s = &rangeSummary{}
+		p.summ[addr>>rangeShift] = s
+	}
+	return s
+}
+
+// pull adds one summary point per entry of the event's range summary
+// for each counterpart the exact tables lack: needW for the last writer
+// (flow for a read, output for a write), needR for the last reader
+// (anti, writes only).
+func (p *partition) pull(e *Event, out *Points, ev int32, needW, needR bool) {
+	s := p.summ[e.Addr>>rangeShift]
+	if s == nil {
+		return
+	}
+	deg := s.refused > 0
+	take := func(tab []sumEntry, kind Kind) {
+		for i := range tab {
+			if out != nil {
+				out.List = append(out.List, Point{Ev: ev, Src: tab[i].instr, Kind: kind, Summary: true, Degraded: deg})
+			} else {
+				p.addSummaryDep(tab[i].instr, e.Instr, kind, e.Coords, deg)
+			}
+		}
+	}
+	if needW {
+		kind := FlowMem
+		if e.Write {
+			kind = Output
+		}
+		take(s.writers, kind)
+	}
+	if needR {
+		take(s.readers, Anti)
+	}
+}
+
+// addSummaryDep merges one summary point: a bounding-box piece in
+// consumer coordinates, which marks its bundle Degraded when it came
+// from a degraded summary.
+func (p *partition) addSummaryDep(src, dst *Instr, kind Kind, dstCoords []int64, degraded bool) {
+	d := p.bundle(src, dst, kind, false)
+	if d.box == nil {
+		d.box = &coordBox{}
+	}
+	d.Degraded = d.Degraded || degraded
+	d.Count++
+	p.points++
+	d.box.extend(dstCoords)
 }
 
 // Degradation names what was coarsened when a budget tripped mid-run;
@@ -124,14 +192,14 @@ type Degradation struct {
 	// Budgets lists the tripped budget resources
 	// (budget.ResourceShadowBytes, budget.ResourceDDGEdges).
 	Budgets []string `json:"budgets"`
-	// Regions are the coarsened address ranges, merged and annotated
-	// with the overlapping global arrays.
+	// Regions are the address ranges of the degraded summaries,
+	// merged and annotated with the overlapping global arrays.
 	Regions []DegradedRegion `json:"regions,omitempty"`
 	// CoarseDeps counts dependence bundles carrying an
 	// over-approximated piece.
 	CoarseDeps int `json:"coarse_deps"`
-	// CoarseEvents counts dynamic memory events routed through coarse
-	// tracking.
+	// CoarseEvents counts the dynamic memory events whose own shadow
+	// record the budget refused, each folded into its range's summary.
 	CoarseEvents uint64 `json:"coarse_events"`
 }
 
@@ -142,16 +210,8 @@ type DegradedRegion struct {
 	Globals []string `json:"globals,omitempty"`
 }
 
-// trip switches the partition into coarse mode (idempotent).
-func (p *partition) trip() {
-	if p.coarse == nil {
-		p.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
-	}
-}
-
-// grantRec asks the budget for one more live record; a denial flips
-// the partition into coarse mode.  The fault point lets chaos tests
-// inject errors, panics or exhaustion exactly here.
+// grantRec asks the budget for one more live record.  The fault point
+// lets chaos tests inject errors, panics or exhaustion exactly here.
 func (p *partition) grantRec(dim int) bool {
 	if err := p.b.insert.Hit(); err != nil {
 		if be, ok := budget.AsError(err); ok && be.Resource == budget.ResourceShadowBytes {
@@ -162,146 +222,24 @@ func (p *partition) grantRec(dim int) bool {
 			p.faultErr = err
 		}
 	}
-	if p.b.opts.Budget.GrantShadow(recBytes(dim)) {
-		return true
-	}
-	p.trip()
-	return false
+	return p.b.opts.Budget.GrantShadow(recBytes(dim))
 }
 
-// addRange folds one (instr, coords) observation into the writer or
-// reader table of addr's range in ranges: the shape shared by coarse
-// and stale summaries.
-func addRange(ranges map[int64]*coarseRange, addr int64, instr *Instr, coords []int64, write bool) {
-	key := addr >> coarseRangeShift
-	rg := ranges[key]
-	if rg == nil {
-		rg = &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
-		ranges[key] = rg
-	}
-	tab := rg.readers
-	if write {
-		tab = rg.writers
-	}
-	box := tab[instr]
-	if box == nil {
-		box = &coordBox{}
-		tab[instr] = box
-	}
-	box.extend(coords)
-}
-
-// noteCoarse records one denied-counterpart event in its range
-// summary.
-func (p *partition) noteCoarse(e *Event) {
-	p.trip()
-	p.coarse.events++
-	addRange(p.coarse.ranges, e.Addr, e.Instr, e.Coords, e.Write)
-}
-
-// coarseEvent handles one memory event after the shadow budget
-// tripped.  Live records keep exact tracking (set() reuses their
-// memory, so no new bytes are consumed); events whose dependence
-// counterpart lacks a record are noted in the range summary.
-func (p *partition) coarseEvent(e *Event, out *Points, ev int32) {
-	b := p.b
-	w := &b.writers[e.Addr]
-	r := &b.readers[e.Addr]
-	note := false
-	if e.Write {
-		if w.instr != nil {
-			p.emit(out, ev, w.instr, w.coords, e, Output)
-			w.set(e.Instr, e.Coords)
-		} else {
-			// Readers of this address can only be coarse too: the
-			// range pairing needs this writer.
-			note = true
-		}
-		if r.instr != nil {
-			p.emit(out, ev, r.instr, r.coords, e, Anti)
-		} else {
-			note = true
-		}
-	} else {
-		if w.instr != nil {
-			p.emit(out, ev, w.instr, w.coords, e, FlowMem)
-		} else {
-			note = true
-		}
-		if r.instr != nil {
-			r.set(e.Instr, e.Coords)
-		} else {
-			note = true
-		}
-	}
-	if note {
-		p.noteCoarse(e)
-	}
-}
-
-// coarseRanges unions the partitions' coarse summaries (their range
-// keys are disjoint) and returns them with the keys in order; nil keys
-// and ranges when no partition degraded.
-func (b *Builder) coarseRanges() ([]int64, map[int64]*coarseRange) {
-	var ranges map[int64]*coarseRange
+// degradedKeys returns the range keys of every degraded summary in
+// order, and the number of events refused into them.
+func (b *Builder) degradedKeys() ([]int64, uint64) {
+	var keys []int64
+	var events uint64
 	for _, p := range b.parts {
-		if p.coarse == nil {
-			continue
+		for k, s := range p.summ {
+			if s.refused > 0 {
+				keys = append(keys, k)
+				events += s.refused
+			}
 		}
-		if ranges == nil {
-			ranges = map[int64]*coarseRange{}
-		}
-		for k, rg := range p.coarse.ranges {
-			ranges[k] = rg
-		}
-	}
-	keys := make([]int64, 0, len(ranges))
-	for k := range ranges {
-		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys, ranges
-}
-
-// addCoarseDep merges one range-pairing edge into the owning
-// partition's bundle.  consumerBox is the consumer's coordinate box
-// (the dependence piece domain lives in consumer coordinates).
-func (b *Builder) addCoarseDep(src, dst *Instr, kind Kind, consumerBox *coordBox) {
-	d := b.parts[ownerOfDep(src.ID, dst.ID, kind, len(b.parts))].boxBundle(src, dst, kind)
-	d.Degraded = true
-	d.box.union(consumerBox)
-}
-
-// finishCoarse pairs every coarse range into over-approximated
-// dependence bundles: flow = writers x readers, anti = readers x
-// writers, output = all ordered writer pairs (self included).  The
-// result is a provable superset of the dependences exact tracking
-// would have recorded for those addresses.
-func (b *Builder) finishCoarse() {
-	keys, ranges := b.coarseRanges()
-	for _, k := range keys {
-		rg := ranges[k]
-		writers := sortedByID(rg.writers)
-		readers := sortedByID(rg.readers)
-		for _, w := range writers {
-			for _, r := range readers {
-				b.addCoarseDep(w, r, FlowMem, rg.readers[r])
-				b.addCoarseDep(r, w, Anti, rg.writers[w])
-			}
-			for _, w2 := range writers {
-				b.addCoarseDep(w, w2, Output, rg.writers[w2])
-			}
-		}
-	}
-}
-
-func sortedByID(m map[*Instr]*coordBox) []*Instr {
-	out := make([]*Instr, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return keys, events
 }
 
 // buildDegradation assembles the Graph's degraded section.
@@ -312,23 +250,11 @@ func (b *Builder) buildDegradation(g *Graph) {
 		// tripped list so the provisional report still names it.
 		tripped = b.pinTripped
 	}
-	keys, _ := b.coarseRanges()
-	coarse := false
-	var events uint64
-	for _, p := range b.parts {
-		if p.coarse != nil {
-			coarse = true
-			events += p.coarse.events
-		}
-	}
-	if !coarse && len(tripped) == 0 {
+	keys, events := b.degradedKeys()
+	if len(keys) == 0 && len(tripped) == 0 {
 		return
 	}
-	deg := &Degradation{Budgets: tripped}
-	if coarse {
-		deg.CoarseEvents = events
-		deg.Regions = b.coarseRegions(keys)
-	}
+	deg := &Degradation{Budgets: tripped, CoarseEvents: events, Regions: b.degradedRegions(keys)}
 	for _, d := range g.Deps {
 		if d.Degraded {
 			deg.CoarseDeps++
@@ -337,13 +263,13 @@ func (b *Builder) buildDegradation(g *Graph) {
 	g.Degraded = deg
 }
 
-// coarseRegions merges the sorted coarse range keys into address
-// regions and names the global arrays they overlap.
-func (b *Builder) coarseRegions(keys []int64) []DegradedRegion {
+// degradedRegions merges the sorted range keys into address regions
+// and names the global arrays they overlap.
+func (b *Builder) degradedRegions(keys []int64) []DegradedRegion {
 	var out []DegradedRegion
 	for _, k := range keys {
-		lo := k << coarseRangeShift
-		hi := lo + (1 << coarseRangeShift) - 1
+		lo := k << rangeShift
+		hi := lo + (1 << rangeShift) - 1
 		if hi >= b.prog.MemWords {
 			hi = b.prog.MemWords - 1
 		}

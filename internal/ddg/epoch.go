@@ -13,14 +13,14 @@
 //     with N partitions restores into a builder with any other N.
 //
 //   - Fold-and-release (Options.Stream): at every epoch boundary,
-//     shadow records untouched during the closing epoch fold into stale
-//     per-range summaries and their bytes return to the budget.  A
-//     later access whose exact counterpart record was released pulls a
-//     conservative bounding-box dependence from the stale summary —
-//     over-approximate in the sound direction (only ADDS dependences),
-//     and distinct from budget degradation: the graph is not marked
-//     Degraded, because no information was lost that the summaries do
-//     not cover.
+//     shadow records untouched during the closing epoch fold into their
+//     range summaries (degrade.go) and their bytes return to the
+//     budget.  A later access whose exact counterpart record was
+//     released pulls a conservative bounding-box dependence from the
+//     summary — over-approximate in the sound direction (only ADDS
+//     dependences).  A release alone does not degrade the summary, and
+//     the graph is not marked Degraded, because no information was lost
+//     that the summaries do not cover.
 //
 // All three run between batches: the parallel engine flushes its
 // pipeline first, so every partition is quiescent.
@@ -41,11 +41,11 @@ import (
 
 // Clone deep-copies the builder so FinishChecked can run on the copy
 // (for a provisional epoch report) without disturbing the live stream.
-// The clone carries no budget — the coarse pairing in its Finish must
-// not re-charge the live run's edge accounting — and publishes metrics
-// into a detached, disabled registry.  Shadow records, frames and
-// pending linkage are only consulted by the event path, never by
-// Finish; the clone exists to be finished, so it has none.
+// The clone carries no budget, so finishing it can neither abort nor
+// charge the live run, and publishes metrics into a detached, disabled
+// registry.  Shadow records, frames and pending linkage are only
+// consulted by the event path, never by Finish; the clone exists to be
+// finished, so it has none.
 func (b *Builder) Clone() *Builder {
 	opts := b.opts
 	opts.Budget = nil
@@ -100,17 +100,12 @@ func (b *Builder) Clone() *Builder {
 		c.derived[depKey{src: cd.Src.ID, dst: cd.Dst.ID, kind: cd.Kind}] = cd
 		c.allDerived = append(c.allDerived, cd)
 	}
-	cloneRanges := func(ranges map[int64]*coarseRange) map[int64]*coarseRange {
-		out := make(map[int64]*coarseRange, len(ranges))
-		for k, rg := range ranges {
-			crg := &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
-			for i, box := range rg.writers {
-				crg.writers[im[i]] = cloneBox(box)
-			}
-			for i, box := range rg.readers {
-				crg.readers[im[i]] = cloneBox(box)
-			}
-			out[k] = crg
+	// A clone keeps its instructions' IDs, so summary entries stay in
+	// ID order.
+	cloneTab := func(tab []sumEntry) []sumEntry {
+		out := make([]sumEntry, len(tab))
+		for i := range tab {
+			out[i] = sumEntry{instr: im[tab[i].instr], box: *cloneBox(&tab[i].box)}
 		}
 		return out
 	}
@@ -129,11 +124,8 @@ func (b *Builder) Clone() *Builder {
 			}
 			cp.addBundle(cd)
 		}
-		if p.coarse != nil {
-			cp.coarse = &coarseState{ranges: cloneRanges(p.coarse.ranges), events: p.coarse.events}
-		}
-		if p.stale != nil {
-			cp.stale = cloneRanges(p.stale)
+		for k, s := range p.summ {
+			cp.summ[k] = &rangeSummary{writers: cloneTab(s.writers), readers: cloneTab(s.readers), refused: s.refused}
 		}
 	}
 	return c
@@ -150,64 +142,19 @@ func cloneBox(b *coordBox) *coordBox {
 // ---------------------------------------------------------------------
 // Streaming fold-and-release.
 
-// staleDeps pulls conservative dependences from the stale summary of
-// the event's range for the counterpart records the exact tables no
-// longer hold.  needW asks for producer-side edges (Output for a write,
-// flow for a read); needR asks for released last-readers (Anti, writes
-// only).  Entries from other addresses in the same range over-match —
-// sound, the summary only ever adds edges.
-func (p *partition) staleDeps(e *Event, out *Points, ev int32, needW, needR bool) {
-	if !needW && !needR {
-		return
-	}
-	rg := p.stale[e.Addr>>coarseRangeShift]
-	if rg == nil {
-		return
-	}
-	pull := func(tab map[*Instr]*coordBox, kind Kind) {
-		for _, src := range sortedByID(tab) {
-			if out != nil {
-				out.add(ev, src, nil, kind, true)
-			} else {
-				p.addStaleDep(src, e.Instr, kind, e.Coords)
-			}
-		}
-	}
-	if needW && len(rg.writers) > 0 {
-		if !e.Write {
-			pull(rg.writers, FlowMem)
-		} else {
-			pull(rg.writers, Output)
-		}
-	}
-	if needR && e.Write && len(rg.readers) > 0 {
-		pull(rg.readers, Anti)
-	}
-}
-
-// addStaleDep merges one stale-summary edge: a bounding-box piece in
-// consumer coordinates, like a coarse edge, but NOT marked Degraded —
-// releasing was a deliberate accuracy/memory trade, not a budget trip.
-func (p *partition) addStaleDep(src, dst *Instr, kind Kind, dstCoords []int64) {
-	d := p.boxBundle(src, dst, kind)
-	d.Count++
-	p.points++
-	d.box.extend(dstCoords)
-}
-
 // ReleaseEpoch closes one epoch in streaming mode: every shadow record
-// not touched during the closing epoch folds into its partition's stale
-// summary and returns its bytes to the budget; records touched this
-// epoch survive into the next.  Reports the bytes released (0 when not
+// not touched during the closing epoch folds into its range summary and
+// returns its bytes to the budget; records touched this epoch survive
+// into the next.  Reports the bytes released (0 when not
 // streaming).  Called by the core epoch driver with the VM paused.
 func (b *Builder) ReleaseEpoch() uint64 {
 	if !b.opts.Stream {
 		return 0
 	}
 	var freed uint64
-	for lo := 0; lo < len(b.writers); lo += 1 << coarseRangeShift {
+	for lo := 0; lo < len(b.writers); lo += 1 << rangeShift {
 		p := b.parts[b.partOf(int64(lo))]
-		for a := lo; a < min(lo+1<<coarseRangeShift, len(b.writers)); a++ {
+		for a := lo; a < min(lo+1<<rangeShift, len(b.writers)); a++ {
 			freed += p.release(a, &b.writers[a], true)
 			freed += p.release(a, &b.readers[a], false)
 		}
@@ -220,13 +167,13 @@ func (b *Builder) ReleaseEpoch() uint64 {
 	return freed
 }
 
-// release folds rec, the record of address a, into the stale summary
+// release folds rec, the record of address a, into its range summary
 // when the closing epoch did not touch it, and reports the bytes freed.
 func (p *partition) release(a int, rec *writerRec, write bool) uint64 {
 	if rec.instr == nil || rec.seen >= p.b.epochN {
 		return 0
 	}
-	addRange(p.stale, int64(a), rec.instr, rec.coords, write)
+	p.summary(int64(a)).add(rec.instr, rec.coords, write)
 	freed := rec.grant
 	*rec = writerRec{}
 	return freed
@@ -305,13 +252,13 @@ type DepState struct {
 	Box      *BoxState              `json:"box,omitempty"`
 }
 
-// StaleInstrState is one instruction's box inside a stale range.
+// StaleInstrState is one instruction's box inside a range summary.
 type StaleInstrState struct {
 	Instr int      `json:"i"`
 	Box   BoxState `json:"box"`
 }
 
-// StaleRangeState is one stale range summary.
+// StaleRangeState is one range summary.
 type StaleRangeState struct {
 	Key     int64             `json:"k"`
 	Writers []StaleInstrState `json:"w,omitempty"`
@@ -362,16 +309,18 @@ func regState(slot int, w *writerRec) RegState {
 	return RegState{Slot: slot, Instr: w.instr.ID, Coords: append([]int64(nil), w.coords...)}
 }
 
-func boxStates(tab map[*Instr]*coordBox) []StaleInstrState {
+func boxStates(tab []sumEntry) []StaleInstrState {
 	var out []StaleInstrState
-	for _, i := range sortedByID(tab) {
-		out = append(out, StaleInstrState{Instr: i.ID, Box: boxState(tab[i])})
+	for i := range tab {
+		out = append(out, StaleInstrState{Instr: tab[i].instr.ID, Box: boxState(&tab[i].box)})
 	}
 	return out
 }
 
 // Checkpointable reports whether State would succeed: degraded runs
-// (coarse mode, tripped budgets, latched faults) are not serializable.
+// (degraded summaries, tripped budgets, latched faults) are not
+// serializable.  Summaries are checked apart from the budget because
+// an injected shadow exhaustion refuses a record without tripping it.
 func (b *Builder) Checkpointable() bool { return b.checkpointErr() == nil }
 
 func (b *Builder) checkpointErr() error {
@@ -379,8 +328,10 @@ func (b *Builder) checkpointErr() error {
 		if p.faultErr != nil {
 			return p.faultErr
 		}
-		if p.coarse != nil {
-			return errDegraded
+		for _, s := range p.summ {
+			if s.refused > 0 {
+				return errDegraded
+			}
 		}
 	}
 	if len(b.opts.Budget.Tripped()) > 0 {
@@ -392,9 +343,10 @@ func (b *Builder) checkpointErr() error {
 var errDegraded = fmt.Errorf("ddg: run degraded under budget pressure; not checkpointable")
 
 // State captures the builder for checkpointing.  Degraded runs refuse:
-// coarse-mode state is address-granular and monotone, so resuming it
-// under a fresh budget would double-degrade; the epoch driver simply
-// stops checkpointing once a budget trips.
+// the format keeps neither a summary's refused events nor the bytes the
+// budget refused, so a resumed run could not report the same
+// degradation; the epoch driver simply stops checkpointing once a
+// budget trips.
 func (b *Builder) State() (*BuilderState, error) {
 	if err := b.checkpointErr(); err != nil {
 		return nil, err
@@ -426,10 +378,10 @@ func (b *Builder) State() (*BuilderState, error) {
 		s.Instrs = append(s.Instrs, is)
 	}
 	deps := append([]*Dep(nil), b.allDerived...)
-	stale := map[int64]*coarseRange{}
+	stale := map[int64]*rangeSummary{}
 	for _, p := range b.parts {
 		deps = append(deps, p.allDeps...)
-		for k, rg := range p.stale {
+		for k, rg := range p.summ {
 			stale[k] = rg
 		}
 	}
@@ -629,9 +581,9 @@ func (b *Builder) Restore(s *BuilderState) error {
 			if r.grant == 0 {
 				r.grant = recBytes(len(rs.Coords))
 			}
-			if !opts.Budget.GrantShadow(r.grant) {
-				b.parts[b.partOf(rs.Addr)].trip()
-			}
+			// A refusal (a ceiling lowered since the checkpoint) trips
+			// the budget; the record itself stays exact.
+			opts.Budget.GrantShadow(r.grant)
 			dst[rs.Addr] = r
 		}
 		return nil
@@ -686,20 +638,24 @@ func (b *Builder) Restore(s *BuilderState) error {
 		if !opts.Stream {
 			return fmt.Errorf("ddg: checkpoint has stale summaries but streaming is off")
 		}
-		dst := &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
+		dst := &rangeSummary{}
 		for _, tab := range []struct {
 			in  []StaleInstrState
-			out map[*Instr]*coordBox
-		}{{rg.Writers, dst.writers}, {rg.Readers, dst.readers}} {
+			out *[]sumEntry
+		}{{rg.Writers, &dst.writers}, {rg.Readers, &dst.readers}} {
 			for _, is := range tab.in {
 				i, err := instrAt(is.Instr)
 				if err != nil {
 					return err
 				}
-				tab.out[i] = restoreBox(is.Box)
+				bx := entryBox(tab.out, i)
+				if bx.n > 0 {
+					return fmt.Errorf("ddg: checkpoint repeats I%d in stale range %d", i.ID, rg.Key)
+				}
+				*bx = *restoreBox(is.Box)
 			}
 		}
-		b.parts[b.partOf(rg.Key<<coarseRangeShift)].stale[rg.Key] = dst
+		b.parts[b.partOf(rg.Key<<rangeShift)].summ[rg.Key] = dst
 	}
 	return nil
 }

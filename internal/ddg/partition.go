@@ -1,8 +1,8 @@
 // The shadow-partition core.  A partition owns a slice of the address
-// space — the writer and reader records of every coarse range k with
-// k % N == id, that slice's degradation summaries and stale ranges —
-// and the fold streams the ownership hash assigns it.  Each event takes
-// two steps through the partitions after the sequencer (ddg.go):
+// space — the writer and reader records of every range k with
+// k % N == id and that slice's range summaries — and the fold streams
+// the ownership hash assigns it.  Each event takes two steps through
+// the partitions after the sequencer (ddg.go):
 //
 //  1. resolve: the partition owning the event's address looks up its
 //     shadow records and yields the memory-dependence points;
@@ -34,9 +34,10 @@ type Point struct {
 	Src       *Instr
 	SrcCoords []int64
 	Kind      Kind
-	// Stale marks an edge pulled from a stale summary: it extends the
-	// bundle's bounding box instead of its exact folder (see epoch.go).
-	Stale bool
+	// Summary marks an edge pulled from a range summary: it extends the
+	// bundle's bounding box instead of its exact folder, and Degraded
+	// marks the summary degraded (see degrade.go).
+	Summary, Degraded bool
 }
 
 // Points is an event-ordered list of points with an arena holding
@@ -53,10 +54,10 @@ func (ps *Points) Reset() {
 	ps.arena = ps.arena[:0]
 }
 
-func (ps *Points) add(ev int32, src *Instr, srcCoords []int64, kind Kind, stale bool) {
+func (ps *Points) add(ev int32, src *Instr, srcCoords []int64, kind Kind) {
 	off := len(ps.arena)
 	ps.arena = append(ps.arena, srcCoords...)
-	ps.List = append(ps.List, Point{Ev: ev, Src: src, SrcCoords: ps.arena[off:len(ps.arena):len(ps.arena)], Kind: kind, Stale: stale})
+	ps.List = append(ps.List, Point{Ev: ev, Src: src, SrcCoords: ps.arena[off:len(ps.arena):len(ps.arena)], Kind: kind})
 }
 
 type partition struct {
@@ -71,11 +72,9 @@ type partition struct {
 	byDst   [][]*Dep
 	allDeps []*Dep
 
-	// coarse is non-nil once this partition's shadow budget tripped;
-	// from then on its memory events route through coarseEvent
-	// (degrade.go).  stale is non-nil exactly when opts.Stream.
-	coarse *coarseState
-	stale  map[int64]*coarseRange
+	// summ holds the range summaries of the records this partition
+	// released or was refused (degrade.go), by range key.
+	summ map[int64]*rangeSummary
 	// faultErr latches an error injected on a path that cannot return
 	// one; FinishChecked surfaces it.
 	faultErr error
@@ -87,9 +86,9 @@ type partition struct {
 	points    uint64 // stream points this partition folded
 }
 
-// partOf maps an address to the partition owning its coarse range.
+// partOf maps an address to the partition owning its range.
 func (b *Builder) partOf(addr int64) int {
-	return int((addr >> coarseRangeShift) % int64(len(b.parts)))
+	return int((addr >> rangeShift) % int64(len(b.parts)))
 }
 
 // ownerOfDep assigns a dependence stream to a partition.  Bundles hash
@@ -195,8 +194,8 @@ func (p *partition) foldPoint(pt *Point, e *Event) {
 	if ownerOfDep(pt.Src.ID, e.Instr.ID, pt.Kind, len(p.b.parts)) != p.id {
 		return
 	}
-	if pt.Stale {
-		p.addStaleDep(pt.Src, e.Instr, pt.Kind, e.Coords)
+	if pt.Summary {
+		p.addSummaryDep(pt.Src, e.Instr, pt.Kind, e.Coords, pt.Degraded)
 	} else {
 		p.addDep(pt.Src, pt.SrcCoords, e.Instr, e.Coords, pt.Kind)
 	}
@@ -206,67 +205,58 @@ func (p *partition) foldPoint(pt *Point, e *Event) {
 // later Fold, or (out nil, one partition) straight into its bundle.
 func (p *partition) emit(out *Points, ev int32, src *Instr, srcCoords []int64, e *Event, kind Kind) {
 	if out != nil {
-		out.add(ev, src, srcCoords, kind, false)
+		out.add(ev, src, srcCoords, kind)
 		return
 	}
 	p.addDep(src, srcCoords, e.Instr, e.Coords, kind)
 }
 
 // resolve runs one memory event against this partition's shadow
-// records.  Once the shadow budget trips (p.coarse non-nil) events
-// route through coarseEvent; until then the only extra cost over
-// unbudgeted tracking is a grant call on each address's first touch.
+// records: exact points from the live counterpart records first, then
+// summary points for the missing ones (degrade.go), then the event's
+// own record.  Without summaries the only extra cost over unbudgeted
+// tracking is a grant call on each address's first touch.
 func (p *partition) resolve(e *Event, out *Points, ev int32) {
 	p.memEvents++
-	if p.coarse != nil {
-		p.coarseEvent(e, out, ev)
-		return
-	}
 	b := p.b
+	w := &b.writers[e.Addr]
+	r := &b.readers[e.Addr]
 	if e.Write {
-		w := &b.writers[e.Addr]
-		wasNew := w.instr == nil
-		if wasNew && !p.grantRec(len(e.Coords)) {
-			p.coarseEvent(e, out, ev)
-			return
-		}
-		if !wasNew {
+		if w.instr != nil {
 			p.emit(out, ev, w.instr, w.coords, e, Output)
 		}
-		r := &b.readers[e.Addr]
-		haveReader := r.instr != nil
-		if haveReader {
+		if r.instr != nil {
 			p.emit(out, ev, r.instr, r.coords, e, Anti)
 		}
-		w.set(e.Instr, e.Coords)
-		if wasNew {
-			w.grant = recBytes(len(e.Coords))
+		if len(p.summ) > 0 && (w.instr == nil || r.instr == nil) {
+			p.pull(e, out, ev, w.instr == nil, r.instr == nil)
 		}
-		if p.stale != nil {
-			w.seen = b.epochN
-			p.staleDeps(e, out, ev, wasNew, !haveReader)
-		}
+		p.record(w, e)
 		return
 	}
-	r := &b.readers[e.Addr]
-	wasNew := r.instr == nil
-	if wasNew && !p.grantRec(len(e.Coords)) {
-		p.coarseEvent(e, out, ev)
-		return
-	}
-	w := &b.writers[e.Addr]
-	haveWriter := w.instr != nil
-	if haveWriter {
+	if w.instr != nil {
 		p.emit(out, ev, w.instr, w.coords, e, FlowMem)
+	} else if len(p.summ) > 0 {
+		p.pull(e, out, ev, true, false)
 	}
-	r.set(e.Instr, e.Coords)
-	if wasNew {
-		r.grant = recBytes(len(e.Coords))
+	p.record(r, e)
+}
+
+// record points rec, the event's own record, at the event.  A missing
+// record asks the budget for its bytes; refused, the event joins its
+// range's summary instead and marks it degraded.
+func (p *partition) record(rec *writerRec, e *Event) {
+	if rec.instr == nil {
+		if !p.grantRec(len(e.Coords)) {
+			s := p.summary(e.Addr)
+			s.refused++
+			s.add(e.Instr, e.Coords, e.Write)
+			return
+		}
+		rec.grant = recBytes(len(e.Coords))
 	}
-	if p.stale != nil {
-		r.seen = b.epochN
-		p.staleDeps(e, out, ev, !haveWriter, false)
-	}
+	rec.set(e.Instr, e.Coords)
+	rec.seen = p.b.epochN
 }
 
 // bundle finds or creates the dependence bundle src -> dst of kind.  A
@@ -311,16 +301,6 @@ func (p *partition) addBundle(d *Dep) {
 	}
 	p.byDst[d.Dst.ID] = append(p.byDst[d.Dst.ID], d)
 	p.allDeps = append(p.allDeps, d)
-}
-
-// boxBundle is bundle for an over-approximated edge, which always
-// lands in the bounding box.
-func (p *partition) boxBundle(src, dst *Instr, kind Kind) *Dep {
-	d := p.bundle(src, dst, kind, false)
-	if d.box == nil {
-		d.box = &coordBox{}
-	}
-	return d
 }
 
 func (p *partition) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []int64, kind Kind) {

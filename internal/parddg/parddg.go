@@ -18,8 +18,9 @@
 // stream has one owner that sees its points in global order, and the
 // merge sorts bundles canonically.  Degraded runs (shadow/edge budget
 // exhaustion) are the one exemption — grant ordering is racy by
-// nature — but degradation stays partition-local and the coarse
-// regions remain a superset of the exact dependences.
+// nature — but degradation stays partition-local and every refused
+// record's dependences still come from its range summary, so the graph
+// remains a superset of the exact dependences.
 package parddg
 
 import (
